@@ -12,22 +12,21 @@ baseline):
 ``resolve_heavy``
     The contention scenario the incremental resolver targets: miniMD at
     8 ranks/node on 4 of 16 Voltrino nodes with CPU, memory-bandwidth
-    and network anomalies plus 1 Hz monitoring.  Run three ways — object
-    backend with the incremental resolver disabled and enabled, then the
-    array backend — asserting identical simulated results and
-    non-trivial reuse counters for each path.  The gate metric
-    (``runs_per_s``) tracks the array backend, the engine's fastest
-    supported configuration; ``object_runs_per_s`` keeps the scalar
-    path's trend alongside it.
+    and network anomalies plus 1 Hz monitoring.  Run twice — on the
+    scalar reference rate model, then on the production model —
+    asserting identical simulated results and non-trivial reuse counters
+    for the production run.  The gate metric (``runs_per_s``) tracks the
+    production model; ``reference_runs_per_s`` and ``speedup`` put the
+    reference alongside it.
 
 ``waterfill_wide``
     The vectorized max-min share solver on wide oversubscribed demand
-    vectors (the regime the array backend's network and memory stages
-    feed it), reported as solves/s.
+    vectors (the regime the rate model's network and memory stages feed
+    it), reported as solves/s.
 
 ``same_timestamp_burst``
-    The calendar queue under the engine's batched-dispatch access
-    pattern: bursts of equal-timestamp events pushed and drained through
+    The event queue under the engine's batched-dispatch access pattern:
+    bursts of equal-timestamp events pushed and drained through
     ``peek_time``/``pop_at``, reported as events/s.
 
 ``figure_end_to_end``
@@ -121,21 +120,20 @@ def bench_engine_throughput(repeat: int) -> dict:
     }
 
 
-def _resolve_heavy_run(
-    incremental: bool, backend: str | None = None
-) -> tuple[float, float, dict]:
+def _resolve_heavy_run(reference: bool) -> tuple[float, float, dict]:
     """One contention run; returns (wall seconds, app runtime, counters).
 
-    ``backend`` selects the rate-model backend (``"object"`` /
-    ``"array"``); ``None`` keeps the ambient default (``REPRO_BACKEND``).
+    ``reference`` swaps the scalar reference rate model onto the cluster.
     """
     from repro.apps import AppJob, get_app
+    from repro.check import use_reference_model
     from repro.cluster import Cluster
     from repro.core import CpuOccupy, MemBw, NetOccupy
     from repro.monitoring import MetricService
 
-    cluster = Cluster.voltrino(num_nodes=16, backend=backend)
-    cluster.model.incremental = incremental
+    cluster = Cluster.voltrino(num_nodes=16)
+    if reference:
+        use_reference_model(cluster)
     service = MetricService(cluster)
     service.attach(end=1e6)
     app = get_app("miniMD").scaled(iterations=60)
@@ -152,39 +150,22 @@ def _resolve_heavy_run(
 
 
 def bench_resolve_heavy(repeat: int) -> dict:
-    """Resolver speedups (incremental, then array) on the mixed-anomaly
-    scenario.  All three paths must simulate byte-identical results."""
-    full_s = incr_s = array_s = None
+    """Production rate model vs the reference on the mixed-anomaly
+    scenario.  Both must simulate byte-identical results."""
+    reference_s = production_s = None
     for _ in range(repeat):
-        elapsed_full, runtime_full, _ = _resolve_heavy_run(
-            incremental=False, backend="object"
-        )
-        elapsed_incr, runtime_incr, counters = _resolve_heavy_run(
-            incremental=True, backend="object"
-        )
-        elapsed_array, runtime_array, counters_array = _resolve_heavy_run(
-            incremental=True, backend="array"
-        )
-        if runtime_full != runtime_incr:
+        elapsed_ref, runtime_ref, _ = _resolve_heavy_run(reference=True)
+        elapsed, runtime, counters = _resolve_heavy_run(reference=False)
+        if runtime != runtime_ref:
             raise AssertionError(
-                "incremental resolve changed simulated results: "
-                f"{runtime_incr!r} != {runtime_full!r}"
+                "production model changed simulated results: "
+                f"{runtime!r} != reference {runtime_ref!r}"
             )
-        if runtime_array != runtime_full:
-            raise AssertionError(
-                "array backend changed simulated results: "
-                f"{runtime_array!r} != {runtime_full!r}"
-            )
-        full_s = elapsed_full if full_s is None else min(full_s, elapsed_full)
-        incr_s = elapsed_incr if incr_s is None else min(incr_s, elapsed_incr)
-        array_s = elapsed_array if array_s is None else min(array_s, elapsed_array)
-    for counter in ("nodes_reused", "flow_memo_hits", "reschedules_skipped"):
-        if counters.get(counter, 0) <= 0:
-            raise AssertionError(
-                f"incremental resolve did no work-avoidance: {counter} == 0"
-            )
+        reference_s = (
+            elapsed_ref if reference_s is None else min(reference_s, elapsed_ref)
+        )
+        production_s = elapsed if production_s is None else min(production_s, elapsed)
     for counter in (
-        "array_resolves",
         "vectorized_waterfills",
         "stage1_memo_hits",
         "network_memo_hits",
@@ -192,27 +173,20 @@ def bench_resolve_heavy(repeat: int) -> dict:
         "batched_events",
         "reschedules_skipped",
     ):
-        if counters_array.get(counter, 0) <= 0:
+        if counters.get(counter, 0) <= 0:
             raise AssertionError(
-                f"array backend did no work-avoidance: {counter} == 0"
+                f"production model did no work-avoidance: {counter} == 0"
             )
     return {
-        "app_runtime_simulated_s": runtime_incr,
-        "seconds_full": round(full_s, 4),
-        "seconds_incremental": round(incr_s, 4),
-        "seconds_array": round(array_s, 4),
-        "speedup": round(full_s / incr_s, 2),
-        "array_speedup": round(full_s / array_s, 2),
-        "runs_per_s": round(1.0 / array_s, 3),
-        "object_runs_per_s": round(1.0 / incr_s, 3),
+        "app_runtime_simulated_s": runtime,
+        "seconds": round(production_s, 4),
+        "seconds_reference": round(reference_s, 4),
+        "speedup": round(reference_s / production_s, 2),
+        "runs_per_s": round(1.0 / production_s, 3),
+        "reference_runs_per_s": round(1.0 / reference_s, 3),
         "counters": {
             key: value
             for key, value in sorted(counters.items())
-            if not key.startswith("t_")
-        },
-        "counters_array": {
-            key: value
-            for key, value in sorted(counters_array.items())
             if not key.startswith("t_")
         },
     }
@@ -221,7 +195,7 @@ def bench_resolve_heavy(repeat: int) -> dict:
 def bench_waterfill_wide(repeat: int) -> dict:
     """Vectorized max-min share solves on wide oversubscribed demands.
 
-    The array backend funnels every contended memory-bandwidth and
+    The rate model funnels every contended memory-bandwidth and
     network allocation through :func:`waterfill`; this times it at the
     widths a many-tenant node produces, after checking one case against
     the scalar reference (a fast-but-wrong solver must not post a score).
@@ -261,20 +235,20 @@ def bench_waterfill_wide(repeat: int) -> dict:
 
 
 def bench_same_timestamp_burst(repeat: int) -> dict:
-    """Calendar queue under the engine's batched-dispatch pattern.
+    """Event queue under the engine's batched-dispatch pattern.
 
     Bursts of equal-timestamp events (a barrier releasing a node's worth
     of ranks at once) are pushed and drained through the exact
     ``peek_time``/``pop_at`` sequence the engine's batched dispatch
     uses; drain order is checked against the FIFO tie-break contract.
     """
-    from repro.sim.events import CalendarQueue
+    from repro.sim.events import EventQueue
 
     timestamps, burst = 400, 64
     events = timestamps * burst
 
     def run() -> float:
-        queue = CalendarQueue()
+        queue = EventQueue()
         fired: list[int] = []
         t0 = time.perf_counter()
         for ts in range(timestamps):

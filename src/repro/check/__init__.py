@@ -7,7 +7,9 @@ docs/TESTING.md):
   (``sim.check``), zero-cost when detached;
 * differential oracles (:mod:`repro.check.oracles` and the per-case
   variants in :mod:`repro.check.harness`) — byte-identity between each
-  optimisation and its reference semantics;
+  optimisation and its reference semantics, including the production
+  rate model against :class:`~repro.cluster.reference.ReferenceRateModel`
+  (swapped in by :func:`use_reference_model`);
 * the seeded fuzz harness (:func:`run_fuzz`, ``repro check``) — random
   scenarios from :mod:`repro.check.generators`, shrinking-by-halving,
   and a pinned corpus replayed by CI.
@@ -33,6 +35,7 @@ from repro.check.harness import (
     fingerprint_cluster,
     run_fuzz,
     shrink_failing,
+    use_reference_model,
 )
 from repro.check.invariants import (
     DEFAULT_TOLERANCE,
@@ -42,7 +45,6 @@ from repro.check.invariants import (
 )
 from repro.check.oracles import (
     OracleResult,
-    oracle_array_backend,
     oracle_checkpoint_free,
     oracle_checkpoint_restart,
     oracle_parallel_sweep,
@@ -70,7 +72,6 @@ __all__ = [
     "generate_case",
     "generate_cases",
     "load_corpus",
-    "oracle_array_backend",
     "oracle_checkpoint_free",
     "oracle_checkpoint_restart",
     "oracle_parallel_sweep",
@@ -80,4 +81,5 @@ __all__ = [
     "save_corpus",
     "shrink_candidates",
     "shrink_failing",
+    "use_reference_model",
 ]

@@ -43,7 +43,8 @@ def build_check_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="also replay every pinned workload trace (*.jsonl) in DIR "
-        "on both backends and require identical fingerprints",
+        "on the production and reference rate models and require "
+        "identical fingerprints",
     )
     parser.add_argument(
         "--save-corpus",

@@ -247,21 +247,12 @@ def generate_cases(n: int, seed: int) -> list[CaseSpec]:
 # -- materialisation ----------------------------------------------------------
 
 
-def build_cluster(spec: CaseSpec, backend: str | None = None) -> Cluster:
-    """A fresh cluster matching the spec's machine flavour.
-
-    ``backend`` pins the simulation core (object/array); ``None`` keeps
-    the ambient default so ``REPRO_BACKEND=array`` runs the whole fuzz
-    harness on the array path.
-    """
+def build_cluster(spec: CaseSpec) -> Cluster:
+    """A fresh cluster matching the spec's machine flavour."""
     if spec.machine == "voltrino":
-        return Cluster.voltrino(
-            num_nodes=spec.n_nodes, k_paths=spec.k_paths, backend=backend
-        )
+        return Cluster.voltrino(num_nodes=spec.n_nodes, k_paths=spec.k_paths)
     if spec.machine == "chameleon":
-        return Cluster.chameleon(
-            num_nodes=spec.n_nodes, k_paths=spec.k_paths, backend=backend
-        )
+        return Cluster.chameleon(num_nodes=spec.n_nodes, k_paths=spec.k_paths)
     raise CheckError(f"unknown machine flavour {spec.machine!r}")
 
 

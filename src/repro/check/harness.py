@@ -5,8 +5,9 @@ The harness turns a :class:`~repro.check.generators.CaseSpec` into a
 counters rendered with ``float.hex()`` — and asserts that the fingerprint
 is byte-identical across paired implementations of the same semantics:
 
-* incremental rate resolution vs the from-scratch reference
-  (``ClusterRateModel.incremental = False``),
+* the production rate model vs the scalar, cache-free
+  :class:`~repro.cluster.reference.ReferenceRateModel`
+  (:func:`use_reference_model`),
 * memoized flow solves vs cold re-solves (``FlowSolver.memoize = False``).
 
 The fast path additionally runs with an :class:`InvariantChecker`
@@ -37,6 +38,8 @@ from repro.check.generators import (
 )
 from repro.check.invariants import InvariantChecker
 from repro.cluster.cluster import Cluster
+from repro.cluster.reference import ReferenceRateModel
+from repro.errors import CheckError
 
 #: evaluation budget for shrinking one failing case
 SHRINK_BUDGET = 24
@@ -74,18 +77,42 @@ def fingerprint_cluster(cluster: Cluster) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def use_reference_model(cluster: Cluster) -> Cluster:
+    """Swap :class:`ReferenceRateModel` onto a freshly built ``cluster``.
+
+    The reference takes over the production model's ablation knobs and
+    the simulator's stats block, so the cluster then simulates the same
+    script through the scalar, cache-free equations.  Returns ``cluster``.
+    """
+    if cluster.sim.processes:
+        raise CheckError(
+            "the reference model can only replace the model of a freshly "
+            "built cluster"
+        )
+    model = cluster.model
+    reference = ReferenceRateModel(
+        cluster,
+        share_fn=model.share_fn,
+        cache_sharpness=model.cache_sharpness,
+        k_paths=model.k_paths,
+    )
+    reference.attach_stats(cluster.sim.stats)
+    cluster.model = cluster.sim.model = reference
+    return cluster
+
+
 def _run_case(
     spec: CaseSpec,
-    incremental: bool = True,
+    reference: bool = False,
     memoize: bool = True,
     checker: InvariantChecker | None = None,
-    backend: str | None = None,
 ) -> str:
     """Materialise, run, and fingerprint one case on a fresh cluster."""
-    cluster = build_cluster(spec, backend=backend)
-    cluster.model.incremental = incremental
-    if cluster.model.flow_solver is not None:
-        cluster.model.flow_solver.memoize = memoize
+    cluster = build_cluster(spec)
+    if reference:
+        use_reference_model(cluster)
+    if not memoize and cluster.model.flow_solver is not None:
+        cluster.model.flow_solver.memoize = False
     if checker is not None:
         checker.attach(cluster)
     jobs = deploy_case(spec, cluster)
@@ -127,10 +154,13 @@ def evaluate_case(spec: CaseSpec) -> CaseOutcome:
     checker = InvariantChecker(mode="record")
     fast = _run_case(spec, checker=checker)
     mismatches = []
-    full = _run_case(spec, incremental=False)
-    if fast != full:
+    ref = _run_case(spec, reference=True)
+    if fast != ref:
         mismatches.append(
-            ("incremental_resolve", f"fast {fast[:16]}.. != full {full[:16]}..")
+            (
+                "reference_model",
+                f"production {fast[:16]}.. != reference {ref[:16]}..",
+            )
         )
     cold = _run_case(spec, memoize=False)
     if fast != cold:
@@ -230,18 +260,28 @@ class FuzzReport:
         return "\n".join(lines)
 
 
+def reference_replay_fingerprint(trace) -> str:
+    """:func:`~repro.traces.replay_fingerprint` on the reference model."""
+    from repro.traces import TraceReplayApp, build_replay_cluster
+
+    cluster = use_reference_model(build_replay_cluster(trace))
+    TraceReplayApp(trace, cluster).run()
+    return fingerprint_cluster(cluster)
+
+
 def replay_trace_corpus(directory) -> list["OracleResult"]:
     """Replay every pinned ``*.jsonl`` trace under ``directory``.
 
     Each trace must load (which verifies its sha256 trailer), pass full
-    validation, and replay to the *same* fingerprint on the object and
-    array backends — the trace-layer half of backend equivalence, pinned
-    on committed workloads rather than generated cases.
+    validation, and replay to the *same* fingerprint on the production
+    and reference rate models — the trace-layer half of the
+    ``reference_model`` comparison, pinned on committed workloads rather
+    than generated cases.
     """
     from pathlib import Path
 
     from repro.check.oracles import OracleResult
-    from repro.errors import CheckError, ReproError
+    from repro.errors import ReproError
     from repro.traces import load_trace, replay_fingerprint
 
     paths = sorted(Path(directory).glob("*.jsonl"))
@@ -252,15 +292,15 @@ def replay_trace_corpus(directory) -> list["OracleResult"]:
         name = f"trace corpus {path.stem}"
         try:
             trace = load_trace(path).validate()
-            reference = replay_fingerprint(trace, backend="object")
-            vectorized = replay_fingerprint(trace, backend="array")
+            production = replay_fingerprint(trace)
+            reference = reference_replay_fingerprint(trace)
         except ReproError as err:
             results.append(OracleResult(name, False, str(err)))
             continue
-        if reference != vectorized:
+        if production != reference:
             results.append(
                 OracleResult(
-                    name, False, "object/array replay fingerprints diverge"
+                    name, False, "production/reference replay fingerprints diverge"
                 )
             )
         else:
@@ -281,13 +321,14 @@ def run_fuzz(
 
     ``jobs > 1`` fans the per-case evaluations out over worker processes
     (via :func:`repro.parallel.run_trials`, so results are identical for
-    every job count).  ``with_oracles`` additionally runs the global
-    differential oracles — parallel-vs-serial sweep, array-vs-object
-    backend equivalence (replaying the pinned corpus), checkpoint/restart
-    equivalence, registry-vs-legacy CLI, streamed-vs-batch telemetry
-    export, and trace record/replay identity — which exercise machinery a
-    single case cannot.  ``trace_corpus`` names a directory of pinned
-    workload traces additionally replayed on both backends
+    every job count).  Every case is compared against the reference rate
+    model and cold flow solves (:func:`evaluate_case`).  ``with_oracles``
+    additionally runs the global differential oracles — parallel-vs-serial
+    sweep, checkpoint/restart equivalence, registry-vs-legacy CLI,
+    result cache, streamed-vs-batch telemetry export, and trace
+    record/replay identity — which exercise machinery a single case
+    cannot.  ``trace_corpus`` names a directory of pinned workload traces
+    additionally replayed on the production and reference models
     (:func:`replay_trace_corpus`).
     """
     from repro.check import oracles as oracle_mod

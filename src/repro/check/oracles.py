@@ -1,14 +1,15 @@
 """Differential oracles: paired paths that must agree byte-for-byte.
 
-Every optimisation PR so far kept a reference path alive next to its
-fast path — full resolve next to incremental, cold flow solves next to
-the memo, serial sweeps next to ``--jobs N``, uninterrupted jobs next to
-checkpoint/restart, and the legacy CLI spelling next to the experiment
-registry.  Each oracle here runs one seeded scenario through both sides
-and reports whether the results are byte-identical; the per-case
-incremental/memo variants live in :mod:`repro.check.harness` (they reuse
-the case fingerprint), while this module holds the oracles that need
-machinery a single case cannot exercise.
+Every optimisation keeps a reference path alive next to its fast path —
+the scalar reference rate model next to the production one, cold flow
+solves next to the memo, serial sweeps next to ``--jobs N``,
+uninterrupted jobs next to checkpoint/restart, and the legacy CLI
+spelling next to the experiment registry.  Each oracle here runs one
+seeded scenario through both sides and reports whether the results are
+byte-identical; the per-case reference-model/memo variants live in
+:mod:`repro.check.harness` (they reuse the case fingerprint), while this
+module holds the oracles that need machinery a single case cannot
+exercise.
 
 All comparisons use ``float.hex()`` / fingerprint equality — "close
 enough" is exactly the silent-divergence failure mode this subsystem
@@ -56,40 +57,6 @@ def oracle_parallel_sweep(seed: int, cases: int = 3, jobs: int = 2) -> OracleRes
         "parallel_sweep",
         False,
         f"jobs={jobs} diverges from serial on cases {diverging}",
-    )
-
-
-# -- array backend vs object reference ----------------------------------------
-
-
-def oracle_array_backend(
-    seed: int, cases: int = 3, corpus: list | None = None
-) -> OracleResult:
-    """The numpy array backend must reproduce the object backend exactly.
-
-    Every case (the pinned corpus, when given, plus ``cases`` freshly
-    generated specs) runs twice on fresh clusters — once on the
-    dict-based reference model with the heap event queue, once on
-    :class:`~repro.cluster.ratemodel.ArrayRateModel` with the calendar
-    queue and batched dispatch — and the final fingerprints must match
-    byte-for-byte.  This is the oracle that licenses running production
-    sweeps with ``--backend array``.
-    """
-    from repro.check.harness import _run_case
-
-    specs = list(corpus or []) + generate_cases(cases, seed)
-    diverging = []
-    for spec in specs:
-        reference = _run_case(spec, backend="object")
-        vectorized = _run_case(spec, backend="array")
-        if reference != vectorized:
-            diverging.append(spec.case_id)
-    if not diverging:
-        return OracleResult("array_backend", True)
-    return OracleResult(
-        "array_backend",
-        False,
-        f"array backend diverges from object backend on cases {diverging}",
     )
 
 
@@ -479,8 +446,7 @@ def _mix_workload(cluster: Cluster):
 def oracle_trace_replay(seed: int) -> OracleResult:
     """Record-then-replay must be byte-identical to native execution.
 
-    Three claims, each checked on both simulation backends where a
-    replay is involved:
+    Three claims:
 
     * **transparency** — recording a registry experiment leaves its
       result artefacts byte-identical to an unrecorded run (one
@@ -540,11 +506,8 @@ def oracle_trace_replay(seed: int) -> OracleResult:
         recording = clean[0]
         if loads(dumps(recording.trace)) != recording.trace:
             failures.append(f"{exp_name}: canonical JSONL round-trip is lossy")
-        for backend in ("object", "array"):
-            if replay_fingerprint(recording.trace, backend=backend) != recording.fingerprint:
-                failures.append(
-                    f"{exp_name}: {backend} replay diverges from the recording"
-                )
+        if replay_fingerprint(recording.trace) != recording.fingerprint:
+            failures.append(f"{exp_name}: replay diverges from the recording")
 
     # Metric-series identity on the mixed workload.
     def mix_manifest(service) -> str:
@@ -564,15 +527,12 @@ def oracle_trace_replay(seed: int) -> OracleResult:
         failures.append(f"mix: recording tainted ({'; '.join(taints)})")
     else:
         mix = mixes[0]
-        for backend in ("object", "array"):
-            replay_cluster = build_replay_cluster(mix.trace, backend=backend)
-            replay_service = MetricService(replay_cluster)
-            replay_service.attach(end=600.0)
-            TraceReplayApp(mix.trace, replay_cluster, tickers=False).run()
-            if mix_manifest(replay_service) != native:
-                failures.append(
-                    f"mix: {backend} replay manifest (metric series) diverges"
-                )
+        replay_cluster = build_replay_cluster(mix.trace)
+        replay_service = MetricService(replay_cluster)
+        replay_service.attach(end=600.0)
+        TraceReplayApp(mix.trace, replay_cluster, tickers=False).run()
+        if mix_manifest(replay_service) != native:
+            failures.append("mix: replay manifest (metric series) diverges")
 
     # Content-addressed caching: same trace bytes, different paths.
     with tempfile.TemporaryDirectory() as tmp:
@@ -607,12 +567,11 @@ def run_global_oracles(seed: int, corpus: list | None = None) -> list[OracleResu
     """The oracles a fuzz run always executes once, in a fixed order.
 
     ``corpus`` (pinned :class:`CaseSpec` list, when the fuzz run has one)
-    is replayed through the array-backend oracle so backend equivalence
+    is replayed through the stream-export oracle so telemetry equivalence
     is pinned on exactly the cases CI replays.
     """
     return [
         oracle_parallel_sweep(seed),
-        oracle_array_backend(seed, corpus=corpus),
         oracle_checkpoint_restart(seed),
         oracle_checkpoint_free(seed),
         oracle_registry_cli(seed),

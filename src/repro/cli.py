@@ -55,7 +55,6 @@ an anomaly run.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -73,28 +72,6 @@ SUMMARY_METRICS = (
     "INST_RETIRED:ANY::spapiHASW",
     "LLC_MISSES::spapiHASW",
 )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.engine import BACKENDS
-
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKENDS,
-        help="simulation core: 'object' (reference) or 'array' (numpy hot "
-        "path, identical results); default honours REPRO_BACKEND",
-    )
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Propagate ``--backend`` to every cluster built below this command.
-
-    Exported through the environment rather than threaded through each
-    call chain so that worker processes (``--jobs``) inherit it too.
-    """
-    if getattr(args, "backend", None) is not None:
-        os.environ["REPRO_BACKEND"] = args.backend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +142,6 @@ def build_varbench_parser() -> argparse.ArgumentParser:
         help="worker processes for the repetitions (results are identical "
         "for every value; default 1 = serial)",
     )
-    _add_backend_argument(parser)
     return parser
 
 
@@ -193,7 +169,6 @@ def varbench_main(argv: list[str]) -> int:
     from repro.api import Client
 
     args = build_varbench_parser().parse_args(argv)
-    _apply_backend(args)
     with Client() as client:
         result = _run_job(
             client,
@@ -429,7 +404,6 @@ def build_experiment_parser() -> argparse.ArgumentParser:
         help="print only the result table (no archive chatter; also "
         "silences the deprecated-alias warning)",
     )
-    _add_backend_argument(parser)
     return parser
 
 
@@ -438,7 +412,6 @@ def experiment_main(argv: list[str]) -> int:
     from repro.experiments.registry import EXPERIMENT_REGISTRY
 
     args = build_experiment_parser().parse_args(argv)
-    _apply_backend(args)
     out = OutputWriter()
     if args.list or args.name is None:
         width = max(len(name) for name in EXPERIMENT_REGISTRY)

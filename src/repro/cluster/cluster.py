@@ -14,13 +14,13 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.cluster.node import Node
-from repro.cluster.ratemodel import ArrayRateModel, ClusterRateModel
+from repro.cluster.ratemodel import ClusterRateModel
 from repro.cluster.specs import MachineSpec
 from repro.errors import ConfigError
 from repro.memory.bandwidth import ShareFn
 from repro.network.topology import NetworkTopology, aries_like, star
 from repro.resources.fairshare import max_min_fair_share
-from repro.sim.engine import Simulator, default_backend
+from repro.sim.engine import Simulator
 from repro.sim.process import Body, SimProcess
 from repro.storage.filesystem import SharedFilesystem
 
@@ -49,11 +49,6 @@ class Cluster:
     share_fn / cache_sharpness / k_paths:
         Rate-model ablation knobs (see
         :class:`~repro.cluster.ratemodel.ClusterRateModel`).
-    backend:
-        ``"object"`` for the reference dict-based rate model and heap
-        event queue, ``"array"`` for the numpy-backed hot path (same
-        results, byte-for-byte — the ``repro check`` differential oracle
-        pins this).  ``None`` reads ``REPRO_BACKEND`` (default object).
     """
 
     def __init__(
@@ -65,7 +60,6 @@ class Cluster:
         share_fn: ShareFn = max_min_fair_share,
         cache_sharpness: float = 1.0,
         k_paths: int = 4,
-        backend: str | None = None,
     ) -> None:
         if num_nodes < 1:
             raise ConfigError("num_nodes must be >= 1")
@@ -88,16 +82,13 @@ class Cluster:
         #: guarded by a None-check, so an un-faulted simulation pays
         #: nothing beyond the attribute read.
         self.faults = None
-        backend = default_backend() if backend is None else backend
-        self.backend = backend
-        model_cls = ArrayRateModel if backend == "array" else ClusterRateModel
-        self.model = model_cls(
+        self.model = ClusterRateModel(
             self,
             share_fn=share_fn,
             cache_sharpness=cache_sharpness,
             k_paths=k_paths,
         )
-        self.sim = Simulator(self.model, backend=backend)
+        self.sim = Simulator(self.model)
         for node in self.nodes.values():
             node.memory.oom_killer = self._oom_kill
         if _CLUSTER_OBSERVERS:

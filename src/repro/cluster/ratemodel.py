@@ -18,26 +18,24 @@ read at 1 Hz.
 
 Resolves are *incremental*: the engine passes the set of pids whose
 segment changed, stage 1 re-solves only the nodes hosting a dirty pid
-(clean nodes reuse their cached per-node result bit-for-bit), and the
-network/storage stages are skipped outright when their demand signature
-is unchanged since the previous resolve (see docs/PERFORMANCE.md).
+(clean nodes keep their rows bit-for-bit), and the network/storage
+stages are skipped outright when their demand signature is unchanged
+since the previous resolve (see docs/PERFORMANCE.md).  The state lives
+in flat numpy arrays; :class:`~repro.cluster.reference.ReferenceRateModel`
+states the same equations as plain scalar loops, and the differential
+oracle in :mod:`repro.check` holds the two byte-identical.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.cache.model import (
-    CacheDemand,
-    cascade_miss_factor,
-    inclusive_footprints,
-    solve_occupancy,
-)
-from repro.memory.bandwidth import ShareFn, solve_bandwidth
+from repro.cache.model import CacheDemand, inclusive_footprints, solve_occupancy
+from repro.memory.bandwidth import ShareFn
 from repro.network.flows import FlowRequest, FlowSolver
 from repro.resources.fairshare import max_min_fair_share, waterfill
 from repro.sim.engine import RateModel
@@ -48,551 +46,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
 
-@dataclass
-class _NodeSolve:
-    """Cached stage-1 outcome for one node (valid while its tenants'
-    segments are untouched)."""
+#: L2 misses are more plentiful than L3 misses; this factor converts the
+#: modelled L3 MPKI into an L2 MPKI for the PAPI-style sampler.
+L2_MISS_FACTOR = 2.5
 
-    pids: tuple[int, ...]
-    speeds: dict[int, float]
-    rates: dict[int, dict[str, float]]
-    miss_factor: dict[int, float]
-
-
-@dataclass
-class _StageSolve:
-    """Cached network/storage stage outcome, keyed by a demand signature."""
-
-    signature: tuple
-    ratios: dict[int, float]
-    rates: dict[int, dict[str, float]]
-    remote: dict[str, dict[str, float]] = field(default_factory=dict)
-
-
-class ClusterRateModel(RateModel):
-    """Translates segment demand vectors into speeds and counter rates.
-
-    Parameters
-    ----------
-    cluster:
-        The cluster whose nodes/network/filesystems provide capacities.
-    share_fn:
-        Bandwidth-sharing discipline for memory (ablation knob).
-    cache_sharpness:
-        Exponent of the cache-occupancy contest (ablation knob).
-    k_paths:
-        Paths considered by adaptive routing; 1 = static routing.
-    """
-
-    #: L2 misses are more plentiful than L3 misses; this factor converts
-    #: the modelled L3 MPKI into an L2 MPKI for the PAPI-style sampler.
-    L2_MISS_FACTOR = 2.5
-
-    def __init__(
-        self,
-        cluster: "Cluster",
-        share_fn: ShareFn = max_min_fair_share,
-        cache_sharpness: float = 1.0,
-        k_paths: int = 4,
-        incremental: bool = True,
-    ) -> None:
-        self.cluster = cluster
-        self.share_fn = share_fn
-        self.cache_sharpness = cache_sharpness
-        #: re-solve only dirty nodes and skip unchanged network/storage
-        #: stages; setting False re-prices everything on every resolve
-        #: (the from-scratch reference path, used by the equivalence tests)
-        self.incremental = incremental
-        self.stats = SimStats()
-        self.flow_solver = (
-            FlowSolver(cluster.topology, k_paths=k_paths)
-            if cluster.topology is not None
-            else None
-        )
-        if self.flow_solver is not None:
-            self.flow_solver.stats = self.stats
-        #: per-pid accounting rates from the last resolve
-        self._proc_rates: dict[int, dict[str, float]] = {}
-        #: per-pid extra node-level rates that land on a *different* node
-        #: than the owning process (e.g. rx bytes at a flow's destination)
-        self._remote_rates: dict[str, dict[str, float]] = {}
-        #: stage caches reused across resolves (incremental mode)
-        self._node_cache: dict[str, _NodeSolve] = {}
-        self._net_cache: _StageSolve | None = None
-        self._io_cache: _StageSolve | None = None
-
-    def attach_stats(self, stats: SimStats) -> None:
-        self.stats = stats
-        if self.flow_solver is not None:
-            self.flow_solver.stats = stats
-
-    @property
-    def last_rates(self) -> dict[int, dict[str, float]]:
-        """Per-pid accounting rates computed by the last resolve.
-
-        Read-only view consumed by the invariant checker
-        (:mod:`repro.check`) to verify capacity conservation; the mapping
-        is rebuilt on every resolve, so callers must not hold onto it.
-        """
-        return self._proc_rates
-
-    def resolve(self, running: Sequence[SimProcess], now: float) -> dict[int, float]:
-        return self.resolve_incremental(running, now, None)
-
-    def resolve_incremental(
-        self,
-        running: Sequence[SimProcess],
-        now: float,
-        dirty: frozenset[int] | None = None,
-    ) -> dict[int, float]:
-        if not self.incremental:
-            dirty = None
-        if dirty is None:
-            # Full resolve: forget everything so no stale stage survives.
-            self._node_cache.clear()
-            self._net_cache = None
-            self._io_cache = None
-        self._proc_rates = {p.pid: {} for p in running}
-        self._remote_rates = defaultdict(lambda: defaultdict(float))
-        speeds: dict[int, float] = {}
-
-        by_node: dict[str, list[SimProcess]] = defaultdict(list)
-        for proc in running:
-            by_node[proc.node].append(proc)
-
-        miss_factor: dict[int, float] = {}
-        with self.stats.timer("node"):
-            for node_name, procs in by_node.items():
-                pids = tuple(p.pid for p in procs)
-                cached = self._node_cache.get(node_name)
-                if (
-                    cached is not None
-                    and cached.pids == pids
-                    and dirty is not None
-                    and dirty.isdisjoint(pids)
-                ):
-                    # Same tenants, same segments: stage-1 is bit-identical.
-                    self.stats.count("nodes_reused")
-                    speeds.update(cached.speeds)
-                    miss_factor.update(cached.miss_factor)
-                    for pid, rates in cached.rates.items():
-                        self._proc_rates[pid].update(rates)
-                    continue
-                self.stats.count("nodes_solved")
-                node_speeds = self._solve_node(node_name, procs, miss_factor)
-                speeds.update(node_speeds)
-                self._node_cache[node_name] = _NodeSolve(
-                    pids=pids,
-                    speeds=dict(node_speeds),
-                    rates={pid: dict(self._proc_rates[pid]) for pid in pids},
-                    miss_factor={
-                        pid: miss_factor[pid] for pid in pids if pid in miss_factor
-                    },
-                )
-            for stale in [name for name in self._node_cache if name not in by_node]:
-                del self._node_cache[stale]
-
-        # Fault-induced compute degradation (node hang / transient
-        # slowdown) scales the stage-1 outcome.  The node cache always
-        # stores *pre-fault* values, so the factor is applied uniformly on
-        # every resolve — cached and fresh nodes alike — and clears the
-        # moment the fault reverts (the injector forces a full resolve).
-        faults = self.cluster.faults
-        if faults is not None and faults.active:
-            for proc in running:
-                factor = faults.speed_factor(proc.node)
-                if factor < 1.0:
-                    speeds[proc.pid] *= factor
-                    rates = self._proc_rates[proc.pid]
-                    for key in rates:
-                        rates[key] *= factor
-
-        with self.stats.timer("network"):
-            self._solve_network(running, speeds)
-        with self.stats.timer("storage"):
-            self._solve_storage(running, speeds)
-        self._record_rates(running, speeds, miss_factor)
-        return speeds
-
-    def accrue(self, running: Sequence[SimProcess], t0: float, t1: float) -> None:
-        dt = t1 - t0
-        for proc in running:
-            rates = self._proc_rates.get(proc.pid)
-            if not rates:
-                continue
-            node = self.cluster.node(proc.node)
-            for key, rate in rates.items():
-                amount = rate * dt
-                proc.add_counter(key, amount)
-                node.add_counter(_NODE_COUNTER[key], amount)
-            node.add_counter(
-                f"cpu_core{proc.core}_seconds",
-                rates.get("cpu_user_seconds", 0.0) * dt,
-            )
-        for node_name, rates in self._remote_rates.items():
-            node = self.cluster.node(node_name)
-            for key, rate in rates.items():
-                node.add_counter(key, rate * dt)
-
-    def on_process_end(self, proc: SimProcess) -> None:
-        self.cluster.node(proc.node).memory.free_all(proc.pid)
-
-    def accrue_background(self, dt: float) -> None:
-        """OS noise accounting; called by the cluster's sys sampler."""
-        for node in self.cluster.nodes.values():
-            node.add_counter(
-                "cpu_sys_seconds", node.spec.os_noise_util * node.logical_cores * dt
-            )
-
-    # -- stage 1: per-node --------------------------------------------------
-
-    def _solve_node(
-        self,
-        node_name: str,
-        procs: list[SimProcess],
-        miss_factor: dict[int, float],
-    ) -> dict[int, float]:
-        node = self.cluster.node(node_name)
-        spec = node.spec
-        sizes = {lvl: spec.cache.size(lvl) for lvl in CACHE_LEVELS}
-
-        footprints = {
-            p.pid: inclusive_footprints(p.current.cache_footprint, sizes)
-            for p in procs
-            if p.current is not None
-        }
-        evictions: dict[int, dict[str, float]] = {
-            p.pid: dict.fromkeys(CACHE_LEVELS, 0.0) for p in procs
-        }
-
-        # Private levels (L1, L2): contested among hyperthread siblings.
-        for level in ("L1", "L2"):
-            groups: dict[int, list[SimProcess]] = defaultdict(list)
-            for p in procs:
-                groups[spec.physical_core_of(p.core)].append(p)
-            for tenants in groups.values():
-                res = solve_occupancy(
-                    sizes[level],
-                    [
-                        CacheDemand(
-                            p.pid, footprints[p.pid][level], p.current.cache_intensity
-                        )
-                        for p in tenants
-                    ],
-                    sharpness=self.cache_sharpness,
-                )
-                for p in tenants:
-                    evictions[p.pid][level] = res[p.pid].eviction
-
-        # Shared level (L3): contested socket-wide.
-        socket_groups: dict[int, list[SimProcess]] = defaultdict(list)
-        for p in procs:
-            socket_groups[spec.socket_of(p.core)].append(p)
-        for tenants in socket_groups.values():
-            res = solve_occupancy(
-                sizes["L3"],
-                [
-                    CacheDemand(
-                        p.pid, footprints[p.pid]["L3"], p.current.cache_intensity
-                    )
-                    for p in tenants
-                ],
-                sharpness=self.cache_sharpness,
-            )
-            for p in tenants:
-                evictions[p.pid]["L3"] = res[p.pid].eviction
-
-        for p in procs:
-            miss_factor[p.pid] = cascade_miss_factor(
-                evictions[p.pid], spec.cache_miss_cascade
-            )
-
-        # CPU: processor sharing per logical core, SMT capacity coupling.
-        core_demand: dict[int, float] = defaultdict(float)
-        for p in procs:
-            core_demand[p.core] += p.current.cpu
-        compute_speed: dict[int, float] = {}
-        cpu_grant: dict[int, float] = {}
-        for p in procs:
-            seg = p.current
-            sibling = spec.sibling_of(p.core)
-            sibling_util = (
-                min(1.0, core_demand.get(sibling, 0.0)) if sibling is not None else 0.0
-            )
-            capacity = 1.0 - (1.0 - spec.smt_throughput / 2.0) * sibling_util
-            total = core_demand[p.core]
-            if seg.cpu > 0:
-                # Time share is what /proc/stat sees (a busy hyperthread is
-                # 100% "utilised"); the SMT capacity factor degrades the
-                # *throughput* extracted during that time.
-                time_share = seg.cpu * min(1.0, 1.0 / total)
-                cpu_ratio = (time_share / seg.cpu) * capacity
-            else:
-                time_share, cpu_ratio = 0.0, 1.0
-            cpu_grant[p.pid] = time_share
-            cpi = 1.0 + seg.miss_cpi_penalty * miss_factor[p.pid]
-            compute_speed[p.pid] = cpu_ratio / cpi
-
-        # Memory bandwidth per socket, then the roofline composition:
-        # a segment's nominal time splits into an overlapped compute part
-        # (1 - phi) and a memory part (phi), where phi is how close the
-        # segment's demand sits to the single-core bandwidth limit.  The
-        # achieved speed is the roofline max of both parts — so a fully
-        # memory-bound STREAM does not care about losing CPU share, and a
-        # compute-bound kernel does not care about bandwidth loss.
-        mem_ratio: dict[int, float] = {}
-        phi0: dict[int, float] = {}  # memory-time fraction at base traffic
-        phi: dict[int, float] = {}  # inflated by eviction refetches
-        for tenants in socket_groups.values():
-            wants = []
-            for p in tenants:
-                seg = p.current
-                want = seg.mem_bw + seg.mem_bw_extra * miss_factor[p.pid]
-                wants.append(min(want, spec.core_mem_bw))  # single-core limit
-            grants = solve_bandwidth(
-                spec.mem_bw_per_socket,
-                wants,
-                alpha=spec.bw_latency_alpha,
-                share_fn=self.share_fn,
-            )
-            for p, want, grant in zip(tenants, wants, grants):
-                mem_ratio[p.pid] = 1.0 if want <= 0 else min(1.0, grant / want)
-                phi[p.pid] = want / spec.core_mem_bw
-                phi0[p.pid] = (
-                    min(p.current.mem_bw, spec.core_mem_bw) / spec.core_mem_bw
-                )
-
-        speeds: dict[int, float] = {}
-        for p in procs:
-            f0 = phi0[p.pid]
-            f = phi[p.pid]
-            # Roofline with eviction-inflated memory traffic: the nominal
-            # iteration overlaps a compute part (1 - f0) and a memory part
-            # (f0); contention stretches compute by 1/compute_speed and
-            # memory to f / mem_ratio (extra refetch bytes AND reduced
-            # bandwidth).  The achieved speed is baseline over the new max.
-            baseline = max(1.0 - f0, f0)
-            slowdown = (
-                max((1.0 - f0) / compute_speed[p.pid], f / mem_ratio[p.pid]) / baseline
-            )
-            speeds[p.pid] = 1.0 / slowdown
-            self._proc_rates[p.pid]["cpu_user_seconds"] = cpu_grant[p.pid]
-            self._proc_rates[p.pid]["mem_bytes"] = (
-                f * spec.core_mem_bw * speeds[p.pid]
-            )
-        return speeds
-
-    # -- stage 2: network -----------------------------------------------------
-
-    def _apply_stage(self, stage: _StageSolve, speeds: dict[int, float]) -> None:
-        """Fold a (fresh or cached) stage outcome into speeds and rates."""
-        for pid, ratio in stage.ratios.items():
-            speeds[pid] *= ratio
-        for pid, rates in stage.rates.items():
-            self._proc_rates[pid].update(rates)
-        for node_name, rates in stage.remote.items():
-            remote = self._remote_rates[node_name]
-            for counter, rate in rates.items():
-                remote[counter] += rate
-
-    def _solve_network(
-        self, running: Sequence[SimProcess], speeds: dict[int, float]
-    ) -> None:
-        if self.flow_solver is None:
-            return
-        requests: list[FlowRequest] = []
-        owners: list[tuple[SimProcess, float]] = []  # (proc, demand)
-        key = 0
-        for proc in running:
-            seg = proc.current
-            if seg is None:
-                continue
-            for flow in seg.flows:
-                demand = flow.rate * speeds[proc.pid]
-                requests.append(
-                    FlowRequest(key=key, src=proc.node, dst=flow.dst, demand=demand)
-                )
-                owners.append((proc, demand))
-                key += 1
-        if not requests:
-            self._net_cache = None
-            return
-        # Fault-induced link degradation scales the *granted* ratio, not
-        # the demand: scaling demand to zero would hit the ``demand <= 0``
-        # branch below and wrongly grant full speed.  The factors join the
-        # signature so a link_down apply/revert invalidates the stage memo.
-        faults = self.cluster.faults
-        if faults is not None and faults.active:
-            nic_factors = [
-                faults.nic_factor(req.src) * faults.nic_factor(req.dst)
-                for req in requests
-            ]
-        else:
-            nic_factors = [1.0] * len(requests)
-        signature = tuple(
-            (proc.pid, req.src, req.dst, req.demand, nic)
-            for req, (proc, _), nic in zip(requests, owners, nic_factors)
-        )
-        if self._net_cache is not None and self._net_cache.signature == signature:
-            # Identical flow demand set: the previous allocation stands.
-            self.stats.count("network_stage_skips")
-            self._apply_stage(self._net_cache, speeds)
-            return
-        self.stats.count("network_stage_solves")
-        result = self.flow_solver.solve(requests)
-        worst_ratio: dict[int, float] = {}
-        tx_rates: dict[int, dict[str, float]] = {}
-        remote: dict[str, dict[str, float]] = {}
-        for request, (proc, demand), nic in zip(requests, owners, nic_factors):
-            grant = result.grants[request.key] * nic
-            ratio = nic if demand <= 0 else min(1.0, grant / demand)
-            worst_ratio[proc.pid] = min(worst_ratio.get(proc.pid, 1.0), ratio)
-            rates = tx_rates.setdefault(proc.pid, {"nic_tx_bytes": 0.0})
-            rates["nic_tx_bytes"] += grant
-            remote.setdefault(request.dst, {"nic_rx_bytes": 0.0})[
-                "nic_rx_bytes"
-            ] += grant
-        # tx accounting already reflects granted (not demanded) rates
-        self._net_cache = _StageSolve(
-            signature=signature, ratios=worst_ratio, rates=tx_rates, remote=remote
-        )
-        self._apply_stage(self._net_cache, speeds)
-
-    # -- stage 3: storage -----------------------------------------------------
-
-    def _solve_storage(
-        self, running: Sequence[SimProcess], speeds: dict[int, float]
-    ) -> None:
-        by_fs: dict[str, list[tuple[SimProcess, IODemand]]] = defaultdict(list)
-        for proc in running:
-            seg = proc.current
-            if seg is not None and seg.io is not None:
-                io = seg.io
-                s = speeds[proc.pid]
-                scaled = type(io)(
-                    fs=io.fs,
-                    write_bw=io.write_bw * s,
-                    read_bw=io.read_bw * s,
-                    meta_ops=io.meta_ops * s,
-                )
-                by_fs[io.fs].append((proc, scaled))
-        obs = self.cluster.sim.obs
-        if obs is not None:
-            # Maintain one "busy" span per filesystem covering the stretch
-            # of simulated time during which any I/O demand exists.
-            for fs_name in self.cluster.filesystems:
-                obs.window(
-                    ("io", fs_name),
-                    "storage",
-                    f"busy:{fs_name}",
-                    ("storage", fs_name),
-                    active=fs_name in by_fs,
-                )
-        if not by_fs:
-            self._io_cache = None
-            return
-        # Filesystem health (failed OSTs, metadata brownout) joins the
-        # signature so degradation events invalidate the stage memo even
-        # when the demand set itself is unchanged.
-        signature = (
-            tuple(
-                (p.pid, p.node, fs_name, io.write_bw, io.read_bw, io.meta_ops)
-                for fs_name, pairs in by_fs.items()
-                for p, io in pairs
-            ),
-            tuple(
-                (fs_name, self.cluster.filesystem(fs_name).health_revision)
-                for fs_name in sorted(by_fs)
-            ),
-        )
-        if self._io_cache is not None and self._io_cache.signature == signature:
-            # Identical scaled IO demand set: previous grants stand.
-            self.stats.count("storage_stage_skips")
-            self._apply_stage(self._io_cache, speeds)
-            return
-        self.stats.count("storage_stage_solves")
-        ratios: dict[int, float] = {}
-        io_rates: dict[int, dict[str, float]] = {}
-        for fs_name, pairs in by_fs.items():
-            fs = self.cluster.filesystem(fs_name)
-            grants = fs.solve([(p.pid, p.node, io) for p, io in pairs])
-            for p, _ in pairs:
-                grant = grants[p.pid]
-                ratios[p.pid] = min(1.0, grant.ratio)
-                io_rates[p.pid] = {
-                    "io_write_bytes": grant.write_bw,
-                    "io_read_bytes": grant.read_bw,
-                    "io_meta_ops": grant.meta_ops,
-                }
-        self._io_cache = _StageSolve(signature=signature, ratios=ratios, rates=io_rates)
-        self._apply_stage(self._io_cache, speeds)
-
-    # -- finalize --------------------------------------------------------------
-
-    def _record_rates(
-        self,
-        running: Sequence[SimProcess],
-        speeds: dict[int, float],
-        miss_factor: dict[int, float],
-    ) -> None:
-        for proc in running:
-            seg = proc.current
-            if seg is None:
-                continue
-            rates = self._proc_rates[proc.pid]
-            speed = speeds.get(proc.pid, 0.0)
-            amp = self.cluster.node(proc.node).spec.miss_amplification
-            ips = seg.ips * speed
-            mpki = amp * (
-                seg.mpki_base + seg.mpki_extra * miss_factor.get(proc.pid, 0.0)
-            )
-            rates["instructions"] = ips
-            rates["l3_misses"] = mpki * ips / 1000.0
-            # L2 misses track whichever is larger: the cascade from L3
-            # misses, or the demand-miss stream feeding the measured
-            # memory traffic (one miss per ~4 cache lines after
-            # prefetching) — the latter is what makes L2_RQSTS:MISS the
-            # paper's memory-intensiveness indicator (Table 2).
-            rates["l2_misses"] = max(
-                self.L2_MISS_FACTOR * mpki * ips / 1000.0,
-                rates.get("mem_bytes", 0.0) / 256.0,
-            )
-
-
-#: mapping from per-process counter names to node counter names
-_NODE_COUNTER = {
-    "cpu_user_seconds": "cpu_user_seconds",
-    "mem_bytes": "mem_bytes",
-    "instructions": "instructions",
-    "l2_misses": "l2_misses",
-    "l3_misses": "l3_misses",
-    "nic_tx_bytes": "nic_tx_bytes",
-    "io_write_bytes": "io_write_bytes",
-    "io_read_bytes": "io_read_bytes",
-    "io_meta_ops": "io_meta_ops",
-}
-
-#: canonical column order of the model-owned per-process counter keys —
-#: disjoint from app-written keys (``cpu_seconds``, ``app_iterations``,
-#: ``charm_compute_seconds``), so the array backend can flush its columns
-#: by assignment without clobbering anything the app wrote directly
-_RATE_KEYS = tuple(_NODE_COUNTER)
+#: the model-owned per-process counter keys, in column order; each is
+#: also the name of the node counter it accrues into.  Disjoint from
+#: app-written keys (``cpu_seconds``, ``app_iterations``,
+#: ``charm_compute_seconds``), so the model can flush its columns by
+#: assignment without clobbering anything the app wrote directly.
+_RATE_KEYS = (
+    "cpu_user_seconds",
+    "mem_bytes",
+    "instructions",
+    "l2_misses",
+    "l3_misses",
+    "nic_tx_bytes",
+    "io_write_bytes",
+    "io_read_bytes",
+    "io_meta_ops",
+)
 (_CPU, _MEM, _INSTR, _L2, _L3, _NIC, _IOW, _IOR, _IOM) = range(len(_RATE_KEYS))
 
 
 @dataclass
-class _ArrayNodeSolve:
-    """Array-backend stage-1 cache marker.
-
-    The values live in the model's persistent stage-1 arrays, so only the
-    tenancy (which pids, in which order) needs remembering to decide
-    whether those rows are still valid."""
-
-    pids: tuple[int, ...]
-
-
-@dataclass
-class _ArrayStage:
+class _NetStage:
     """Cached network-stage outcome in array form (rows into the model)."""
 
     signature: tuple
@@ -600,6 +78,15 @@ class _ArrayStage:
     ratios: np.ndarray
     tx: np.ndarray
     remote: dict[str, float]
+
+
+@dataclass
+class _IOStage:
+    """Cached storage-stage outcome, keyed by a demand signature."""
+
+    signature: tuple
+    ratios: dict[int, float]
+    rates: dict[int, dict[str, float]]
 
 
 class _RunGroup:
@@ -617,7 +104,6 @@ class _RunGroup:
         "rows",
         "rows_list",
         "sel",
-        "by_node",
         "node_pids",
         "node_rows",
         "pid_index",
@@ -628,7 +114,7 @@ class _RunGroup:
 
     def __init__(
         self,
-        model: "ArrayRateModel",
+        model: "ClusterRateModel",
         pids: tuple[int, ...],
         rows_list: list[int],
         by_node: dict[str, list[SimProcess]],
@@ -642,7 +128,6 @@ class _RunGroup:
             self.sel: slice | np.ndarray = slice(rows_list[0], rows_list[0] + n)
         else:
             self.sel = rows
-        self.by_node = by_node
         pid_row = model._pid_row
         intern = model._node_rows_intern
         node_pids: dict[str, tuple[int, ...]] = {}
@@ -671,12 +156,22 @@ class _RunGroup:
         self.core_cells = model._row_corecell[rows]
 
 
-class ArrayRateModel(ClusterRateModel):
-    """Array-backed rate model: the engine's ``backend="array"`` hot path.
+class ClusterRateModel(RateModel):
+    """Translates segment demand vectors into speeds and counter rates.
 
-    Produces **byte-identical** simulations to :class:`ClusterRateModel`
-    (the differential oracle in :mod:`repro.check` pins this across the
-    fuzz corpus) while replacing the per-event Python dict traffic with
+    Parameters
+    ----------
+    cluster:
+        The cluster whose nodes/network/filesystems provide capacities.
+    share_fn:
+        Bandwidth-sharing discipline for memory (ablation knob).
+    cache_sharpness:
+        Exponent of the cache-occupancy contest (ablation knob).
+    k_paths:
+        Paths considered by adaptive routing; 1 = static routing.
+
+    The per-event Python dict traffic of a scalar model (see
+    :class:`~repro.cluster.reference.ReferenceRateModel`) is replaced by
     flat numpy state:
 
     * per-process speeds and the nine model-owned counter *rates* live in
@@ -725,9 +220,29 @@ class ArrayRateModel(ClusterRateModel):
     #: distinct running-set configurations whose grouping is kept
     GROUP_CACHE_SIZE = 256
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        cluster = self.cluster
+    def __init__(
+        self,
+        cluster: "Cluster",
+        share_fn: ShareFn = max_min_fair_share,
+        cache_sharpness: float = 1.0,
+        k_paths: int = 4,
+    ) -> None:
+        self.cluster = cluster
+        self.share_fn = share_fn
+        self.cache_sharpness = cache_sharpness
+        self.k_paths = k_paths
+        self.stats = SimStats()
+        self.flow_solver = (
+            FlowSolver(cluster.topology, k_paths=k_paths)
+            if cluster.topology is not None
+            else None
+        )
+        if self.flow_solver is not None:
+            self.flow_solver.stats = self.stats
+        #: per-node stage-1 validity: the ordered tenant pids whose rows
+        #: the last solve of that node wrote
+        self._node_cache: dict[str, tuple[int, ...]] = {}
+        self._io_cache: _IOStage | None = None
         nodes = list(cluster.nodes.values())
         self._node_index = {node.name: i for i, node in enumerate(nodes)}
         self._node_list = nodes
@@ -749,10 +264,9 @@ class ArrayRateModel(ClusterRateModel):
             [[node.counters[k] for k in self._core_keys] for node in nodes],
             dtype=float,
         )
-        self._key_node_col = [
-            self._node_cols[_NODE_COUNTER[k]] for k in _RATE_KEYS
-        ]
-        self._key_node_col_arr = np.asarray(self._key_node_col, dtype=np.int64)
+        self._key_node_col_arr = np.asarray(
+            [self._node_cols[k] for k in _RATE_KEYS], dtype=np.int64
+        )
         self._sys_col = self._node_cols["cpu_sys_seconds"]
         self._rx_col = self._node_cols["nic_rx_bytes"]
         self._noise_base = np.array(
@@ -784,9 +298,9 @@ class ArrayRateModel(ClusterRateModel):
         #: segment-key interning table: memo keys carry small ints instead
         #: of nested float tuples, so hashing them is integer work
         self._seg_intern: dict[tuple, int] = {}
-        self._net_cache: _ArrayStage | None = None
+        self._net_cache: _NetStage | None = None
         #: network-stage memo (signature → folded stage outcome)
-        self._net_memo: dict[tuple, _ArrayStage] = {}
+        self._net_memo: dict[tuple, _NetStage] = {}
         # flow-structure cache: rebuilt only when the set of flow-bearing
         # rows (or any of their segments) changes
         self._flow_rows_key: tuple | None = None
@@ -891,14 +405,20 @@ class ArrayRateModel(ClusterRateModel):
 
     # -- resolve ------------------------------------------------------------
 
+    def attach_stats(self, stats: SimStats) -> None:
+        self.stats = stats
+        if self.flow_solver is not None:
+            self.flow_solver.stats = stats
+
+    def resolve(self, running: Sequence[SimProcess], now: float) -> dict[int, float]:
+        return self.resolve_incremental(running, now, None)
+
     def resolve_incremental(
         self,
         running: Sequence[SimProcess],
         now: float,
         dirty: frozenset[int] | None = None,
     ) -> dict[int, float]:
-        if not self.incremental:
-            dirty = None
         if dirty is None:
             # Full resolve: forget everything so no stale stage survives.
             # The stage-1 memo goes too — a forced full resolve signals
@@ -908,9 +428,32 @@ class ArrayRateModel(ClusterRateModel):
             self._io_cache = None
             self._stage1_cache.clear()
             self._net_memo.clear()
-        self.stats.count("array_resolves")
         self._remote = {}
+        stats = self.stats
+        with stats.timer("node"):
+            group = self._solve_nodes(running, dirty)
+        rows = group.rows
+        sel = group.sel
+        with stats.timer("network"):
+            self._solve_network_array(rows[self._row_flow_mask[sel]].tolist())
+        with stats.timer("storage"):
+            self._solve_storage_array(rows[self._row_io_mask[sel]])
+        self._acc_rows = rows
+        self._acc_sel = sel
+        self._acc_node_cells = group.node_cells
+        self._acc_core_cells = group.core_cells
+        self._record_rates_array(rows)
 
+        self._Tc[sel] |= self._Tmask[sel]
+        self._resolved_pids = group.resolved
+        self._last_pids = group.pids
+        return dict(zip(group.pids, self._S[sel].tolist()))
+
+    def _solve_nodes(
+        self, running: Sequence[SimProcess], dirty: frozenset[int] | None
+    ) -> _RunGroup:
+        """Stage 1: bring every running row's speed and stage-1 rates up
+        to date, re-solving only nodes that host a dirty pid."""
         pids = tuple(p.pid for p in running)
         group = self._group_cache.get(pids)
         if group is not None:
@@ -962,15 +505,11 @@ class ArrayRateModel(ClusterRateModel):
             ]:
                 del self._node_cache[stale]
 
-        node_pids = group.node_pids
         node_rows = group.node_rows
-        for node_name, procs in group.by_node.items():
-            pids_t = node_pids[node_name]
-            cached = self._node_cache.get(node_name)
+        for node_name, pids_t in group.node_pids.items():
             if (
-                cached is not None
-                and cached.pids == pids_t
-                and dirty is not None
+                dirty is not None
+                and self._node_cache.get(node_name) == pids_t
                 and dirty.isdisjoint(pids_t)
             ):
                 # Same tenants, same segments: the stage-1 rows are
@@ -979,7 +518,7 @@ class ArrayRateModel(ClusterRateModel):
                 continue
             self.stats.count("nodes_solved")
             self._solve_node_memo(node_rows[node_name])
-            self._node_cache[node_name] = _ArrayNodeSolve(pids=pids_t)
+            self._node_cache[node_name] = pids_t
 
         sel = group.sel
         if rows.size:
@@ -993,9 +532,9 @@ class ArrayRateModel(ClusterRateModel):
 
         # Fault-induced compute degradation: stage-1 rows always store
         # *pre-fault* values, so the factor is applied uniformly on every
-        # resolve — cached and fresh rows alike (see ClusterRateModel).
-        # At this point the only materialized rates are the stage-1 pair,
-        # exactly the keys the scalar path scales.
+        # resolve — cached and fresh rows alike.  At this point the only
+        # materialized rates are the stage-1 pair, exactly the keys the
+        # reference model scales.
         faults = self.cluster.faults
         if faults is not None and faults.active and rows.size:
             node_factor = np.ones(len(self._node_index))
@@ -1009,19 +548,7 @@ class ArrayRateModel(ClusterRateModel):
                 self._S[drows] *= f
                 self._R[drows, _CPU] *= f
                 self._R[drows, _MEM] *= f
-
-        self._solve_network_array(rows[self._row_flow_mask[sel]].tolist())
-        self._solve_storage_array(rows[self._row_io_mask[sel]])
-        self._acc_rows = rows
-        self._acc_sel = sel
-        self._acc_node_cells = group.node_cells
-        self._acc_core_cells = group.core_cells
-        self._record_rates_array(rows)
-
-        self._Tc[sel] |= self._Tmask[sel]
-        self._resolved_pids = group.resolved
-        self._last_pids = pids
-        return dict(zip(pids, self._S[sel].tolist()))
+        return group
 
     @property
     def last_rates(self) -> dict[int, dict[str, float]]:
@@ -1186,12 +713,13 @@ class ArrayRateModel(ClusterRateModel):
     def _solve_node_vectorized(self, spec, rows: np.ndarray) -> tuple:
         """One node's stage-1 solve as a single vectorized pass.
 
-        Replays :meth:`ClusterRateModel._solve_node` with array ops whose
-        float sequence is identical to the scalar loop's (elementwise ops
-        are IEEE-identical, group sums use ``np.add.at`` in tenant order,
-        branchy scalar code becomes ``np.where`` with masked-safe
-        denominators), so the outputs match the reference bit-for-bit —
-        the property the array-backend oracle pins.
+        Replays the scalar loop of
+        :meth:`~repro.cluster.reference.ReferenceRateModel._solve_node`
+        with array ops whose float sequence is identical to it
+        (elementwise ops are IEEE-identical, group sums use ``np.add.at``
+        in tenant order, branchy scalar code becomes ``np.where`` with
+        masked-safe denominators), so the outputs match the reference
+        bit-for-bit — the property the ``reference_model`` oracle pins.
         """
         fp1 = self._seg_fp1[rows]
         fp2 = self._seg_fp2[rows]
@@ -1271,7 +799,7 @@ class ArrayRateModel(ClusterRateModel):
         phi = want / corebw
         phi0 = np.minimum(self._seg_bw[rows], corebw) / corebw
 
-        # Roofline composition (see the scalar loop for the rationale).
+        # Roofline composition (see the reference model for the rationale).
         baseline = np.maximum(1.0 - phi0, phi0)
         slowdown = (
             np.maximum((1.0 - phi0) / compute_speed, phi / mem_ratio) / baseline
@@ -1331,7 +859,7 @@ class ArrayRateModel(ClusterRateModel):
         # Array fingerprint: interned structure token + raw demand/nic
         # bytes (bytes objects cache their hash, so repeat signatures cost
         # one int hash plus two cached-byte hashes).  The same key is
-        # handed to the flow solver so its memo (PR 2) is keyed on the
+        # handed to the flow solver so its memo is keyed on the
         # fingerprint rather than a per-flow float tuple.
         signature = (self._flow_token, nic.tobytes(), demands.tobytes())
         cache = self._net_cache
@@ -1364,7 +892,7 @@ class ArrayRateModel(ClusterRateModel):
                 worst[row] = min(worst.get(row, 1.0), ratio)
                 tx[row] = tx.get(row, 0.0) + grant
                 remote[request.dst] = remote.get(request.dst, 0.0) + grant
-            stage = _ArrayStage(
+            stage = _NetStage(
                 signature=signature,
                 rows=np.fromiter(worst, dtype=np.int64, count=len(worst)),
                 ratios=np.fromiter(worst.values(), dtype=float, count=len(worst)),
@@ -1380,7 +908,7 @@ class ArrayRateModel(ClusterRateModel):
         self._net_cache = stage
         self._apply_net_stage(stage)
 
-    def _apply_net_stage(self, stage: _ArrayStage) -> None:
+    def _apply_net_stage(self, stage: _NetStage) -> None:
         self._S[stage.rows] *= stage.ratios
         self._R[stage.rows, _NIC] = stage.tx
         self._Tmask[stage.rows, _NIC] = True
@@ -1444,10 +972,10 @@ class ArrayRateModel(ClusterRateModel):
                     "io_read_bytes": grant.read_bw,
                     "io_meta_ops": grant.meta_ops,
                 }
-        self._io_cache = _StageSolve(signature=signature, ratios=ratios, rates=io_rates)
+        self._io_cache = _IOStage(signature=signature, ratios=ratios, rates=io_rates)
         self._apply_io_stage(self._io_cache)
 
-    def _apply_io_stage(self, stage: _StageSolve) -> None:
+    def _apply_io_stage(self, stage: _IOStage) -> None:
         for pid, ratio in stage.ratios.items():
             self._S[self._pid_row[pid]] *= ratio
         for pid, rates in stage.rates.items():
@@ -1483,7 +1011,7 @@ class ArrayRateModel(ClusterRateModel):
         self._R[rr, _INSTR] = ips
         self._R[rr, _L3] = mpki * ips / 1000.0
         self._R[rr, _L2] = np.maximum(
-            self.L2_MISS_FACTOR * mpki * ips / 1000.0,
+            L2_MISS_FACTOR * mpki * ips / 1000.0,
             self._R[rr, _MEM] / 256.0,
         )
         self._Tmask[rr, _INSTR] = True
@@ -1520,8 +1048,8 @@ class ArrayRateModel(ClusterRateModel):
             amounts = self._R[sel] * dt
             self._C[sel] += amounts
             # One fused scatter-add; C-order iteration is per-process,
-            # per-key — and because _NODE_COUNTER maps rate keys to node
-            # counters injectively, each target cell still receives its
+            # per-key — and because each rate key lands in its own node
+            # counter column, each target cell still receives its
             # contributions in process order, bit-identical to the scalar
             # per-process loop.
             np.add.at(
@@ -1581,4 +1109,4 @@ class ArrayRateModel(ClusterRateModel):
         row = self._pid_row.get(proc.pid)
         if row is not None:
             self._flush_proc_row(proc, row)
-        super().on_process_end(proc)
+        self.cluster.node(proc.node).memory.free_all(proc.pid)

@@ -6,10 +6,9 @@ a seeded synthetic generator pattern by default, or any trace file via
 reports the replayed workload shape plus the replay fingerprint digest.
 
 Determinism contract: the rendered table depends only on the trace bytes
-(which a generator derives purely from ``(seed, ranks, steps)``), never
-on the simulation backend — the ``trace_replay`` differential oracle
-pins object/array fingerprint identity, so the digest column is
-backend-invariant and CI can ``repro diff`` run dirs across backends.
+(which a generator derives purely from ``(seed, ranks, steps)``) — the
+``reference_model`` comparison of ``repro check --trace-corpus`` pins the
+replay fingerprint against the scalar reference rate model.
 
 Cache semantics: the spec's canonicalize hook folds a ``trace=`` file
 into its content hash (``trace_sha256`` joins the semantic overrides,

@@ -68,7 +68,9 @@ class LintConfig:
     # ("Class.method"); their transitive same-class reads are checked
     # against the cache key.
     flow_memo_functions: tuple[str, ...] = (
-        "FlowSolver.solve", "ClusterRateModel._solve_node",
+        "FlowSolver.solve",
+        "ClusterRateModel._solve_node_memo",
+        "ClusterRateModel._solve_network_array",
     )
     # Instance attributes a memoized solve may read even though they are
     # mutated at runtime (RL013): observability counters, the attached
@@ -78,8 +80,8 @@ class LintConfig:
     # interned token or array fingerprint that *does* appear in the cache
     # key (RL013): the attribute and the key token are written together,
     # so a memo hit implies identical contents.  The linter trusts the
-    # declared pairing; the array-vs-object differential oracle enforces
-    # it at runtime.
+    # declared pairing; the production-vs-reference rate-model oracle
+    # enforces it at runtime.
     flow_memo_derived_state: tuple[str, ...] = ()
     # Optional hook attributes that must be None-guarded (RL015).
     flow_guard_hooks: tuple[str, ...] = ("obs", "check")

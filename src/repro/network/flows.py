@@ -148,7 +148,7 @@ class FlowSolver:
         set whenever a resolve leaves flow owners untouched.  A caller
         that already holds the request set in arrays may pass a
         precomputed ``signature`` (e.g. structural key plus
-        ``demands.tobytes()``, the array-backend fingerprint); it must
+        ``demands.tobytes()``, the rate model's array fingerprint); it must
         determine ``(key, src, dst, demand)`` for every flow exactly as
         the default tuple does, or the memo would conflate distinct
         request sets.

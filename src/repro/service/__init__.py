@@ -10,8 +10,8 @@ The service turns one-shot experiment runs into *jobs*:
   :class:`repro.parallel.ShardWorker` (graceful shutdown, per-job
   timeout, crash-requeue), or inline in-process execution (``shards=0``);
 * :class:`ResultStore` — a content-addressed store keyed on the
-  canonical fingerprint of (normalized request, seed, backend, package
-  version); an equal fingerprint is served from the cache with
+  canonical fingerprint of (normalized request, seed, package version);
+  an equal fingerprint is served from the cache with
   byte-identical artefacts instead of re-simulating;
 * :class:`ServiceTelemetry` — incremental job spans / queue gauges
   streamed through the :class:`repro.obs.stream.ObsSink` protocol.

@@ -6,10 +6,6 @@ change a job's artefact bytes:
 * the normalized request — spec name, result name, resolved seed, and
   the semantic overrides (:meth:`ExperimentSpec.normalize` has already
   canonicalized values and dropped non-semantic knobs like ``jobs``);
-* the simulation backend (``object`` / ``array``) — the differential
-  oracle proves the backends byte-identical, but keying on the backend
-  keeps the cache trustworthy even while that oracle is the thing under
-  test;
 * the package version — any code change that could move a float ships
   with a version bump, which invalidates every prior entry (the cache
   invalidation rule, see docs/SERVICE.md).
@@ -25,7 +21,6 @@ import hashlib
 import json
 from typing import TYPE_CHECKING
 
-from repro.sim.engine import default_backend
 from repro.version import __version__
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,9 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def fingerprint_key(
-    request: "JobRequest",
-    backend: str | None = None,
-    version: str | None = None,
+    request: "JobRequest", version: str | None = None
 ) -> dict[str, object]:
     """The canonical key material a fingerprint digests (for inspection)."""
     return {
@@ -43,17 +36,12 @@ def fingerprint_key(
         "result_name": request.result_name,
         "seed": request.seed,
         "overrides": dict(request.overrides),
-        "backend": default_backend() if backend is None else backend,
         "version": __version__ if version is None else version,
     }
 
 
-def fingerprint_request(
-    request: "JobRequest",
-    backend: str | None = None,
-    version: str | None = None,
-) -> str:
+def fingerprint_request(request: "JobRequest", version: str | None = None) -> str:
     """sha256 hex digest of the canonical fingerprint key."""
-    key = fingerprint_key(request, backend=backend, version=version)
+    key = fingerprint_key(request, version=version)
     text = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

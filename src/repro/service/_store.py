@@ -15,8 +15,8 @@ store can never serve a truncated artefact as a cache hit (the
 ``result_cache`` differential oracle in :mod:`repro.check` asserts the
 stronger property: a served hit is byte-identical to a fresh run).
 
-Invalidation is by construction: the fingerprint keys on package version
-and backend, so stale entries are simply never looked up again.  Delete
+Invalidation is by construction: the fingerprint keys on the package
+version, so stale entries are simply never looked up again.  Delete
 the store directory to reclaim space.
 """
 

@@ -17,13 +17,12 @@ duration.
 from __future__ import annotations
 
 import math
-import os
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Sequence
 
-from repro.errors import ConfigError, ProcessCrash, SimulationError
-from repro.sim.events import CalendarQueue, Event, EventQueue
+from repro.errors import ProcessCrash, SimulationError
+from repro.sim.events import Event, EventQueue
 from repro.sim.stats import SimStats
 from repro.sim.process import (
     Condition,
@@ -40,20 +39,14 @@ MAX_EVENTS = 20_000_000
 #: Slack used when clamping residual work after float round-off.
 _EPS = 1e-9
 
-#: Engine backends (see :class:`Simulator`); the environment variable
-#: ``REPRO_BACKEND`` overrides the default for a whole run (the CI matrix
-#: uses it to run the entire test suite on the array backend).
-BACKENDS = ("object", "array")
-
 
 def default_backend() -> str:
-    """The backend used when a Simulator/Cluster does not pin one."""
-    backend = os.environ.get("REPRO_BACKEND", "object")
-    if backend not in BACKENDS:
-        raise ConfigError(
-            f"REPRO_BACKEND must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
+    """Name of the simulation core, for run metadata.
+
+    There is one core — the numpy array rate model on the heap event
+    queue — so this is a constant.
+    """
+    return "array"
 
 
 class RateModel(ABC):
@@ -107,9 +100,10 @@ class RateModel(ABC):
     def sync_counters(self) -> None:
         """Flush any internally-buffered usage counters to their dicts.
 
-        Models that accumulate counters in flat arrays (the array backend)
-        override this; the engine calls it whenever :meth:`Simulator.run`
-        returns so post-run readers always see up-to-date dictionaries.
+        Models that accumulate counters in flat arrays (the cluster rate
+        model) override this; the engine calls it whenever
+        :meth:`Simulator.run` returns so post-run readers always see
+        up-to-date dictionaries.
         """
 
 
@@ -149,27 +143,14 @@ class Simulator:
         The :class:`RateModel` that prices resource contention.  Defaults
         to :class:`UnitRateModel` (no contention), which is useful for unit
         tests of process logic.
-    backend:
-        ``"object"`` (default) is the reference path: a heap event queue
-        and one rate resolve per dispatched event.  ``"array"`` selects
-        the performance path: a calendar queue plus *batched dispatch* —
-        all events sharing a timestamp run in one batch with a single
-        rate resolve at the end (simultaneous events cannot accrue work
-        between each other, so the collapsed resolve is state-identical;
-        the ``repro check`` backend oracle pins byte-equality).  ``None``
-        defers to the ``REPRO_BACKEND`` environment variable.
+
+    Events run from a heap :class:`~repro.sim.events.EventQueue` with
+    *batched dispatch*: all events sharing a timestamp run in one batch
+    with a single rate resolve at the end (see :meth:`_run_batched`).
     """
 
-    def __init__(
-        self, model: RateModel | None = None, backend: str | None = None
-    ) -> None:
+    def __init__(self, model: RateModel | None = None) -> None:
         self.model: RateModel = model if model is not None else UnitRateModel()
-        if backend is None:
-            backend = default_backend()
-        if backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        #: which event loop/queue flavour this simulator runs (read-only)
-        self.backend = backend
         self.now: float = 0.0
         self.stats = SimStats()
         self.model.attach_stats(self.stats)
@@ -185,7 +166,7 @@ class Simulator:
         #: Same pay-for-what-you-use contract: spawn/notify/every are the
         #: only tap sites, each guarded by a None-check.
         self.record = None
-        self._queue = CalendarQueue() if backend == "array" else EventQueue()
+        self._queue = EventQueue()
         self._processes: dict[int, SimProcess] = {}
         self._running: list[SimProcess] = []
         self._ready: deque[SimProcess] = deque()
@@ -375,15 +356,11 @@ class Simulator:
         observable; per-event intermediate resolves would be pure
         recomputation — worse, their transient speed changes would
         re-stamp completion ETAs from the same ``(now, remaining)`` line
-        with different rounding, so batching is what keeps the two
-        backends bit-for-bit interchangeable.  Actions and ready-queue
-        drains still run strictly in the serial order (per-event),
-        preserving the dispatch sequence and tie-break contract.
-
-        Both backends share this loop; the backend choice selects the
-        event-queue implementation and the rate model, which the
-        ``array_backend`` differential oracle holds to byte-identical
-        fingerprints.
+        with different rounding, so batching is what keeps a rate model
+        and its reference bit-for-bit interchangeable.  Actions and
+        ready-queue drains still run strictly in the serial order
+        (per-event), preserving the dispatch sequence and tie-break
+        contract.
         """
         if stop_when is not None and stop_when():
             return self.now

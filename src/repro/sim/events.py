@@ -1,20 +1,12 @@
-"""Event queues for the simulation engine.
+"""The simulation engine's event queue.
 
-Two interchangeable implementations share one contract:
+:class:`EventQueue` is a binary heap with one contract:
 
 * events fire in non-decreasing ``time`` order;
-* **equal-timestamp events fire in insertion order** (FIFO).  Each queue
+* **equal-timestamp events fire in insertion order** (FIFO).  The queue
   stamps pushes with a monotone sequence number and orders events by
   ``(time, seq)``, so two runs of the same script always interleave
-  identically — and so the heap and calendar queues are byte-for-byte
-  interchangeable.  ``tests/sim/test_events.py`` pins this contract for
-  both.
-
-:class:`EventQueue` is a binary heap (O(log n) per op, the reference).
-:class:`CalendarQueue` is a calendar queue (Brown, CACM 1988): events
-hash into day buckets by timestamp, giving amortised O(1) push/pop when
-event times are roughly uniform — the regime the simulator's completion
-and sampling events live in.  The engine's array backend uses it.
+  identically.  ``tests/sim/test_events.py`` pins this contract.
 """
 
 from __future__ import annotations
@@ -22,7 +14,6 @@ from __future__ import annotations
 import itertools
 import heapq
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -90,218 +81,3 @@ class EventQueue:
         if self.peek_time() != time:
             return None
         return self.pop()
-
-
-class CalendarQueue:
-    """Calendar queue (Brown 1988) with the same deterministic contract.
-
-    Events are hashed into ``nbuckets`` day-buckets of ``width`` seconds;
-    a pop scans forward from the current day, so with a width near the
-    mean event separation both push and pop are amortised O(1).  The
-    structure resizes itself (doubling/halving buckets, re-estimating the
-    width from the live events) as the population changes.
-
-    Ordering is identical to :class:`EventQueue`: ``(time, seq)`` with a
-    monotone per-queue sequence counter — equal-timestamp events pop in
-    insertion order.  Pops are expected to be monotone in time (the
-    engine never travels backwards); a push earlier than the last popped
-    time still works, at the cost of rewinding the calendar pointer.
-    """
-
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 1 << 20
-    #: events sampled from the front of the queue to estimate the width
-    WIDTH_SAMPLE = 24
-    #: day indices are clamped here so ``time / width`` can never reach
-    #: ``inf`` (which would break ``math.floor``); far-future times all
-    #: collapse into one day-bucket, where the in-bucket sort still orders
-    #: them correctly
-    MAX_DAY = float(1 << 62)
-
-    def __init__(self) -> None:
-        self._counter = itertools.count()
-        self._size = 0
-        #: non-finite timestamps (``inf``) live outside the calendar;
-        #: all equal, so FIFO order is plain insertion order
-        self._far: list[Event] = []
-        #: last scan result ``(event, bucket)``: the engine peeks a
-        #: timestamp and immediately pops at it, so remembering where the
-        #: front event lives saves a full re-scan per pop.  Validated
-        #: structurally on use (still that bucket's head, not cancelled)
-        #: and invalidated by any push that could take the front spot.
-        self._head: tuple[Event, list[Event]] | None = None
-        self._init_calendar(width=1.0, nbuckets=self.MIN_BUCKETS, start=0.0)
-
-    # -- internal layout ----------------------------------------------------
-
-    def _init_calendar(self, width: float, nbuckets: int, start: float) -> None:
-        self._width = width
-        self._nbuckets = nbuckets
-        self._buckets: list[list[Event]] = [[] for _ in range(nbuckets)]
-        self._head = None
-        self._set_position(start)
-
-    def _set_position(self, time: float) -> None:
-        """Point the calendar at the day containing ``time``."""
-        self._last_time = time
-        self._cur_day = self._day_of(time)
-
-    def _day_of(self, time: float) -> int:
-        # The same expression is used when hashing a push and when testing
-        # a bucket head during a scan, so the two can never disagree — the
-        # float-``bucket_top`` formulation this replaced lost the
-        # "top > time" invariant to rounding once day * width was large,
-        # and the scan then span forever without progressing.
-        return math.floor(max(min(time / self._width, self.MAX_DAY), -self.MAX_DAY))
-
-    def _bucket_of(self, time: float) -> int:
-        return self._day_of(time) % self._nbuckets
-
-    def _resize(self, nbuckets: int) -> None:
-        nbuckets = max(self.MIN_BUCKETS, min(self.MAX_BUCKETS, nbuckets))
-        if nbuckets == self._nbuckets:
-            return
-        events = [ev for bucket in self._buckets for ev in bucket if not ev.cancelled]
-        events.sort()
-        self._size = len(events)
-        self._init_calendar(
-            width=self._estimate_width(events),
-            nbuckets=nbuckets,
-            start=events[0].time if events else self._last_time,
-        )
-        for ev in events:
-            insort(self._buckets[self._bucket_of(ev.time)], ev)
-
-    def _estimate_width(self, events: list[Event]) -> float:
-        """Mean gap of the first few queued events, scaled per Brown."""
-        sample = events[: self.WIDTH_SAMPLE]
-        gaps = []
-        for a, b in zip(sample, sample[1:]):
-            gap = b.time - a.time
-            # Events that are "simultaneous" up to accumulated rounding
-            # (completion bursts land within a few ulps of each other)
-            # must not drag the width down to ulp scale, where day
-            # arithmetic loses all precision.
-            if gap > 64.0 * math.ulp(max(abs(a.time), abs(b.time), 1.0)):
-                gaps.append(gap)
-        if not gaps:
-            return self._width
-        width = 3.0 * (sum(gaps) / len(gaps))
-        return width if width > 0.0 and math.isfinite(width) else self._width
-
-    # -- queue protocol -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size + len(self._far)
-
-    def push(self, time: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at ``time`` and return a cancellable handle."""
-        if math.isnan(time):
-            raise SimulationError("event time is NaN")
-        event = Event(time=time, seq=next(self._counter), action=action)
-        if not math.isfinite(time):
-            self._far.append(event)
-            return event
-        if time < self._last_time:
-            # Push into the past (relative to the scan pointer): rewind so
-            # the forward scan cannot walk over it.
-            self._set_position(time)
-        if self._head is not None and time < self._head[0].time:
-            # The new event outranks the remembered front (equal times
-            # keep the head: the incumbent holds the lower sequence).
-            self._head = None
-        insort(self._buckets[self._bucket_of(time)], event)
-        self._size += 1
-        if self._size > 2 * self._nbuckets:
-            self._resize(2 * self._nbuckets)
-        return event
-
-    def _scan(self, pop: bool) -> Event | None:
-        """Find (and optionally remove) the earliest live event."""
-        while True:
-            if self._size == 0:
-                break
-            day = self._cur_day
-            for _ in range(self._nbuckets):
-                bucket = self._buckets[day % self._nbuckets]
-                while bucket and bucket[0].cancelled:
-                    del bucket[0]
-                    self._size -= 1
-                # An event belongs to the walked day iff its own day index
-                # is not later; both sides come from the same `_day_of`
-                # floor, so the test is exact and a jump to an event's day
-                # always finds it on the next pass.
-                if bucket and self._day_of(bucket[0].time) <= day:
-                    event = bucket[0]
-                    if pop:
-                        del bucket[0]
-                        self._size -= 1
-                        self._set_position(event.time)
-                        if self._size < self._nbuckets // 2:
-                            self._resize(self._nbuckets // 2)
-                    return event
-                day += 1
-            # A full year without a hit: the population is sparse.  Jump
-            # straight to the globally earliest event (cancelled heads were
-            # pruned above, so live bucket heads are exact minima).
-            heads = [b[0] for b in self._buckets if b]
-            if not heads:
-                continue  # pruning emptied everything; size check exits
-            earliest = min(heads)
-            self._set_position(earliest.time)
-        if self._far:
-            # Only non-finite timestamps remain.
-            if pop:
-                return self._far.pop(0)
-            return self._far[0]
-        return None
-
-    def pop(self) -> Event | None:
-        """Pop the earliest non-cancelled event, or ``None`` if empty."""
-        self._head = None
-        return self._scan(pop=True)
-
-    def _peek(self) -> Event | None:
-        """Earliest live event, via the remembered head when still valid."""
-        head = self._head
-        if head is not None:
-            event, bucket = head
-            if bucket and bucket[0] is event and not event.cancelled:
-                return event
-            self._head = None
-        event = self._scan(pop=False)
-        if event is not None and self._size:
-            # _scan only falls back to the ``_far`` list once the calendar
-            # is empty, so a positive size means this event sits at the
-            # head of its own bucket.
-            bucket = self._buckets[self._bucket_of(event.time)]
-            if bucket and bucket[0] is event:
-                self._head = (event, bucket)
-        return event
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest pending event without popping it."""
-        event = self._peek()
-        return event.time if event is not None else None
-
-    def pop_at(self, time: float) -> Event | None:
-        """Pop the earliest event only if it is due exactly at ``time``."""
-        event = self._peek()
-        # Exact comparison is the contract: the engine passes back the very
-        # float `peek_time` returned, and batching must not merge distinct
-        # timestamps however close:
-        if event is None or event.time != time:  # repro-lint: disable=RL004
-            return None
-        head = self._head
-        self._head = None
-        if head is not None and head[0] is event:
-            # Pop the validated head in place — same effect as a popping
-            # scan, without re-walking the calendar.
-            bucket = head[1]
-            del bucket[0]
-            self._size -= 1
-            self._set_position(event.time)
-            if self._size < self._nbuckets // 2:
-                self._resize(self._nbuckets // 2)
-            return event
-        return self._scan(pop=True)

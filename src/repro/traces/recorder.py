@@ -19,8 +19,8 @@ recorded run *is* the native run — while writing one
 
 Body-side counter writes are captured as exact float deltas by diffing
 ``proc.counters`` across each generator step (rate-model accruals only
-happen *between* steps, so the diff isolates the body's writes on both
-backends); resident memory is captured as absolute held bytes.  Runs the
+happen *between* steps, so the diff isolates the body's writes);
+resident memory is captured as absolute held bytes.  Runs the
 recorder cannot faithfully replay — killed or unfinished processes,
 attached fault injectors, unattributable notifies, unbounded segments —
 *taint* the recording instead of failing it: the trace is still built

@@ -234,16 +234,14 @@ class TraceReplayApp:
         return self.trace.meta.placement[rank][0]
 
 
-def build_replay_cluster(trace: Trace, backend: str | None = None) -> Cluster:
+def build_replay_cluster(trace: Trace) -> Cluster:
     """A cluster matching the trace header: machine, node count, filesystems."""
     meta = trace.meta
     if meta.machine == "voltrino":
-        cluster = Cluster.voltrino(num_nodes=meta.nodes, backend=backend)
+        cluster = Cluster.voltrino(num_nodes=meta.nodes)
     elif meta.machine == "chameleon":
         cluster = Cluster.chameleon(
-            num_nodes=meta.nodes,
-            with_nfs="nfs" in meta.filesystems,
-            backend=backend,
+            num_nodes=meta.nodes, with_nfs="nfs" in meta.filesystems
         )
     else:  # pragma: no cover - schema validation rejects this earlier
         raise TraceError(f"cannot build a cluster for machine {meta.machine!r}")
@@ -256,17 +254,15 @@ def build_replay_cluster(trace: Trace, backend: str | None = None) -> Cluster:
     return cluster
 
 
-def replay_trace(
-    trace: Trace, backend: str | None = None, tickers: bool = True
-) -> Cluster:
+def replay_trace(trace: Trace, tickers: bool = True) -> Cluster:
     """Build a matching cluster, replay the trace on it, return the cluster."""
-    cluster = build_replay_cluster(trace, backend=backend)
+    cluster = build_replay_cluster(trace)
     TraceReplayApp(trace, cluster, tickers=tickers).run()
     return cluster
 
 
-def replay_fingerprint(trace: Trace, backend: str | None = None) -> str:
+def replay_fingerprint(trace: Trace) -> str:
     """Replay and fingerprint — the byte-identity half of the trace oracle."""
     from repro.check.harness import fingerprint_cluster
 
-    return fingerprint_cluster(replay_trace(trace, backend=backend))
+    return fingerprint_cluster(replay_trace(trace))

@@ -98,7 +98,7 @@ class TraceRecord:
         absolutes — because the engine's rate models accrue into the
         same counters between records; replaying the exact recorded
         deltas at the same points reproduces the native run's
-        interleaved floating-point sum bit-for-bit on both backends.
+        interleaved floating-point sum bit-for-bit.
     mem:
         Absolute resident-set bytes to hold from this record on, or None
         for "unchanged" (the replay adjusts the node's memory ledger;

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.check.generators import generate_case
 from repro.check.harness import (
     FuzzReport,
@@ -9,33 +11,30 @@ from repro.check.harness import (
     fingerprint_case,
     run_fuzz,
     shrink_failing,
+    use_reference_model,
 )
-from repro.cluster.ratemodel import ArrayRateModel, ClusterRateModel
+from repro.cluster import Cluster
+from repro.cluster.ratemodel import ClusterRateModel
+from repro.cluster.reference import ReferenceRateModel
+from repro.core import CpuOccupy
+from repro.errors import CheckError
 
 
-def _perturb_incremental(monkeypatch, factor=0.75):
-    """Skew speeds only on incremental resolves with a non-empty hint.
+def _perturb_production(monkeypatch, factor=0.75):
+    """Skew the production model's speeds on resolves with a dirty hint.
 
-    The reference path (``incremental=False``) never takes the hinted
-    branch, so the differential oracle must flag the divergence.  Both
-    rate-model classes are patched — ``ArrayRateModel`` overrides
-    ``resolve_incremental``, so a patch on the base class alone would
-    leave the array backend unperturbed.
+    The reference model never runs this code, so the ``reference_model``
+    comparison must flag the divergence.
     """
+    real = ClusterRateModel.resolve_incremental
 
-    def wrap(cls):
-        real = cls.resolve_incremental
+    def perturbed(self, running, now, dirty=None):
+        speeds = real(self, running, now, dirty)
+        if dirty:
+            return {pid: s * factor for pid, s in speeds.items()}
+        return speeds
 
-        def perturbed(self, running, now, dirty=None):
-            speeds = real(self, running, now, dirty)
-            if self.incremental and dirty:
-                return {pid: s * factor for pid, s in speeds.items()}
-            return speeds
-
-        monkeypatch.setattr(cls, "resolve_incremental", perturbed)
-
-    wrap(ClusterRateModel)
-    wrap(ArrayRateModel)
+    monkeypatch.setattr(ClusterRateModel, "resolve_incremental", perturbed)
 
 
 class TestFingerprint:
@@ -55,6 +54,22 @@ class TestFingerprint:
         assert fingerprint_case(tiny_spec) != fingerprint_case(longer)
 
 
+class TestUseReferenceModel:
+    def test_swaps_the_model_on_a_fresh_cluster(self):
+        cluster = Cluster.voltrino(num_nodes=2, k_paths=2)
+        assert use_reference_model(cluster) is cluster
+        assert isinstance(cluster.model, ReferenceRateModel)
+        assert cluster.sim.model is cluster.model
+        assert cluster.model.k_paths == 2
+        assert cluster.model.flow_solver.memoize is False
+
+    def test_rejects_a_cluster_with_processes(self):
+        cluster = Cluster.voltrino(num_nodes=2)
+        CpuOccupy(utilization=50, duration=1.0).launch(cluster, "node0", core=0)
+        with pytest.raises(CheckError, match="freshly built"):
+            use_reference_model(cluster)
+
+
 class TestEvaluateCase:
     def test_clean_case_is_ok(self, net_spec):
         outcome = evaluate_case(net_spec)
@@ -64,18 +79,18 @@ class TestEvaluateCase:
         assert dict(outcome.hook_counts).get("resolve", 0) > 0
 
     def test_incremental_divergence_is_flagged(self, net_spec, monkeypatch):
-        _perturb_incremental(monkeypatch)
+        _perturb_production(monkeypatch)
         outcome = evaluate_case(net_spec)
         assert not outcome.ok
-        assert "incremental_resolve" in [name for name, _ in outcome.mismatches]
-        # the memo comparison runs the same perturbed incremental path on
-        # both sides, so only the incremental oracle fires
+        assert "reference_model" in [name for name, _ in outcome.mismatches]
+        # the memo comparison runs the same perturbed production model on
+        # both sides, so only the reference comparison fires
         assert "flow_memo" not in [name for name, _ in outcome.mismatches]
 
 
 class TestShrinking:
     def test_shrink_finds_a_smaller_failing_case(self, monkeypatch):
-        _perturb_incremental(monkeypatch)
+        _perturb_production(monkeypatch)
         # A deliberately fat case: two multi-iteration apps.
         base = generate_case(17, 0)
         fat = replace(
@@ -124,17 +139,17 @@ class TestRunFuzz:
         assert serial.render() == fanned.render()
 
     def test_failing_run_reports_and_shrinks(self, net_spec, monkeypatch):
-        _perturb_incremental(monkeypatch)
+        _perturb_production(monkeypatch)
         report = run_fuzz(cases=0, seed=3, corpus=[net_spec], with_oracles=False)
         assert not report.ok
         text = report.render()
         assert text.endswith("FAIL")
-        assert "mismatch[incremental_resolve]" in text
+        assert "mismatch[reference_model]" in text
         assert "shrunk case" in text
         assert '"machine": "voltrino"' in text  # shrunk spec JSON is inlined
 
     def test_no_shrink_skips_the_shrinker(self, net_spec, monkeypatch):
-        _perturb_incremental(monkeypatch)
+        _perturb_production(monkeypatch)
         report = run_fuzz(
             cases=0, seed=3, corpus=[net_spec], shrink=False, with_oracles=False
         )

@@ -11,7 +11,6 @@ from repro.apps.base import CheckpointStore
 from repro.check.corpus import load_corpus
 from repro.check.harness import evaluate_case
 from repro.check.oracles import (
-    oracle_array_backend,
     oracle_checkpoint_free,
     oracle_checkpoint_restart,
     oracle_parallel_sweep,
@@ -20,7 +19,7 @@ from repro.check.oracles import (
     oracle_stream_export,
     run_global_oracles,
 )
-from repro.cluster.ratemodel import ArrayRateModel
+from repro.cluster.ratemodel import ClusterRateModel
 from repro.network.flows import FlowResult, FlowSolver
 
 PINNED_CORPUS = Path(__file__).with_name("corpus.json")
@@ -31,7 +30,6 @@ class TestCleanTree:
         results = run_global_oracles(seed=0)
         assert [r.name for r in results] == [
             "parallel_sweep",
-            "array_backend",
             "checkpoint_restart",
             "checkpoint_free",
             "registry_cli",
@@ -61,54 +59,30 @@ class TestParallelSweepOracle:
         assert "diverges from serial" in result.detail
 
 
-class TestArrayBackendOracle:
-    def test_passes_clean(self):
-        result = oracle_array_backend(seed=3, cases=2)
-        assert result.ok, result.detail
+class TestReferenceModel:
+    """The production-vs-reference comparison lives in evaluate_case."""
 
-    def test_pinned_corpus_replays_identically(self):
-        # The exact cases CI replays must agree across backends — a case
-        # that once exposed a divergence stays covered on both paths.
-        corpus = load_corpus(PINNED_CORPUS)
-        result = oracle_array_backend(seed=3, cases=0, corpus=corpus)
-        assert result.ok, result.detail
+    def test_pinned_corpus_matches_reference(self):
+        # The exact cases CI replays must agree with the reference model —
+        # a case that once exposed a divergence stays covered.
+        for spec in load_corpus(PINNED_CORPUS):
+            outcome = evaluate_case(spec)
+            assert outcome.ok, (spec.case_id, outcome.mismatches)
 
-    def test_catches_array_accounting_skew(self, monkeypatch):
-        # Planted bug: the array path mis-prices instruction rates by a
-        # hair.  "A hair" is precisely what fingerprints exist to catch.
-        real = ArrayRateModel._record_rates_array
+    def test_catches_accounting_skew(self, net_spec, monkeypatch):
+        # Planted bug: the production model mis-prices instruction rates
+        # by a hair.  "A hair" is precisely what fingerprints exist to
+        # catch.
+        real = ClusterRateModel._record_rates_array
 
         def skewed(self, rows):
             real(self, rows)
             if rows.size:
                 self._R[rows, 2] *= 1.0 + 1e-9  # instructions column
 
-        monkeypatch.setattr(ArrayRateModel, "_record_rates_array", skewed)
-        result = oracle_array_backend(seed=3, cases=2)
-        assert not result.ok
-        assert "array backend diverges" in result.detail
-
-    def test_catches_batch_merging_close_timestamps(self, monkeypatch):
-        # Planted bug in the *engine* half of the backend: a calendar
-        # queue whose ``pop_at`` drains events merely *close* to the
-        # batch timestamp instead of exactly equal.  Merging two distinct
-        # instants into one batch changes accrual windows and resolve
-        # cadence, which must surface as a fingerprint divergence — this
-        # is the regression the exact float comparison in ``pop_at``
-        # exists to prevent.
-        from repro.sim.events import CalendarQueue
-
-        def sloppy_pop_at(self, time):
-            event = self._scan(pop=False)
-            if event is None or abs(event.time - time) > 1e-9 * max(
-                1.0, abs(time)
-            ):
-                return None
-            return self._scan(pop=True)
-
-        monkeypatch.setattr(CalendarQueue, "pop_at", sloppy_pop_at)
-        result = oracle_array_backend(seed=3, cases=2)
-        assert not result.ok
+        monkeypatch.setattr(ClusterRateModel, "_record_rates_array", skewed)
+        outcome = evaluate_case(net_spec)
+        assert "reference_model" in [name for name, _ in outcome.mismatches]
 
 
 class TestCheckpointRestartOracle:
@@ -235,9 +209,8 @@ class TestFlowMemoOracle:
         assert not outcome.ok
         names = [name for name, _ in outcome.mismatches]
         assert "flow_memo" in names
-        # incremental and full runs both use the perturbed memoized
-        # solver, so they still agree with each other
-        assert "incremental_resolve" not in names
+        # the reference model solves flows cold, so it disagrees too
+        assert "reference_model" in names
 
 
 class TestStreamExportOracle:

@@ -227,3 +227,26 @@ class TestStorageStage:
         # two 80 MB/s writers on a 100 MB/s disk -> each gets 50
         assert p.runtime == pytest.approx(16.0, rel=0.02)
         assert cluster.node(0).counters["io_write_bytes"] > 0
+
+
+class TestStageTimers:
+    def test_node_network_and_storage_stages_are_timed(self):
+        # --profile and `repro report` attribute resolve time to these
+        # three timers; the production model must feed all of them.
+        cluster = Cluster.chameleon()
+
+        def sender(proc):
+            yield Segment(work=5.0, cpu=0.05, flows=[Flow(dst="node1", rate=1e9)])
+
+        def writer(proc):
+            yield Segment(
+                work=5.0, cpu=0.1, io=IODemand(fs="nfs", write_bw=80 * MB10)
+            )
+
+        cluster.spawn("snd", sender, node=0, core=0)
+        cluster.spawn("w", writer, node=2, core=0)
+        cluster.sim.run(until=100)
+        timings = cluster.sim.stats.timings
+        for stage in ("node", "network", "storage"):
+            assert stage in timings
+            assert timings[stage] >= 0.0

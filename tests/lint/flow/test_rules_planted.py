@@ -277,7 +277,7 @@ class TestRL013MemoImpurity:
     def test_clean_array_fingerprint_key_via_locals(self, project_factory):
         """State reaching the key bytes through locals is key-covered.
 
-        The array-backend idiom: the key expression fingerprints a local
+        The array rate-model idiom: the key expression fingerprints a local
         (``demands.tobytes()``) that was *derived* from mutable instance
         arrays, and aliases another (``seg = self.seg_tokens``).  The
         local-provenance closure must credit both attributes to the key.

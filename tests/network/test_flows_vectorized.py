@@ -1,8 +1,8 @@
 """Exact-equivalence tests for the vectorized water filling.
 
-PR 7 batched ``FlowSolver._max_min``'s per-round membership scans into an
+``FlowSolver._max_min`` batches its per-round membership scans into an
 incidence-matrix reduction.  The allocation must stay bit-identical to
-the scalar loop (kept as ``_max_min_reference``): the array backend's
+the scalar loop (kept as ``_max_min_reference``): the reference-model
 differential oracle fingerprints cluster state down to the float bit, so
 "approximately the same grants" is not good enough.
 """

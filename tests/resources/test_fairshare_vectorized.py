@@ -49,7 +49,7 @@ class TestExactEqualityWithScalarReference:
         for capacity, demands in _demand_vectors(seed=70):
             fast = max_min_fair_share(capacity, demands)
             slow = max_min_fair_share_reference(capacity, demands)
-            # Exact float equality, not approx: the backends must be
+            # Exact float equality, not approx: the two solvers must be
             # byte-interchangeable inside the rate model.
             assert fast == slow
 

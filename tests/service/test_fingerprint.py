@@ -49,23 +49,19 @@ def test_jobs_fanout_is_not_semantic():
     assert fingerprint_request(a) == fingerprint_request(b)
 
 
-def test_backend_and_version_key_the_cache():
+def test_version_keys_the_cache():
     request = ExperimentSpec.from_args("fig8")
     base = fingerprint_request(request)
-    assert fingerprint_request(request, backend="array") != fingerprint_request(
-        request, backend="object"
-    )
     assert fingerprint_request(request, version="999.0.0") != base
 
 
 def test_key_material_is_inspectable():
     request = ExperimentSpec.from_args("fig9", seed=2)
-    key = fingerprint_key(request, backend="object", version="1.0.0")
+    key = fingerprint_key(request, version="1.0.0")
     assert key == {
         "name": "fig9",
         "result_name": "Fig9Result",
         "seed": 2,
         "overrides": {},
-        "backend": "object",
         "version": "1.0.0",
     }

@@ -1,23 +1,19 @@
 """Event-queue behaviour: ordering, ties, cancellation.
 
-The heap and calendar queues share one contract — non-decreasing time
-order with equal-timestamp events firing in **insertion order** (the
-tie-break the engine's determinism rests on) — so every behavioural test
-here is parametrised over both implementations, and a differential test
-drives them with an identical random schedule and asserts the pop
-sequences are identical.
+The contract is non-decreasing time order with equal-timestamp events
+firing in **insertion order** — the tie-break the engine's determinism
+rests on.
 """
+
+import math
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import CalendarQueue, EventQueue
-from repro.sim.rng import spawn_rng
-
-QUEUES = [EventQueue, CalendarQueue]
+from repro.sim.events import EventQueue
 
 
-@pytest.fixture(params=QUEUES, ids=["heap", "calendar"])
+@pytest.fixture(params=[EventQueue], ids=["heap"])
 def queue(request):
     return request.param()
 
@@ -85,13 +81,15 @@ def test_empty_queue_pop_and_peek(queue):
 
 
 def test_pop_at_drains_only_the_due_timestamp(queue):
+    # Batched dispatch must never merge distinct instants, however close:
+    # an event one ulp later belongs to the next batch.
     a = queue.push(1.0, lambda: None)
     b = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
+    queue.push(math.nextafter(1.0, 2.0), lambda: None)
     assert queue.pop_at(1.0) is a
     assert queue.pop_at(1.0) is b
-    assert queue.pop_at(1.0) is None  # next event is at 2.0
-    assert queue.peek_time() == 2.0
+    assert queue.pop_at(1.0) is None  # next event is one ulp later
+    assert queue.peek_time() == math.nextafter(1.0, 2.0)
 
 
 def test_infinite_timestamps_sort_last(queue):
@@ -102,54 +100,3 @@ def test_infinite_timestamps_sort_last(queue):
     assert queue.peek_time() == float("inf")
     assert queue.pop() is far
     assert queue.pop() is None
-
-
-def test_monotone_growth_forces_calendar_resizes():
-    # Push enough events to trigger repeated doubling, then drain to
-    # trigger shrinking; order must survive every resize.
-    q = CalendarQueue()
-    rng = spawn_rng(0, "events:resize")
-    times = [float(t) for t in rng.uniform(0.0, 1000.0, size=500)]
-    for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while (e := q.pop()) is not None:
-        popped.append(e.time)
-    assert popped == sorted(times)
-
-
-def test_heap_and_calendar_pop_sequences_are_identical():
-    """Differential drive: same pushes/cancels/pops, identical order."""
-    rng = spawn_rng(1, "events:differential")
-    heap, cal = EventQueue(), CalendarQueue()
-    heap_events, cal_events = [], []
-    heap_order, cal_order = [], []
-    now = 0.0
-    for step in range(2000):
-        op = rng.random()
-        if op < 0.55 or not heap_events:
-            # Push at or after "now"; quantised times plant many exact ties.
-            t = now + float(rng.integers(0, 20)) * 0.5
-            tag = step
-            heap_events.append(heap.push(t, lambda: None))
-            cal_events.append(cal.push(t, lambda: None))
-            heap_events[-1].tag = cal_events[-1].tag = tag
-        elif op < 0.7 and heap_events:
-            i = int(rng.integers(0, len(heap_events)))
-            heap_events[i].cancel()
-            cal_events[i].cancel()
-        else:
-            assert heap.peek_time() == cal.peek_time()
-            he, ce = heap.pop(), cal.pop()
-            if he is None:
-                assert ce is None
-                continue
-            assert (he.time, he.tag) == (ce.time, ce.tag)
-            now = he.time
-            heap_order.append((he.time, he.tag))
-            cal_order.append((ce.time, ce.tag))
-    while (he := heap.pop()) is not None:
-        ce = cal.pop()
-        assert (he.time, he.tag) == (ce.time, ce.tag)
-    assert cal.pop() is None
-    assert heap_order == cal_order

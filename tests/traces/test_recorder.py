@@ -37,14 +37,13 @@ def test_recording_is_transparent():
     assert recording.fingerprint == fingerprint_cluster(taped)
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_record_then_replay_is_byte_identical(backend):
+def test_record_then_replay_is_byte_identical():
     cluster = Cluster.voltrino(num_nodes=2)
     recorder = TraceRecorder(cluster)
     _mini_job(cluster).run()
     recording = recorder.finalize()
     assert recording.clean, recording.taints
-    assert replay_fingerprint(recording.trace, backend=backend) == recording.fingerprint
+    assert replay_fingerprint(recording.trace) == recording.fingerprint
 
 
 def test_recorded_trace_round_trips():

@@ -1,9 +1,10 @@
-"""Replay engine: backend equivalence, dependency honoring, typed errors."""
+"""Replay engine: reference equivalence, dependency honoring, typed errors."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.check.harness import reference_replay_fingerprint
 from repro.cluster import Cluster
 from repro.errors import TraceError
 from repro.traces import (
@@ -17,11 +18,9 @@ from repro.traces import (
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_GENERATORS))
-def test_replay_is_backend_identical(name):
+def test_replay_matches_reference_model(name):
     trace = generate_trace(name, seed=4, ranks=3, steps=2)
-    assert replay_fingerprint(trace, backend="object") == replay_fingerprint(
-        trace, backend="array"
-    )
+    assert replay_fingerprint(trace) == reference_replay_fingerprint(trace)
 
 
 def test_replay_completes_every_rank():
