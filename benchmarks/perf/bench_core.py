@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Core performance microbenchmarks (``make bench-core``).
 
-Five benchmarks exercise the engine's hot paths and write their numbers
+Seven benchmarks exercise the engine's hot paths and write their numbers
 to ``BENCH_core.json`` (committed at the repo root as the regression
 baseline):
 
@@ -23,6 +23,12 @@ baseline):
     The vectorized max-min share solver on wide oversubscribed demand
     vectors (the regime the rate model's network and memory stages feed
     it), reported as solves/s.
+
+``flow_solve``
+    Whole network solves (adaptive path split, re-balance, two
+    water-filling passes) for 256 seeded flows on a 64-node Voltrino
+    fabric with k=4 candidate paths, reported as solves/s.  One solve is
+    first checked against the scalar reference flow solver.
 
 ``same_timestamp_burst``
     The event queue under the engine's batched-dispatch access pattern:
@@ -76,6 +82,7 @@ THROUGHPUT_METRICS = {
     "engine_throughput": "events_per_s",
     "resolve_heavy": "runs_per_s",
     "waterfill_wide": "solves_per_s",
+    "flow_solve": "solves_per_s",
     "same_timestamp_burst": "events_per_s",
     "figure_end_to_end": "runs_per_s",
     "obs_overhead": "runs_per_s",
@@ -166,7 +173,7 @@ def bench_resolve_heavy(repeat: int) -> dict:
         )
         production_s = elapsed if production_s is None else min(production_s, elapsed)
     for counter in (
-        "vectorized_waterfills",
+        "flow_waterfills",
         "stage1_memo_hits",
         "network_memo_hits",
         "nodes_reused",
@@ -228,6 +235,58 @@ def bench_waterfill_wide(repeat: int) -> dict:
         best = elapsed if best is None else min(best, elapsed)
     return {
         "width": n,
+        "solves": solves,
+        "seconds": round(best, 4),
+        "solves_per_s": round(solves / best, 1),
+    }
+
+
+def bench_flow_solve(repeat: int) -> dict:
+    """Cold network solves of many flows on a Voltrino fabric.
+
+    Checks one solve against :class:`ReferenceFlowSolver` first — exact
+    grants and per-link loads, key order included — so a fast-but-wrong
+    solver cannot post a score.
+    """
+    from repro.cluster.reference import ReferenceFlowSolver
+    from repro.cluster.specs import MachineSpec
+    from repro.network.flows import FlowRequest, FlowSolver
+    from repro.network.topology import aries_like
+    from repro.sim.rng import spawn_rng
+
+    n_nodes, n_flows, k_paths, solves = 64, 256, 4, 20
+    topo = aries_like(num_nodes=n_nodes, nic_bw=MachineSpec.voltrino().nic_bw)
+    rng = spawn_rng(7, "bench:flow-solve")
+    flows = []
+    for key in range(n_flows):
+        src, dst = rng.choice(n_nodes, size=2, replace=False)
+        flows.append(
+            FlowRequest(
+                key=key,
+                src=f"node{src}",
+                dst=f"node{dst}",
+                demand=float(rng.uniform(0.0, 10e9)),
+            )
+        )
+    solver = FlowSolver(topo, k_paths=k_paths, memoize=False)
+    got = solver.solve(flows)
+    want = ReferenceFlowSolver(topo, k_paths=k_paths).solve(flows)
+    if list(got.grants.items()) != list(want.grants.items()) or list(
+        got.edge_load.items()
+    ) != list(want.edge_load.items()):
+        raise AssertionError("flow solver diverged from the reference")
+
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(solves):
+            solver.solve(flows)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    return {
+        "nodes": n_nodes,
+        "flows": n_flows,
+        "k_paths": k_paths,
         "solves": solves,
         "seconds": round(best, 4),
         "solves_per_s": round(solves / best, 1),
@@ -423,6 +482,7 @@ def run_benchmarks(repeat: int) -> dict:
             "engine_throughput": bench_engine_throughput(repeat),
             "resolve_heavy": bench_resolve_heavy(repeat),
             "waterfill_wide": bench_waterfill_wide(repeat),
+            "flow_solve": bench_flow_solve(repeat),
             "same_timestamp_burst": bench_same_timestamp_burst(repeat),
             "figure_end_to_end": bench_figure_end_to_end(repeat),
             "obs_overhead": bench_obs_overhead(repeat),

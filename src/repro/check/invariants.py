@@ -48,7 +48,7 @@ from repro.resources.fairshare import max_min_fair_share
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
-    from repro.network.flows import FlowRequest, FlowResult, FlowSolver, _SubFlow
+    from repro.network.flows import FlowRequest, FlowResult, FlowSolver
     from repro.sim.engine import Simulator
     from repro.sim.process import IODemand
     from repro.storage.filesystem import IOGrant, SharedFilesystem
@@ -310,12 +310,15 @@ class InvariantChecker:
     def on_flow_split(
         self,
         flows: "list[FlowRequest]",
-        per_flow_subflows: "list[list[_SubFlow]]",
+        splits: "list[list[float]]",
     ) -> None:
-        """CK007: the adaptive split conserves each flow's demand."""
+        """CK007: the adaptive split conserves each flow's demand.
+
+        ``splits[i]`` holds flow ``i``'s per-path sub-flow demands.
+        """
         self._count("flow_split")
-        for flow, subs in zip(flows, per_flow_subflows):
-            total = sum(sub.demand for sub in subs)
+        for flow, split in zip(flows, splits):
+            total = sum(split)
             if abs(total - flow.demand) > self.tolerance * max(1.0, flow.demand):
                 self._report(
                     "CK007",

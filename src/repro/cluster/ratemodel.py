@@ -28,6 +28,7 @@ oracle in :mod:`repro.check` holds the two byte-identical.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -215,7 +216,8 @@ class ClusterRateModel(RateModel):
     #: the thousands on long contended runs; entries are four small
     #: arrays, so a deep memo is cheap.
     STAGE1_MEMO_SIZE = 4096
-    #: distinct network-stage signatures kept
+    #: distinct network-stage signatures kept (and interned flow
+    #: structures, whose tokens those signatures carry)
     NET_MEMO_SIZE = 256
     #: distinct running-set configurations whose grouping is kept
     GROUP_CACHE_SIZE = 256
@@ -310,8 +312,12 @@ class ClusterRateModel(RateModel):
         self._flow_token = -1
         #: flow-structure interning table (structure tuple → token); the
         #: per-resolve network signature carries the token so hashing it
-        #: does not re-walk the structure tuple
+        #: does not re-walk the structure tuple.  Bounded oldest-first at
+        #: NET_MEMO_SIZE; tokens come from a counter, never reused, so an
+        #: evicted structure that recurs gets a fresh token instead of
+        #: colliding with a live one in the memos.
         self._struct_intern: dict[tuple, int] = {}
+        self._struct_tokens = itertools.count()
         self._flow_pairs: list[tuple[str, str]] = []
         self._flow_ones = np.zeros(0)
         self._flows_dirty = False
@@ -839,7 +845,9 @@ class ClusterRateModel(RateModel):
             self._flow_struct = struct_t
             token = self._struct_intern.get(struct_t)
             if token is None:
-                token = len(self._struct_intern)
+                token = next(self._struct_tokens)
+                if len(self._struct_intern) >= self.NET_MEMO_SIZE:
+                    self._struct_intern.pop(next(iter(self._struct_intern)))
                 self._struct_intern[struct_t] = token
             self._flow_token = token
             self._flow_pairs = pairs

@@ -6,6 +6,9 @@ the simplest way: dicts keyed by pid, one loop per equation, and a
 from-scratch re-pricing of every node, flow and filesystem demand on
 every resolve.  It has no caches, no memos and no dirty-set shortcuts,
 and it writes counters straight into the process and node dicts.
+Its network stage runs :class:`ReferenceFlowSolver`, the same kind of
+statement of :class:`~repro.network.flows.FlowSolver`: one object per
+sub-flow, dicts keyed by edge, and no solve memo.
 
 It exists to be read and to be compared against.  ``repro check`` swaps
 it onto a freshly built cluster
@@ -18,6 +21,7 @@ it.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cache.model import (
@@ -27,8 +31,10 @@ from repro.cache.model import (
     solve_occupancy,
 )
 from repro.cluster.ratemodel import L2_MISS_FACTOR
+from repro.errors import ResourceError
 from repro.memory.bandwidth import ShareFn, solve_bandwidth
-from repro.network.flows import FlowRequest, FlowSolver
+from repro.network.flows import Edge, FlowRequest, FlowResult, candidate_paths
+from repro.network.topology import NetworkTopology
 from repro.resources.fairshare import max_min_fair_share
 from repro.sim.engine import RateModel
 from repro.sim.process import CACHE_LEVELS, SimProcess
@@ -42,7 +48,7 @@ class ReferenceRateModel(RateModel):
 
     Takes the same parameters as
     :class:`~repro.cluster.ratemodel.ClusterRateModel`.  Flow solves run
-    cold (``FlowSolver.memoize = False``), so no result is ever reused.
+    on :class:`ReferenceFlowSolver`, which never reuses a result.
     """
 
     def __init__(
@@ -57,7 +63,7 @@ class ReferenceRateModel(RateModel):
         self.cache_sharpness = cache_sharpness
         self.k_paths = k_paths
         self.flow_solver = (
-            FlowSolver(cluster.topology, k_paths=k_paths, memoize=False)
+            ReferenceFlowSolver(cluster.topology, k_paths=k_paths)
             if cluster.topology is not None
             else None
         )
@@ -383,3 +389,211 @@ class ReferenceRateModel(RateModel):
                 L2_MISS_FACTOR * mpki * ips / 1000.0,
                 rates.get("mem_bytes", 0.0) / 256.0,
             )
+
+
+# -- the flow solver ----------------------------------------------------------
+
+
+@dataclass
+class _SubFlow:
+    flow_index: int
+    edges: list[Edge]
+    demand: float
+    rate: float = 0.0
+    fixed: bool = False
+
+
+class ReferenceFlowSolver:
+    """Scalar, memo-free statement of :class:`~repro.network.flows.FlowSolver`.
+
+    Same parameters and ``solve`` contract, with the network equations
+    written out on one :class:`_SubFlow` object per (flow, path): split
+    each demand evenly over the candidate paths, re-balance the splits
+    toward less-congested paths, share link capacity by demand-capped
+    max-min water filling, then degrade every flow's demand by the
+    congestion latency other traffic imposes on its paths and share
+    again.  Only the topology lookups (paths, capacities) are memoised;
+    every solve runs from scratch.
+    """
+
+    def __init__(
+        self,
+        topology: NetworkTopology,
+        k_paths: int = 4,
+        rebalance_rounds: int = 4,
+        latency_alpha: float = 0.6,
+    ) -> None:
+        self.topology = topology
+        self.k_paths = k_paths
+        self.rebalance_rounds = rebalance_rounds
+        self.latency_alpha = latency_alpha
+        #: attached invariant checker (see :mod:`repro.check`), or None
+        self.check = None
+        self._path_cache: dict[tuple[str, str], list[list[Edge]]] = {}
+        self._cap_cache: dict[Edge, float] = {}
+
+    def solve(
+        self, flows: list[FlowRequest], signature: tuple | None = None
+    ) -> FlowResult:
+        """Grant bandwidth to every flow; ``signature`` is ignored."""
+        if not flows:
+            return FlowResult(grants={})
+        keys = [f.key for f in flows]
+        if len(set(keys)) != len(keys):
+            raise ResourceError("flow keys must be unique per solve")
+
+        subflows: list[_SubFlow] = []
+        per_flow_subflows: list[list[_SubFlow]] = []
+        for idx, flow in enumerate(flows):
+            paths = self._paths(flow.src, flow.dst)
+            flow_subs = [
+                _SubFlow(flow_index=idx, edges=path, demand=flow.demand / len(paths))
+                for path in paths
+            ]
+            per_flow_subflows.append(flow_subs)
+            subflows.extend(flow_subs)
+
+        for _ in range(self.rebalance_rounds):
+            loads = self._edge_loads(subflows)
+            self._rebalance(flows, per_flow_subflows, loads)
+        if self.check is not None:
+            self.check.on_flow_split(
+                flows, [[sub.demand for sub in subs] for subs in per_flow_subflows]
+            )
+
+        # Pass 1: capacity sharing with the raw demands.
+        self._max_min_reference(subflows)
+
+        if self.latency_alpha > 0:
+            # Pass 2: degrade each flow's demand by the congestion other
+            # granted traffic imposes on its paths, then re-share.
+            granted_loads = self._edge_loads(subflows, use_rate=True)
+            for subs in per_flow_subflows:
+                own = {e: 0.0 for sub in subs for e in sub.edges}
+                for sub in subs:
+                    for e in sub.edges:
+                        own[e] += sub.rate
+                worst = 0.0
+                for sub in subs:
+                    for e in sub.edges:
+                        cap = self._capacity(e)
+                        other = max(0.0, granted_loads.get(e, 0.0) - own[e])
+                        worst = max(worst, other / cap)
+                factor = 1.0 / (1.0 + self.latency_alpha * worst)
+                for sub in subs:
+                    sub.demand *= factor
+            self._max_min_reference(subflows)
+
+        grants = {f.key: 0.0 for f in flows}
+        for sub in subflows:
+            grants[flows[sub.flow_index].key] += sub.rate
+        result = FlowResult(
+            grants=grants, edge_load=self._edge_loads(subflows, use_rate=True)
+        )
+        if self.check is not None:
+            self.check.on_flow_solve(self, flows, result)
+        return result
+
+    def _capacity(self, edge: Edge) -> float:
+        cap = self._cap_cache.get(edge)
+        if cap is None:
+            cap = self.topology.capacity(*edge)
+            self._cap_cache[edge] = cap
+        return cap
+
+    def _paths(self, src: str, dst: str) -> list[list[Edge]]:
+        # A pure memo over the immutable topology (this solver keeps no
+        # solve memo at all; RL013 matches it by its class-name suffix).
+        paths = self._path_cache.get((src, dst))  # repro-lint: disable=RL013
+        if paths is None:
+            paths = candidate_paths(self.topology, src, dst, self.k_paths)
+            self._path_cache[(src, dst)] = paths
+        return paths
+
+    def _edge_loads(
+        self, subflows: list[_SubFlow], use_rate: bool = False
+    ) -> dict[Edge, float]:
+        loads: dict[Edge, float] = {}
+        for sub in subflows:
+            amount = sub.rate if use_rate else sub.demand
+            for edge in sub.edges:
+                loads[edge] = loads.get(edge, 0.0) + amount
+        return loads
+
+    def _rebalance(
+        self,
+        flows: list[FlowRequest],
+        per_flow_subflows: list[list[_SubFlow]],
+        loads: dict[Edge, float],
+    ) -> None:
+        """Shift each flow's split toward its less-congested paths."""
+        for flow, subs in zip(flows, per_flow_subflows):
+            if len(subs) <= 1 or flow.demand == 0:
+                continue
+            congestions = []
+            for sub in subs:
+                # Congestion the flow would see on this path from OTHER
+                # traffic (its own contribution removed).
+                worst = 0.0
+                for edge in sub.edges:
+                    cap = self._capacity(edge)
+                    other = loads.get(edge, 0.0) - sub.demand
+                    worst = max(worst, other / cap)
+                congestions.append(worst)
+            weights = [1.0 / (1.0 + c) ** 2 for c in congestions]
+            wsum = sum(weights)
+            for sub, w in zip(subs, weights):
+                for edge in sub.edges:
+                    loads[edge] = loads.get(edge, 0.0) - sub.demand
+                sub.demand = flow.demand * w / wsum
+                for edge in sub.edges:
+                    loads[edge] = loads.get(edge, 0.0) + sub.demand
+
+    def _max_min_reference(self, subflows: list[_SubFlow]) -> None:
+        """Demand-capped max-min fair rates over all links (water filling).
+
+        Each round offers every link's residual capacity evenly to the
+        unfixed sub-flows crossing it.  Sub-flows whose demand fits under
+        the lowest offer are granted their demand; otherwise the
+        sub-flows crossing the tightest link (lowest share, then
+        lexicographically smallest edge) are fixed at its share.
+        """
+        for sub in subflows:
+            sub.rate = 0.0
+            sub.fixed = sub.demand <= 0.0
+        edges = {e for sub in subflows for e in sub.edges}
+        residual = {e: self._capacity(e) for e in edges}
+
+        for _ in range(len(subflows) + len(edges) + 1):
+            unfixed = [s for s in subflows if not s.fixed]
+            if not unfixed:
+                return
+            # Fair share offered by each link to its unfixed subflows.
+            link_share: dict[Edge, float] = {}
+            for edge in edges:
+                crossing = [s for s in unfixed if edge in s.edges]
+                if crossing:
+                    link_share[edge] = residual[edge] / len(crossing)
+            if not link_share:
+                for sub in unfixed:  # no constrained links: grant demands
+                    sub.rate = sub.demand
+                    sub.fixed = True
+                return
+            bottleneck_rate = min(link_share.values())
+            demand_limited = [
+                s for s in unfixed if s.demand <= bottleneck_rate + 1e-12
+            ]
+            if demand_limited:
+                fixed_now = demand_limited
+                for sub in fixed_now:
+                    sub.rate = sub.demand
+            else:
+                bottleneck = min(link_share, key=lambda e: (link_share[e], e))
+                fixed_now = [s for s in unfixed if bottleneck in s.edges]
+                for sub in fixed_now:
+                    sub.rate = bottleneck_rate
+            for sub in fixed_now:
+                sub.fixed = True
+                for edge in sub.edges:
+                    residual[edge] = max(0.0, residual[edge] - sub.rate)
+        raise ResourceError("max-min water filling failed to converge")

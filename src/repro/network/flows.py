@@ -15,14 +15,23 @@ Static single-path routing (the ablation in
 ``benchmarks/bench_ablation_routing.py``) uses ``k=1``, which removes the
 re-balancing and reproduces the severe congestion the paper says adaptive
 routing avoids.
+
+:class:`FlowSolver` runs each solve as scalar arithmetic on plain lists.
+Every topology edge gets an integer *column* (its rank in sorted edge
+order), a path is the list of its edges' columns, and the water filling
+keeps per-link crossing counts up to date as sub-flows fix instead of
+rescanning memberships every round.  Solves are small (tens of sub-flows
+over tens of links), where list arithmetic beats numpy's per-call
+overhead.  The readable object statement of the same equations is
+:class:`repro.cluster.reference.ReferenceFlowSolver`; ``repro check``
+requires the two to agree to the bit (the exactness rules are in
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ResourceError
 from repro.network.topology import NetworkTopology
@@ -33,6 +42,25 @@ Edge = tuple[str, str]
 
 def _edge(u: str, v: str) -> Edge:
     return (u, v) if str(u) <= str(v) else (v, u)
+
+
+def candidate_paths(
+    topology: NetworkTopology, src: str, dst: str, k_paths: int
+) -> list[list[Edge]]:
+    """The routes adaptive routing may use for one (src, dst) pair.
+
+    Up to ``k_paths`` loop-free shortest paths, keeping only those no
+    longer than the shortest + 1 hop: Aries' adaptive routing only
+    considers minimal and near-minimal routes.  Each path is its list of
+    canonical (sorted-endpoint) edges.
+    """
+    node_paths = topology.k_shortest_paths(src, dst, k_paths)
+    min_len = len(node_paths[0])
+    return [
+        [_edge(u, v) for u, v in zip(p, p[1:])]
+        for p in node_paths
+        if len(p) <= min_len + 1
+    ]
 
 
 @dataclass
@@ -60,15 +88,6 @@ class FlowRequest:
 
 
 @dataclass
-class _SubFlow:
-    flow_index: int
-    edges: list[Edge]
-    demand: float
-    rate: float = 0.0
-    fixed: bool = False
-
-
-@dataclass
 class FlowResult:
     """Outcome of a solve: per-flow grants and per-edge utilisation."""
 
@@ -88,7 +107,6 @@ class FlowSolver:
         k_paths: int = 4,
         rebalance_rounds: int = 4,
         latency_alpha: float = 0.6,
-        warm_start: bool = False,
         memoize: bool = True,
     ) -> None:
         if k_paths < 1:
@@ -105,12 +123,6 @@ class FlowSolver:
         #: attached invariant checker (see :mod:`repro.check`), or None;
         #: hook sites are guarded so an unchecked solve pays nothing.
         self.check = None
-        #: start the adaptive split from the previous solve's converged
-        #: per-path fractions instead of a uniform split.  Off by default:
-        #: warm starting changes the (equally valid) allocation reached
-        #: after ``rebalance_rounds``, so results are no longer bit-equal
-        #: to a cold solve — see docs/PERFORMANCE.md before enabling.
-        self.warm_start = warm_start
         #: counter block; the cluster rate model swaps in the engine's
         self.stats = SimStats()
         #: strength of the congestion-latency degradation: traffic from
@@ -120,15 +132,21 @@ class FlowSolver:
         #: makes netoccupy hurt the OSU benchmark on an adaptively-routed
         #: fabric whose links never fully saturate (paper Fig. 6).
         self.latency_alpha = latency_alpha
-        self._path_cache: dict[tuple[str, str], list[list[Edge]]] = {}
-        #: per-edge capacity memo over the immutable topology; the solver
-        #: reads capacities hundreds of times per solve and the networkx
-        #: edge-view lookup dominates without it
-        self._cap_cache: dict[Edge, float] = {}
+        caps = {
+            _edge(u, v): float(cap)
+            for u, v, cap in topology.graph.edges(data="capacity")
+        }
+        #: every topology edge in sorted order; a column is an index into
+        #: this list, so "smallest column" is "lexicographically smallest
+        #: edge" — the water filling's bottleneck tie-break
+        self._edges: list[Edge] = sorted(caps)
+        self._col = {e: j for j, e in enumerate(self._edges)}
+        #: per-column capacity, read hundreds of times per solve
+        self._caps = [caps[e] for e in self._edges]
+        #: per-(src, dst) candidate paths as column lists
+        self._path_cache: dict[tuple[str, str], list[list[int]]] = {}
         #: memo of full solves keyed by the canonical request signature
         self._solve_cache: dict[tuple, FlowResult] = {}
-        #: per-(src, dst) converged split fractions from the last solve
-        self._warm_splits: dict[tuple[str, str], tuple[float, ...]] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -170,59 +188,52 @@ class FlowSolver:
             )
         self.stats.count("flow_solves")
 
-        subflows: list[_SubFlow] = []
-        per_flow_subflows: list[list[_SubFlow]] = []
-        for idx, flow in enumerate(flows):
+        # Sub-flows in request order, then path order: flow i owns
+        # sub-flows lo .. hi - 1 for (lo, hi) = spans[i].
+        sub_cols: list[list[int]] = []
+        demand: list[float] = []
+        spans: list[tuple[int, int]] = []
+        for flow in flows:
             paths = self._paths(flow.src, flow.dst)
-            split = self._initial_split(flow, len(paths))
-            flow_subs = [
-                _SubFlow(flow_index=idx, edges=path, demand=d)
-                for path, d in zip(paths, split)
-            ]
-            per_flow_subflows.append(flow_subs)
-            subflows.extend(flow_subs)
+            lo = len(sub_cols)
+            sub_cols.extend(paths)
+            demand.extend([flow.demand / len(paths)] * len(paths))
+            spans.append((lo, len(sub_cols)))
+        # Columns in order of first appearance (the edge_load key order)
+        # and sorted (the bottleneck scan order).
+        order = list(dict.fromkeys(c for cols in sub_cols for c in cols))
+        used = sorted(order)
 
-        for _ in range(self.rebalance_rounds):
-            loads = self._edge_loads(subflows)
-            self._rebalance(flows, per_flow_subflows, loads)
+        multi = [
+            i
+            for i, (lo, hi) in enumerate(spans)
+            if hi - lo > 1 and flows[i].demand != 0
+        ]
+        if multi:
+            for _ in range(self.rebalance_rounds):
+                self._rebalance(flows, multi, spans, sub_cols, demand)
         if self.check is not None:
-            self.check.on_flow_split(flows, per_flow_subflows)
-
-        if self.warm_start:
-            for flow, subs in zip(flows, per_flow_subflows):
-                if flow.demand > 0:
-                    self._warm_splits[(flow.src, flow.dst)] = tuple(
-                        sub.demand / flow.demand for sub in subs
-                    )
+            self.check.on_flow_split(flows, [demand[lo:hi] for lo, hi in spans])
 
         # Pass 1: capacity sharing with the raw demands.
-        self._max_min(subflows)
+        rate = self._waterfill(sub_cols, demand, used)
 
         if self.latency_alpha > 0:
             # Pass 2: degrade each flow's demand by the congestion other
             # granted traffic imposes on its paths, then re-share.
-            granted_loads = self._edge_loads(subflows, use_rate=True)
-            for subs in per_flow_subflows:
-                own = {e: 0.0 for sub in subs for e in sub.edges}
-                for sub in subs:
-                    for e in sub.edges:
-                        own[e] += sub.rate
-                worst = 0.0
-                for sub in subs:
-                    for e in sub.edges:
-                        cap = self._capacity(e)
-                        other = max(0.0, granted_loads.get(e, 0.0) - own[e])
-                        worst = max(worst, other / cap)
-                factor = 1.0 / (1.0 + self.latency_alpha * worst)
-                for sub in subs:
-                    sub.demand *= factor
-            self._max_min(subflows)
+            self._degrade(spans, sub_cols, demand, rate)
+            rate = self._waterfill(sub_cols, demand, used)
 
-        grants = {f.key: 0.0 for f in flows}
-        for sub in subflows:
-            grants[flows[sub.flow_index].key] += sub.rate
+        grants: dict[int, float] = {}
+        for flow, (lo, hi) in zip(flows, spans):
+            total = 0.0
+            for s in range(lo, hi):
+                total += rate[s]
+            grants[flow.key] = total
+        loads = self._loads(sub_cols, rate)
+        edges = self._edges
         result = FlowResult(
-            grants=grants, edge_load=self._edge_loads(subflows, use_rate=True)
+            grants=grants, edge_load={edges[c]: loads[c] for c in order}
         )
         if self.check is not None:
             self.check.on_flow_solve(self, flows, result)
@@ -236,201 +247,142 @@ class FlowSolver:
 
     # -- internals ----------------------------------------------------------
 
-    def _initial_split(self, flow: FlowRequest, n_paths: int) -> list[float]:
-        """Starting per-path demands: uniform, or the last converged split.
-
-        Warm starts apply on *signature-adjacent* solves — a previous
-        solve routed the same (src, dst) pair over the same path set — and
-        give the re-balancer a head start toward its fixed point.
-        """
-        if self.warm_start:
-            # warm_start is opt-in and documented as trading bit-equality for
-            # convergence speed (docs/PERFORMANCE.md), so the split history
-            # legitimately lives outside the memo key:
-            fractions = self._warm_splits.get((flow.src, flow.dst))  # repro-lint: disable=RL013
-            if fractions is not None and len(fractions) == n_paths:
-                return [flow.demand * fraction for fraction in fractions]
-        return [flow.demand / n_paths] * n_paths
-
-    def _capacity(self, edge: Edge) -> float:
-        # A pure memo over the immutable topology, like _path_cache.
-        cap = self._cap_cache.get(edge)  # repro-lint: disable=RL013
-        if cap is None:
-            cap = self.topology.capacity(*edge)
-            self._cap_cache[edge] = cap
-        return cap
-
-    def _paths(self, src: str, dst: str) -> list[list[Edge]]:
+    def _paths(self, src: str, dst: str) -> list[list[int]]:
         cache_key = (src, dst)
         # _path_cache is a pure memo over the immutable topology: entries are
         # a deterministic function of (src, dst, k_paths), so reading it can
         # never make a solve-cache hit stale.
-        if cache_key not in self._path_cache:  # repro-lint: disable=RL013
-            node_paths = self.topology.k_shortest_paths(src, dst, self.k_paths)
-            # Keep only paths no longer than shortest + 1 hop: Aries'
-            # adaptive routing only considers minimal and near-minimal routes.
-            min_len = len(node_paths[0])
-            node_paths = [p for p in node_paths if len(p) <= min_len + 1]
-            self._path_cache[cache_key] = [
-                [_edge(u, v) for u, v in zip(p, p[1:])] for p in node_paths
+        paths = self._path_cache.get(cache_key)  # repro-lint: disable=RL013
+        if paths is None:
+            col = self._col
+            paths = [
+                [col[e] for e in path]
+                for path in candidate_paths(self.topology, src, dst, self.k_paths)
             ]
-        return self._path_cache[cache_key]
+            self._path_cache[cache_key] = paths
+        return paths
 
-    def _edge_loads(
-        self, subflows: list[_SubFlow], use_rate: bool = False
-    ) -> dict[Edge, float]:
-        loads: dict[Edge, float] = {}
-        for sub in subflows:
-            amount = sub.rate if use_rate else sub.demand
-            for edge in sub.edges:
-                loads[edge] = loads.get(edge, 0.0) + amount
+    def _loads(self, sub_cols: list[list[int]], amounts: list[float]) -> list[float]:
+        """Per-column sums of ``amounts``, in sub-flow then path order."""
+        loads = [0.0] * len(self._caps)
+        for cols, amount in zip(sub_cols, amounts):
+            for c in cols:
+                loads[c] += amount
         return loads
 
     def _rebalance(
         self,
         flows: list[FlowRequest],
-        per_flow_subflows: list[list[_SubFlow]],
-        loads: dict[Edge, float],
+        multi: list[int],
+        spans: list[tuple[int, int]],
+        sub_cols: list[list[int]],
+        demand: list[float],
     ) -> None:
-        """Shift each flow's split toward its less-congested paths."""
-        for flow, subs in zip(flows, per_flow_subflows):
-            if len(subs) <= 1 or flow.demand == 0:
-                continue
-            congestions = []
-            for sub in subs:
+        """Shift each multi-path flow's split toward less-congested paths."""
+        caps = self._caps
+        loads = self._loads(sub_cols, demand)
+        for i in multi:
+            lo, hi = spans[i]
+            weights = []
+            for s in range(lo, hi):
                 # Congestion the flow would see on this path from OTHER
                 # traffic (its own contribution removed).
+                own = demand[s]
                 worst = 0.0
-                for edge in sub.edges:
-                    cap = self._capacity(edge)
-                    other = loads.get(edge, 0.0) - sub.demand
-                    worst = max(worst, other / cap)
-                congestions.append(worst)
-            weights = [1.0 / (1.0 + c) ** 2 for c in congestions]
+                for c in sub_cols[s]:
+                    congestion = (loads[c] - own) / caps[c]
+                    if congestion > worst:
+                        worst = congestion
+                weights.append(1.0 / (1.0 + worst) ** 2)
             wsum = sum(weights)
-            for sub, w in zip(subs, weights):
-                for edge in sub.edges:
-                    loads[edge] = loads.get(edge, 0.0) - sub.demand
-                sub.demand = flow.demand * w / wsum
-                for edge in sub.edges:
-                    loads[edge] = loads.get(edge, 0.0) + sub.demand
+            total = flows[i].demand
+            for s, w in zip(range(lo, hi), weights):
+                old = demand[s]
+                new = total * w / wsum
+                demand[s] = new
+                for c in sub_cols[s]:
+                    loads[c] = loads[c] - old + new
 
-    def _max_min(self, subflows: list[_SubFlow]) -> None:
+    def _degrade(
+        self,
+        spans: list[tuple[int, int]],
+        sub_cols: list[list[int]],
+        demand: list[float],
+        rate: list[float],
+    ) -> None:
+        """Scale each flow's sub-flow demands by its congestion latency."""
+        caps = self._caps
+        alpha = self.latency_alpha
+        granted = self._loads(sub_cols, rate)
+        for lo, hi in spans:
+            own: dict[int, float] = {}
+            for s in range(lo, hi):
+                r = rate[s]
+                for c in sub_cols[s]:
+                    own[c] = own.get(c, 0.0) + r
+            worst = 0.0
+            for s in range(lo, hi):
+                for c in sub_cols[s]:
+                    other = granted[c] - own[c]
+                    if other > 0.0:
+                        congestion = other / caps[c]
+                        if congestion > worst:
+                            worst = congestion
+            factor = 1.0 / (1.0 + alpha * worst)
+            for s in range(lo, hi):
+                demand[s] *= factor
+
+    def _waterfill(
+        self, sub_cols: list[list[int]], demand: list[float], used: list[int]
+    ) -> list[float]:
         """Demand-capped max-min fair rates over all links (water filling).
 
-        Vectorized: crossing counts come from one boolean incidence matrix
-        reduction per round instead of a per-edge membership scan, so a
-        round costs O(subflows × edges) numpy work rather than O(subflows
-        × edges) Python-loop work.  Bit-identical to
-        :meth:`_max_min_reference` — every float op (link shares, the
-        water level, the residual drains) is the same scalar IEEE op in
-        the same order; only integer counting and candidate selection are
-        batched.  The bottleneck tie-break (lowest share, then
-        lexicographically smallest edge) survives because the edge columns
-        are built sorted, so "first column at the minimum share" is
-        exactly ``min(link_share, key=...)``.
+        ``used`` lists the columns any sub-flow crosses, sorted.  Each
+        round either satisfies every sub-flow whose demand fits under the
+        water level, or fixes the sub-flows crossing the tightest link at
+        its fair share.
         """
-        if not subflows:
-            return
-        n = len(subflows)
-        edge_list = sorted({e for sub in subflows for e in sub.edges})
-        m = len(edge_list)
-        col = {e: j for j, e in enumerate(edge_list)}
-        caps = np.array(
-            [self._capacity(e) for e in edge_list], dtype=float
-        )
-        demand = np.array([s.demand for s in subflows], dtype=float)
-        inc = np.zeros((n, m), dtype=bool)
-        sub_cols: list[list[int]] = []
-        for i, sub in enumerate(subflows):
-            cols_i = [col[e] for e in sub.edges]
-            sub_cols.append(cols_i)
-            inc[i, cols_i] = True
-
-        rate = np.zeros(n)
-        fixed = demand <= 0.0
-        residual = caps.copy()
-        self.stats.count("vectorized_waterfills")
-
-        converged = False
-        for _ in range(n + m + 1):
-            unfixed = ~fixed
-            if not unfixed.any():
-                converged = True
-                break
-            # Fair share offered by each link to its unfixed subflows.
-            crossing = inc[unfixed].sum(axis=0)
-            has_crossing = crossing > 0
-            if not has_crossing.any():
-                rate[unfixed] = demand[unfixed]  # no constrained links
-                fixed[:] = True
-                converged = True
-                break
-            share = residual[has_crossing] / crossing[has_crossing]
-            level = float(share.min())
-            # Subflows whose demand is below the current water level are
-            # satisfied outright; otherwise fix flows crossing the tightest
-            # link at the fair share.
-            newly = unfixed & (demand <= level + 1e-12)
-            if newly.any():
-                rate[newly] = demand[newly]
-            else:
-                candidates = np.flatnonzero(has_crossing)
-                bottleneck = int(candidates[int(np.argmax(share == level))])
-                newly = unfixed & inc[:, bottleneck]
-                rate[newly] = level
-            fixed |= newly
-            for i in np.flatnonzero(newly):
-                granted = float(rate[i])
-                for j in sub_cols[i]:
-                    residual[j] = max(0.0, float(residual[j]) - granted)
-        if not converged:
-            raise ResourceError("max-min water filling failed to converge")
-        for sub, sub_rate, sub_fixed in zip(subflows, rate, fixed):
-            sub.rate = float(sub_rate)
-            sub.fixed = bool(sub_fixed)
-
-    def _max_min_reference(self, subflows: list[_SubFlow]) -> None:
-        """Scalar reference for :meth:`_max_min` (PR 1 semantics).
-
-        Kept as the ground truth the vectorized water filling is tested
-        against (``tests/network/test_flows_vectorized.py`` pins exact
-        float equality); do not call it from production paths.
-        """
-        for sub in subflows:
-            sub.rate = 0.0
-            sub.fixed = sub.demand <= 0.0
-        edges = {e for sub in subflows for e in sub.edges}
-        residual = {e: self.topology.capacity(*e) for e in edges}
-
-        for _ in range(len(subflows) + len(edges) + 1):
-            unfixed = [s for s in subflows if not s.fixed]
+        self.stats.count("flow_waterfills")
+        residual = list(self._caps)
+        crossing = [0] * len(residual)
+        rate = [0.0] * len(demand)
+        unfixed = [i for i, d in enumerate(demand) if d > 0.0]
+        for i in unfixed:
+            for c in sub_cols[i]:
+                crossing[c] += 1
+        for _ in range(len(demand) + len(used) + 1):
             if not unfixed:
-                return
-            # Fair share offered by each link to its unfixed subflows.
-            link_share: dict[Edge, float] = {}
-            for edge in edges:
-                crossing = [s for s in unfixed if edge in s.edges]
-                if crossing:
-                    link_share[edge] = residual[edge] / len(crossing)
-            if not link_share:
-                for sub in unfixed:  # no constrained links: grant demands
-                    sub.rate = sub.demand
-                    sub.fixed = True
-                return
-            bottleneck_rate = min(link_share.values())
-            demand_limited = [s for s in unfixed if s.demand <= bottleneck_rate + 1e-12]
-            if demand_limited:
-                fixed_now = demand_limited
-                for sub in fixed_now:
-                    sub.rate = sub.demand
+                return rate
+            # Fair share each link offers its unfixed sub-flows; the
+            # bottleneck is the first column at the minimum share.
+            level = math.inf
+            bottleneck = -1
+            for c in used:
+                n = crossing[c]
+                if n:
+                    share = residual[c] / n
+                    if share < level:
+                        level = share
+                        bottleneck = c
+            if bottleneck < 0:
+                for i in unfixed:  # no constrained links: grant demands
+                    rate[i] = demand[i]
+                return rate
+            limit = level + 1e-12
+            newly = [i for i in unfixed if demand[i] <= limit]
+            if newly:
+                for i in newly:
+                    rate[i] = demand[i]
             else:
-                bottleneck = min(link_share, key=lambda e: (link_share[e], e))
-                fixed_now = [s for s in unfixed if bottleneck in s.edges]
-                for sub in fixed_now:
-                    sub.rate = bottleneck_rate
-            for sub in fixed_now:
-                sub.fixed = True
-                for edge in sub.edges:
-                    residual[edge] = max(0.0, residual[edge] - sub.rate)
+                newly = [i for i in unfixed if bottleneck in sub_cols[i]]
+                for i in newly:
+                    rate[i] = level
+            for i in newly:
+                granted = rate[i]
+                for c in sub_cols[i]:
+                    crossing[c] -= 1
+                    left = residual[c] - granted
+                    residual[c] = left if left > 0.0 else 0.0
+            fixed_now = set(newly)
+            unfixed = [i for i in unfixed if i not in fixed_now]
         raise ResourceError("max-min water filling failed to converge")

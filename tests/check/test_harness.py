@@ -15,7 +15,7 @@ from repro.check.harness import (
 )
 from repro.cluster import Cluster
 from repro.cluster.ratemodel import ClusterRateModel
-from repro.cluster.reference import ReferenceRateModel
+from repro.cluster.reference import ReferenceFlowSolver, ReferenceRateModel
 from repro.core import CpuOccupy
 from repro.errors import CheckError
 
@@ -61,7 +61,7 @@ class TestUseReferenceModel:
         assert isinstance(cluster.model, ReferenceRateModel)
         assert cluster.sim.model is cluster.model
         assert cluster.model.k_paths == 2
-        assert cluster.model.flow_solver.memoize is False
+        assert isinstance(cluster.model.flow_solver, ReferenceFlowSolver)
 
     def test_rejects_a_cluster_with_processes(self):
         cluster = Cluster.voltrino(num_nodes=2)

@@ -189,9 +189,8 @@ class TestRuleDetection:
 
     def test_ck007_split_loses_demand(self):
         flow = SimpleNamespace(key=1, src="node0", dst="node1", demand=4.0)
-        subs = [SimpleNamespace(demand=1.0), SimpleNamespace(demand=2.0)]
         checker = self._recorder()
-        checker.on_flow_split([flow], [subs])
+        checker.on_flow_split([flow], [[1.0, 2.0]])
         assert self._rules(checker) == {"CK007"}
 
     def test_ck008_link_over_capacity_and_ck009_grant_bounds(self):

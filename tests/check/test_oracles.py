@@ -5,6 +5,7 @@ an unmodified tree, and a deliberate perturbation of the fast path (the
 kind of regression the oracle exists to catch) flips it to failing.
 """
 
+import math
 from pathlib import Path
 
 from repro.apps.base import CheckpointStore
@@ -83,6 +84,26 @@ class TestReferenceModel:
         monkeypatch.setattr(ClusterRateModel, "_record_rates_array", skewed)
         outcome = evaluate_case(net_spec)
         assert "reference_model" in [name for name, _ in outcome.mismatches]
+
+    def test_catches_one_ulp_flow_solver_skew(self, monkeypatch):
+        # Planted bug: the production flow solver's water filling hands
+        # out every positive rate one ulp short.  The reference model
+        # solves flows on ReferenceFlowSolver, so only it can notice.
+        # Pinned case 1 (two apps sharing four nodes) is contended enough
+        # for one ulp of grant to reach the fingerprint.
+        (spec,) = [s for s in load_corpus(PINNED_CORPUS) if s.case_id == 1]
+        real = FlowSolver._waterfill
+
+        def one_ulp_short(self, sub_cols, demand, used):
+            rates = real(self, sub_cols, demand, used)
+            return [math.nextafter(r, 0.0) if r > 0 else r for r in rates]
+
+        monkeypatch.setattr(FlowSolver, "_waterfill", one_ulp_short)
+        outcome = evaluate_case(spec)
+        names = [name for name, _ in outcome.mismatches]
+        assert "reference_model" in names
+        # memoized and cold solves run the same skewed code
+        assert "flow_memo" not in names
 
 
 class TestCheckpointRestartOracle:

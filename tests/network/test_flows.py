@@ -57,43 +57,6 @@ class TestMemoisation:
         assert s.stats.counters["flow_solves"] == 4
 
 
-class TestWarmStart:
-    FLOWS = [
-        FlowRequest(key=1, src="node0", dst="node2", demand=8e9),
-        FlowRequest(key=2, src="node1", dst="node2", demand=8e9),
-    ]
-
-    def _contended(self, **kwargs):
-        return FlowSolver(aries_like(num_nodes=8, nic_bw=10e9), **kwargs)
-
-    def test_warm_start_off_by_default(self):
-        s = self._contended()
-        s.solve(list(self.FLOWS))
-        assert s._warm_splits == {}
-
-    def test_warm_start_records_converged_splits(self):
-        s = self._contended(warm_start=True)
-        s.solve(list(self.FLOWS))
-        splits = s._warm_splits[("node0", "node2")]
-        assert len(splits) >= 1
-        assert sum(splits) == pytest.approx(1.0)
-
-    def test_warm_grants_close_to_cold(self):
-        cold = self._contended().solve(list(self.FLOWS))
-        warm_solver = self._contended(warm_start=True)
-        warm_solver.solve(list(self.FLOWS))
-        warm = warm_solver.solve(
-            [
-                FlowRequest(key=1, src="node0", dst="node2", demand=8.1e9),
-                FlowRequest(key=2, src="node1", dst="node2", demand=8e9),
-            ]
-        )
-        # Warm starts change the path the re-balancer takes, not the
-        # physics: grants stay within a few percent of the cold solve.
-        for key in (1, 2):
-            assert warm.grants[key] == pytest.approx(cold.grants[key], rel=0.1)
-
-
 class TestBasics:
     def test_single_flow_gets_demand(self):
         s = solver(latency_alpha=0.0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.harness import reference_replay_fingerprint
+from repro.check.harness import fingerprint_cluster, reference_replay_fingerprint
 from repro.cluster import Cluster
 from repro.errors import TraceError
 from repro.traces import (
@@ -21,6 +21,22 @@ from repro.traces import (
 def test_replay_matches_reference_model(name):
     trace = generate_trace(name, seed=4, ranks=3, steps=2)
     assert replay_fingerprint(trace) == reference_replay_fingerprint(trace)
+
+
+def test_flow_structure_table_stays_bounded():
+    # 8 ranks x 24 steps intern ~300 distinct flow structures, more than
+    # the table keeps: it must evict oldest-first without ever handing
+    # two live structures the same token (which would alias their memo
+    # entries and break equality with the reference model).
+    trace = generate_trace("ai_training", seed=0, ranks=8, steps=24)
+    cluster = build_replay_cluster(trace)
+    TraceReplayApp(trace, cluster).run()
+    model = cluster.model
+    interned = model._struct_intern
+    assert max(interned.values()) >= model.NET_MEMO_SIZE  # bound was hit
+    assert len(interned) <= model.NET_MEMO_SIZE
+    assert len(set(interned.values())) == len(interned)
+    assert fingerprint_cluster(cluster) == reference_replay_fingerprint(trace)
 
 
 def test_replay_completes_every_rank():
