@@ -268,7 +268,7 @@ def bench_flow_solve(repeat: int) -> dict:
                 demand=float(rng.uniform(0.0, 10e9)),
             )
         )
-    solver = FlowSolver(topo, k_paths=k_paths, memoize=False)
+    solver = FlowSolver(topo, k_paths=k_paths)
     got = solver.solve(flows)
     want = ReferenceFlowSolver(topo, k_paths=k_paths).solve(flows)
     if list(got.grants.items()) != list(want.grants.items()) or list(

@@ -48,7 +48,6 @@ from repro.check.oracles import (
     oracle_checkpoint_free,
     oracle_checkpoint_restart,
     oracle_parallel_sweep,
-    oracle_registry_cli,
     run_global_oracles,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "oracle_checkpoint_free",
     "oracle_checkpoint_restart",
     "oracle_parallel_sweep",
-    "oracle_registry_cli",
     "run_fuzz",
     "run_global_oracles",
     "save_corpus",

@@ -8,7 +8,8 @@ is byte-identical across paired implementations of the same semantics:
 * the production rate model vs the scalar, cache-free
   :class:`~repro.cluster.reference.ReferenceRateModel`
   (:func:`use_reference_model`),
-* memoized flow solves vs cold re-solves (``FlowSolver.memoize = False``).
+* the network-stage memo vs cold flow solves
+  (``ClusterRateModel.memoize_network = False``).
 
 The fast path additionally runs with an :class:`InvariantChecker`
 attached in ``record`` mode, so one evaluation yields both the
@@ -111,8 +112,8 @@ def _run_case(
     cluster = build_cluster(spec)
     if reference:
         use_reference_model(cluster)
-    if not memoize and cluster.model.flow_solver is not None:
-        cluster.model.flow_solver.memoize = False
+    if not memoize:
+        cluster.model.memoize_network = False
     if checker is not None:
         checker.attach(cluster)
     jobs = deploy_case(spec, cluster)
@@ -324,12 +325,11 @@ def run_fuzz(
     every job count).  Every case is compared against the reference rate
     model and cold flow solves (:func:`evaluate_case`).  ``with_oracles``
     additionally runs the global differential oracles — parallel-vs-serial
-    sweep, checkpoint/restart equivalence, registry-vs-legacy CLI,
-    result cache, streamed-vs-batch telemetry export, and trace
-    record/replay identity — which exercise machinery a single case
-    cannot.  ``trace_corpus`` names a directory of pinned workload traces
-    additionally replayed on the production and reference models
-    (:func:`replay_trace_corpus`).
+    sweep, checkpoint/restart equivalence, result cache, live telemetry
+    stream vs post-run replay, and trace record/replay identity — which
+    exercise machinery a single case cannot.  ``trace_corpus`` names a
+    directory of pinned workload traces additionally replayed on the
+    production and reference models (:func:`replay_trace_corpus`).
     """
     from repro.check import oracles as oracle_mod
     from repro.parallel import run_trials

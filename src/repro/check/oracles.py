@@ -2,9 +2,9 @@
 
 Every optimisation keeps a reference path alive next to its fast path —
 the scalar reference rate model next to the production one, cold flow
-solves next to the memo, serial sweeps next to ``--jobs N``,
-uninterrupted jobs next to checkpoint/restart, and the legacy CLI
-spelling next to the experiment registry.  Each oracle here runs one
+solves next to the network-stage memo, serial sweeps next to
+``--jobs N``, uninterrupted jobs next to checkpoint/restart, and a live
+telemetry stream next to its post-run replay.  Each oracle here runs one
 seeded scenario through both sides and reports whether the results are
 byte-identical; the per-case reference-model/memo variants live in
 :mod:`repro.check.harness` (they reuse the case fingerprint), while this
@@ -19,7 +19,6 @@ exists to catch.
 from __future__ import annotations
 
 import io
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
 from repro.apps.base import AppJob, CheckpointStore
@@ -182,7 +181,7 @@ def oracle_checkpoint_free(
     )
 
 
-# -- streamed vs batch telemetry export ---------------------------------------
+# -- live stream vs post-run replay ------------------------------------------
 
 
 def _first_byte_diff(a: str, b: str) -> int:
@@ -196,22 +195,22 @@ def _first_byte_diff(a: str, b: str) -> int:
 def oracle_stream_export(
     seed: int, cases: int = 2, corpus: list | None = None
 ) -> OracleResult:
-    """Streaming writers must reproduce the batch exporters byte-for-byte.
+    """A live telemetry stream must equal a post-run replay of the run.
 
     Every case (the pinned corpus plus ``cases`` generated specs) runs
     once with an :class:`~repro.obs.observability.Observability` handle
     attached and in-memory streaming sinks registered — JSONL trace,
-    Chrome trace, and one metric stream per node.  After the run the
-    streamed bytes are compared against the end-of-run exporters over the
-    same collector/service.  Any drift means a record was flushed before
-    its content was final, or the canonical completion order broke — the
-    exact regression the bounded-memory pipeline must never ship with.
+    Chrome trace, and one metric stream per node.  After the run, the
+    finished collector and the service's stored columns are replayed
+    through fresh writers of the same classes (the batch exporters), and
+    the bytes are compared.  Both sides share one serialiser, so any
+    drift means a record was flushed before its content was final (span
+    args mutated after close), or a sink was fed out of completion order
+    or fed values other than the ones the service stores.
     """
-    import json as json_mod
-
     from repro.check.generators import build_cluster, deploy_case
     from repro.monitoring.export import to_jsonl_text
-    from repro.obs.export import chrome_trace, jsonl_lines
+    from repro.obs.export import replay
     from repro.obs.observability import Observability
     from repro.obs.stream import (
         ChromeStreamWriter,
@@ -224,9 +223,12 @@ def oracle_stream_export(
     for spec in specs:
         cluster = build_cluster(spec)
         obs = Observability(cluster).attach(end=spec.horizon)
-        jsonl_buf, chrome_buf = io.StringIO(), io.StringIO()
-        trace_sinks = [JsonlStreamWriter(jsonl_buf), ChromeStreamWriter(chrome_buf)]
-        for sink in trace_sinks:
+        trace_bufs = {"jsonl": io.StringIO(), "chrome": io.StringIO()}
+        trace_sinks = {
+            "jsonl": JsonlStreamWriter(trace_bufs["jsonl"]),
+            "chrome": ChromeStreamWriter(trace_bufs["chrome"]),
+        }
+        for sink in trace_sinks.values():
             obs.collector.add_sink(sink)
         service = obs.service
         assert service is not None
@@ -242,49 +244,42 @@ def oracle_stream_export(
         stop = (lambda: all(job.finished for job in jobs)) if jobs else None
         cluster.sim.run(until=spec.horizon, stop_when=stop)
         obs.collector.finalize()
-        for sink in trace_sinks:
-            sink.close()
 
-        batch_jsonl = "\n".join(jsonl_lines(obs.collector)) + "\n"
-        streamed_jsonl = jsonl_buf.getvalue()
-        if streamed_jsonl != batch_jsonl:
-            failures.append(
-                f"{spec.case_id}: jsonl drift at byte "
-                f"{_first_byte_diff(streamed_jsonl, batch_jsonl)}"
-            )
-        batch_chrome = (
-            json_mod.dumps(chrome_trace(obs.collector), sort_keys=True, indent=1)
-            + "\n"
-        )
-        streamed_chrome = chrome_buf.getvalue()
-        if streamed_chrome != batch_chrome:
-            failures.append(
-                f"{spec.case_id}: chrome drift at byte "
-                f"{_first_byte_diff(streamed_chrome, batch_chrome)}"
-            )
+        for label, live in trace_sinks.items():
+            live.close()
+            replayed = io.StringIO()
+            sink = type(live)(replayed)
+            replay(obs.collector, sink)
+            sink.close()
+            streamed, batch = trace_bufs[label].getvalue(), replayed.getvalue()
+            if streamed != batch:
+                failures.append(
+                    f"{spec.case_id}: {label} drift at byte "
+                    f"{_first_byte_diff(streamed, batch)}"
+                )
         if service.times:
             for node, buf in metric_bufs.items():
-                batch_metrics = to_jsonl_text(service, node)
-                if buf.getvalue() != batch_metrics:
+                batch = to_jsonl_text(service, node)
+                if buf.getvalue() != batch:
                     failures.append(
                         f"{spec.case_id}: metric stream {node} drift at byte "
-                        f"{_first_byte_diff(buf.getvalue(), batch_metrics)}"
+                        f"{_first_byte_diff(buf.getvalue(), batch)}"
                     )
     if not failures:
         return OracleResult("stream_export", True)
     return OracleResult(
         "stream_export",
         False,
-        f"streamed exports diverge from batch: {'; '.join(failures)}",
+        f"live streams diverge from the post-run replay: {'; '.join(failures)}",
     )
 
 
-# -- registry vs legacy CLI ---------------------------------------------------
+# -- probe experiment ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _ProbeResult:
-    """Tiny renderable result for the CLI-equivalence probe."""
+    """Tiny renderable result for the result-cache probe."""
 
     runtime: float
 
@@ -296,47 +291,6 @@ def _run_check_probe(seed: int = 0) -> _ProbeResult:
     cluster = Cluster.voltrino(num_nodes=2)
     job = _checkpoint_job(cluster, seed, iterations=2, interval=None)
     return _ProbeResult(runtime=job.run())
-
-
-def oracle_registry_cli(seed: int = 0) -> OracleResult:
-    """``repro experiment X`` and the legacy ``repro X`` alias must print
-    byte-identical stdout (the alias may add only a stderr warning)."""
-    from repro.cli import experiment_main, main as cli_main
-    from repro.experiments.registry import EXPERIMENT_REGISTRY, ExperimentSpec
-
-    name = "check_probe"
-    spec = ExperimentSpec(
-        name,
-        "internal probe for the registry-vs-CLI oracle",
-        _run_check_probe,
-        "CheckProbeResult",
-        seed=seed,
-    )
-    EXPERIMENT_REGISTRY[name] = spec
-    try:
-        registry_out = io.StringIO()
-        with redirect_stdout(registry_out):
-            rc_registry = experiment_main([name, "--no-persist"])
-        legacy_out = io.StringIO()
-        with redirect_stdout(legacy_out), redirect_stderr(io.StringIO()):
-            rc_legacy = cli_main([name, "--no-persist"])
-    finally:
-        EXPERIMENT_REGISTRY.pop(name, None)
-    if rc_registry != 0 or rc_legacy != 0:
-        return OracleResult(
-            "registry_cli",
-            False,
-            f"exit codes differ or non-zero: registry={rc_registry} "
-            f"legacy={rc_legacy}",
-        )
-    if registry_out.getvalue() == legacy_out.getvalue():
-        return OracleResult("registry_cli", True)
-    return OracleResult(
-        "registry_cli",
-        False,
-        "stdout of `repro experiment check_probe` differs from the "
-        "legacy `repro check_probe` spelling",
-    )
 
 
 # -- cached vs fresh results --------------------------------------------------
@@ -574,7 +528,6 @@ def run_global_oracles(seed: int, corpus: list | None = None) -> list[OracleResu
         oracle_parallel_sweep(seed),
         oracle_checkpoint_restart(seed),
         oracle_checkpoint_free(seed),
-        oracle_registry_cli(seed),
         oracle_result_cache(seed),
         oracle_stream_export(seed, corpus=corpus),
         oracle_trace_replay(seed),

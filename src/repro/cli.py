@@ -44,12 +44,9 @@ subcommands are thin adapters over :class:`repro.api.Client` — same
 flags, byte-identical output, but repeated runs against a persistent
 ``--state-dir`` are served from the cache.
 
-Invoking an experiment by its bare name (``repro fig8``) still works as
-a deprecated alias for ``repro experiment fig8`` and prints a warning on
-stderr.  ``--profile`` prints the engine's
-:class:`~repro.sim.stats.SimStats` counters (resolves, node reuse, flow
-memo hits, subsystem wall time); ``--trace FILE`` records spans during
-an anomaly run.
+``--profile`` prints the engine's :class:`~repro.sim.stats.SimStats`
+counters (resolves, node reuse, network memo hits, subsystem wall
+time); ``--trace FILE`` records spans during an anomaly run.
 """
 
 from __future__ import annotations
@@ -401,8 +398,7 @@ def build_experiment_parser() -> argparse.ArgumentParser:
         "-q",
         "--quiet",
         action="store_true",
-        help="print only the result table (no archive chatter; also "
-        "silences the deprecated-alias warning)",
+        help="print only the result table (no archive chatter)",
     )
     return parser
 
@@ -523,8 +519,7 @@ def _serve_main(argv: list[str]) -> int:
     return serve_main(argv)
 
 
-#: first-class subcommands; anything else is an anomaly name, or a bare
-#: experiment name kept as a deprecated alias of ``repro experiment``
+#: first-class subcommands; anything else is an anomaly name
 SUBCOMMANDS = {
     "lint": _lint_main,
     "varbench": varbench_main,
@@ -544,19 +539,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
-    if argv and argv[0] not in ANOMALY_REGISTRY:
-        from repro.experiments.registry import EXPERIMENT_REGISTRY
-
-        if argv[0].lower() in EXPERIMENT_REGISTRY:
-            # The deprecation nudge honours --quiet (and stays off the
-            # result stream: it goes to stderr via OutputWriter, so piped
-            # stdout never sees it).
-            if "--quiet" not in argv and "-q" not in argv:
-                OutputWriter(stream=sys.stderr).line(
-                    f"warning: `repro {argv[0]}` is deprecated; "
-                    f"use `repro experiment {argv[0]}`"
-                )
-            return experiment_main(argv)
     # Split our options from the anomaly's HPAS-style knobs: everything the
     # parser does not know is forwarded to parse_cli.
     parser = build_parser()

@@ -201,7 +201,7 @@ class ClusterRateModel(RateModel):
       three deep: an unchanged signature reuses the previous allocation
       outright, a recurring one replays a cached stage from
       ``_net_memo``, and only novel signatures reach
-      :meth:`FlowSolver.solve` (whose own memo is keyed the same way).
+      :meth:`FlowSolver.solve`.
 
     Exactness rules used throughout (see docs/PERFORMANCE.md): elementwise
     numpy ops are IEEE-identical to the scalar ops they replace;
@@ -303,6 +303,10 @@ class ClusterRateModel(RateModel):
         self._net_cache: _NetStage | None = None
         #: network-stage memo (signature → folded stage outcome)
         self._net_memo: dict[tuple, _NetStage] = {}
+        #: ``False`` bypasses ``_net_memo`` so every novel signature is
+        #: solved cold — the reference path of the ``repro check``
+        #: flow-memo oracle
+        self.memoize_network = True
         # flow-structure cache: rebuilt only when the set of flow-bearing
         # rows (or any of their segments) changes
         self._flow_rows_key: tuple | None = None
@@ -866,16 +870,14 @@ class ClusterRateModel(RateModel):
             nic = self._flow_ones
         # Array fingerprint: interned structure token + raw demand/nic
         # bytes (bytes objects cache their hash, so repeat signatures cost
-        # one int hash plus two cached-byte hashes).  The same key is
-        # handed to the flow solver so its memo is keyed on the
-        # fingerprint rather than a per-flow float tuple.
+        # one int hash plus two cached-byte hashes).
         signature = (self._flow_token, nic.tobytes(), demands.tobytes())
         cache = self._net_cache
         if cache is not None and cache.signature == signature:
             self.stats.count("network_stage_skips")
             self._apply_net_stage(cache)
             return
-        memo = self._net_memo if self.flow_solver.memoize else None
+        memo = self._net_memo if self.memoize_network else None
         stage = memo.get(signature) if memo is not None else None
         if stage is not None:
             self.stats.count("network_memo_hits")
@@ -887,7 +889,7 @@ class ClusterRateModel(RateModel):
                     zip(self._flow_struct, demands)
                 )
             ]
-            result = self.flow_solver.solve(requests, signature=signature)
+            result = self.flow_solver.solve(requests)
             worst: dict[int, float] = {}
             tx: dict[int, float] = {}
             remote: dict[str, float] = {}

@@ -183,7 +183,7 @@ class ExperimentSpec:
         * non-semantic knobs (:data:`NONSEMANTIC_OVERRIDES`) are split
           out of the fingerprint-relevant set.
         """
-        from repro.obs.export import _json_safe
+        from repro.obs.stream import _json_safe
 
         params = inspect.signature(self.runner).parameters
         if seed is not None and "seed" not in params:

@@ -73,9 +73,9 @@ class LintConfig:
         "ClusterRateModel._solve_network_array",
     )
     # Instance attributes a memoized solve may read even though they are
-    # mutated at runtime (RL013): observability counters, the attached
-    # checker hook and the memo dict itself never change the result.
-    flow_memo_state_allowed: tuple[str, ...] = ("stats", "check", "obs", "_solve_cache")
+    # mutated at runtime (RL013): observability counters and the attached
+    # checker hook never change the result.
+    flow_memo_state_allowed: tuple[str, ...] = ("stats", "check", "obs")
     # Instance attributes whose contents are content-addressed by an
     # interned token or array fingerprint that *does* appear in the cache
     # key (RL013): the attribute and the key token are written together,

@@ -5,8 +5,9 @@ pipelines; these helpers produce the same artefacts from a
 :class:`~repro.monitoring.service.MetricService` so downstream tooling
 (pandas, the paper's analysis scripts) can be pointed at simulated data.
 The JSONL flavour — one record per sample, ``{"time": ..., "node": ...,
-metric: value, ...}`` — matches what streaming collectors emit and what
-the :mod:`repro.obs` trace pipeline consumes.
+metric: value, ...}`` — is a replay of the service's stored columns
+through :class:`~repro.obs.stream.MetricJsonlStreamWriter`, the writer
+that streams the same file while a run executes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.monitoring.service import MetricService
+from repro.obs.stream import MetricJsonlStreamWriter
 
 
 def to_csv_text(service: MetricService, node: str | int) -> str:
@@ -45,28 +47,33 @@ def write_csv(service: MetricService, node: str | int, path: str | Path) -> Path
     return path
 
 
+def _replay_jsonl(
+    service: MetricService, node: str | int, target: str | Path | io.StringIO
+) -> None:
+    """Feed one node's stored samples through its metric stream writer."""
+    name = f"node{node}" if isinstance(node, int) else node
+    if not service.times:
+        raise ConfigError("no samples collected")
+    metrics = service.metric_names
+    columns = {m: service.series(name, m).tolist() for m in metrics}
+    sink = MetricJsonlStreamWriter(target, name, metrics)
+    for i, t in enumerate(service.times):
+        sink.on_metric_sample(t, name, {m: col[i] for m, col in columns.items()})
+    sink.close()
+
+
 def to_jsonl_text(service: MetricService, node: str | int) -> str:
     """One node's samples as JSONL: one ``{"time", "node", metrics...}``
     record per sample, keys sorted for byte-stable output."""
-    name = f"node{node}" if isinstance(node, int) else node
-    times = service.timestamps()
-    if times.size == 0:
-        raise ConfigError("no samples collected")
-    metrics = service.metric_names
-    columns = [service.series(name, m) for m in metrics]
-    lines = []
-    for i, t in enumerate(times):
-        record: dict[str, object] = {"time": float(t), "node": name}
-        for metric, col in zip(metrics, columns):
-            record[metric] = float(col[i])
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    _replay_jsonl(service, node, buffer)
+    return buffer.getvalue()
 
 
 def write_jsonl(service: MetricService, node: str | int, path: str | Path) -> Path:
     """Write one node's samples to a JSONL file; returns the path."""
     path = Path(path)
-    path.write_text(to_jsonl_text(service, node))
+    _replay_jsonl(service, node, path)
     return path
 
 

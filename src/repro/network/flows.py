@@ -98,16 +98,12 @@ class FlowResult:
 class FlowSolver:
     """Allocates network bandwidth for a set of concurrent flows."""
 
-    #: memoised solves kept before the oldest entry is evicted
-    MEMO_SIZE = 128
-
     def __init__(
         self,
         topology: NetworkTopology,
         k_paths: int = 4,
         rebalance_rounds: int = 4,
         latency_alpha: float = 0.6,
-        memoize: bool = True,
     ) -> None:
         if k_paths < 1:
             raise ResourceError("k_paths must be >= 1")
@@ -116,10 +112,6 @@ class FlowSolver:
         self.topology = topology
         self.k_paths = k_paths
         self.rebalance_rounds = rebalance_rounds
-        #: reuse full solves for identical request signatures.  ``False``
-        #: re-solves from scratch every call — the cold reference path the
-        #: ``repro check`` flow-memo oracle compares against.
-        self.memoize = memoize
         #: attached invariant checker (see :mod:`repro.check`), or None;
         #: hook sites are guarded so an unchecked solve pays nothing.
         self.check = None
@@ -145,14 +137,10 @@ class FlowSolver:
         self._caps = [caps[e] for e in self._edges]
         #: per-(src, dst) candidate paths as column lists
         self._path_cache: dict[tuple[str, str], list[list[int]]] = {}
-        #: memo of full solves keyed by the canonical request signature
-        self._solve_cache: dict[tuple, FlowResult] = {}
 
     # -- public -----------------------------------------------------------
 
-    def solve(
-        self, flows: list[FlowRequest], signature: tuple | None = None
-    ) -> FlowResult:
+    def solve(self, flows: list[FlowRequest]) -> FlowResult:
         """Grant bandwidth to every flow; grants are keyed by ``flow.key``.
 
         Keys must be unique per request: a process with several concurrent
@@ -160,32 +148,14 @@ class FlowSolver:
         sum over its adaptive sub-flows (one per path), so each key maps
         to the total bandwidth granted to that request.
 
-        Solves are memoised on the canonical signature of the request list
-        — the tuple of ``(key, src, dst, demand)`` per flow — because the
-        cluster rate model re-prices the network with an identical demand
-        set whenever a resolve leaves flow owners untouched.  A caller
-        that already holds the request set in arrays may pass a
-        precomputed ``signature`` (e.g. structural key plus
-        ``demands.tobytes()``, the rate model's array fingerprint); it must
-        determine ``(key, src, dst, demand)`` for every flow exactly as
-        the default tuple does, or the memo would conflate distinct
-        request sets.
+        Every call solves from scratch; the cluster rate model memoizes
+        whole network stages on its side of the call.
         """
         if not flows:
             return FlowResult(grants={})
         keys = [f.key for f in flows]
         if len(set(keys)) != len(keys):
             raise ResourceError("flow keys must be unique per solve")
-
-        if signature is None:
-            signature = tuple((f.key, f.src, f.dst, f.demand) for f in flows)
-        cached = self._solve_cache.get(signature) if self.memoize else None
-        if cached is not None:
-            self.stats.count("flow_memo_hits")
-            # Copy so a caller mutating the result cannot poison the memo.
-            return FlowResult(
-                grants=dict(cached.grants), edge_load=dict(cached.edge_load)
-            )
         self.stats.count("flow_solves")
 
         # Sub-flows in request order, then path order: flow i owns
@@ -237,12 +207,6 @@ class FlowSolver:
         )
         if self.check is not None:
             self.check.on_flow_solve(self, flows, result)
-        if self.memoize:
-            if len(self._solve_cache) >= self.MEMO_SIZE:
-                self._solve_cache.pop(next(iter(self._solve_cache)))
-            self._solve_cache[signature] = FlowResult(
-                grants=dict(grants), edge_load=dict(result.edge_load)
-            )
         return result
 
     # -- internals ----------------------------------------------------------
@@ -251,7 +215,7 @@ class FlowSolver:
         cache_key = (src, dst)
         # _path_cache is a pure memo over the immutable topology: entries are
         # a deterministic function of (src, dst, k_paths), so reading it can
-        # never make a solve-cache hit stale.
+        # never make a network-stage memo hit stale.
         paths = self._path_cache.get(cache_key)  # repro-lint: disable=RL013
         if paths is None:
             col = self._col

@@ -34,6 +34,48 @@ from repro.obs.export import ordered_records
 from repro.obs.spans import Span, SpanCollector
 
 
+def load_json(path: Path, text: str | None = None) -> object:
+    """Decode one JSON document read from outside the process.
+
+    Damage raises :class:`ObservabilityError` naming ``path:line``.
+    """
+    try:
+        return json.loads(path.read_text() if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise ObservabilityError(
+            f"{path}:{exc.lineno}: not valid JSON ({exc.msg})"
+        ) from None
+
+
+def json_records(path: Path) -> Iterator[tuple[str, dict]]:
+    """``(path:line, record)`` for every non-blank line of a JSONL file.
+
+    A line that does not decode to a JSON object raises
+    :class:`ObservabilityError` naming ``path:line``.
+    """
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ObservabilityError(f"{where}: not valid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise ObservabilityError(
+                f"{where}: record must be a JSON object, "
+                f"got {type(record).__name__}"
+            )
+        yield where, record
+
+
+#: keys a ``trace.jsonl`` record must carry, by record type
+_RECORD_KEYS = {
+    "span": ("sid", "seq", "cat", "name", "group", "lane", "start", "end"),
+    "instant": ("seq", "cat", "name", "group", "lane", "time"),
+}
+
+
 @dataclass(frozen=True)
 class TraceSpan:
     """One closed span, as exported (times in simulated seconds)."""
@@ -164,20 +206,35 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
-        """Load a ``trace.jsonl`` file (streamed or batch — same bytes)."""
+        """Load a ``trace.jsonl`` file (streamed or batch — same bytes).
+
+        A span exported from a collector that was never finalized carries
+        ``"seq": null``; it gets the same fallback ``seq`` (after every
+        sealed record, in file order) as :meth:`from_collector` gives it.
+        """
         path = Path(path)
         spans: list[TraceSpan] = []
         instants: list[TraceInstant] = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ObservabilityError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
+        unsealed: list[int] = []
+        for where, record in json_records(path):
             kind = record.get("type")
+            keys = _RECORD_KEYS.get(kind) if isinstance(kind, str) else None
+            if keys is None:
+                raise ObservabilityError(f"{where}: unknown record type {kind!r}")
+            for key in keys:
+                if key not in record:
+                    raise ObservabilityError(
+                        f"{where}: {kind} record is missing {key!r}"
+                    )
+            for key in ("sid", "seq"):
+                value = record.get(key, 0)
+                if key == "seq" and value is None and kind == "span":
+                    unsealed.append(len(spans))
+                    continue
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ObservabilityError(
+                        f"{where}: {key} must be an integer, got {value!r}"
+                    )
             if kind == "span":
                 spans.append(
                     TraceSpan(
@@ -193,7 +250,7 @@ class Trace:
                         args=record.get("args", {}),
                     )
                 )
-            elif kind == "instant":
+            else:
                 instants.append(
                     TraceInstant(
                         seq=record["seq"],
@@ -205,10 +262,10 @@ class Trace:
                         args=record.get("args", {}),
                     )
                 )
-            else:
-                raise ObservabilityError(
-                    f"{path}:{lineno}: unknown record type {kind!r}"
-                )
+        fallback_seq = len(spans) - len(unsealed) + len(instants)
+        for index in unsealed:
+            fallback_seq += 1
+            spans[index] = replace(spans[index], seq=fallback_seq)
         return cls(spans, instants)
 
     # -- basic access --------------------------------------------------------

@@ -24,12 +24,11 @@ passes), so CI can assert on its output.  Exit status: 0 identical,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ObservabilityError
-from repro.obs.analyze import Trace, TraceSpan
+from repro.obs.analyze import Trace, TraceSpan, json_records, load_json
 
 #: artefact names (relative glob patterns) the differ understands
 _TEXT_PATTERNS = (
@@ -162,11 +161,7 @@ def _manifest_diff_path(a: object, b: object, prefix: str = "") -> str | None:
 
 
 def _metric_records(path: Path) -> list[dict[str, object]]:
-    records = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    return [record for _, record in json_records(path)]
 
 
 def _localize_series(
@@ -253,7 +248,9 @@ def diff_runs(
             report.identical.append(rel)
             continue
         if rel.endswith(".manifest.json") or rel == "manifest.json":
-            where = _manifest_diff_path(json.loads(text_a), json.loads(text_b))
+            where = _manifest_diff_path(
+                load_json(path_a, text_a), load_json(path_b, text_b)
+            )
             report.differing[rel] = f"manifest key {where}"
         elif rel.startswith("metrics/") and rel.endswith(".jsonl"):
             divergence = _localize_series(rel, path_a, path_b, trace)

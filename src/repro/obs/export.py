@@ -1,61 +1,32 @@
-"""Trace exporters: Chrome trace-event JSON and JSONL.
+"""Trace exporters: Chrome trace-event JSON and JSONL, by replay.
 
 The Chrome format (one ``traceEvents`` array of ``X``/``i``/``M`` events)
 opens directly in Perfetto / ``chrome://tracing``, the same way ATLAHS
 renders its simulator traces; JSONL (one record per line) is the
-grep/pandas-friendly form.  Both exports are deterministic and share one
-canonical record order: the collector-wide **completion sequence**
-(``seq``), assigned when a span closes or an instant is recorded.  A
-record's content is final exactly when its ``seq`` is assigned, so the
-streaming writers in :mod:`repro.obs.stream` can flush each record the
-moment it closes and still produce files byte-identical to these
-end-of-run exporters (the property the ``stream_export`` differential
-oracle in :mod:`repro.check` pins).  Consumers wanting start-time order
-sort on ``start``/``time``; viewers do this themselves.
+grep/pandas-friendly form.  Neither is serialised here: each format's
+one serialiser is its streaming writer in :mod:`repro.obs.stream`, and a
+batch export is a :func:`replay` of a finished collector through that
+writer.  A streamed file and the batch export of the same run are
+therefore the same bytes by construction.
 
-Track ids (Chrome ``pid``/``tid``) are numbered by first appearance in
-the completion-ordered record stream, and the ``M`` metadata events that
-name them are interleaved immediately before their first use — again so
-a streaming writer can emit them without knowing the future.
-
-Simulated seconds are exported as microseconds (the Chrome ``ts`` unit).
-Non-finite floats (an ``inf`` anomaly duration) are stringified because
-strict JSON has no ``Infinity`` literal.
+Records replay in the collector-wide **completion sequence** (``seq``),
+assigned when a span closes or an instant is recorded — the order the
+live writers see.  A record's content is final exactly when its ``seq``
+is assigned.  Consumers wanting start-time order sort on
+``start``/``time``; viewers do this themselves.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import math
 from pathlib import Path
-from typing import Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.spans import InstantEvent, Span, SpanCollector
-
-#: simulated seconds -> Chrome trace microseconds
-_US = 1e6
+from repro.obs.stream import ChromeStreamWriter, JsonlStreamWriter, ObsSink
 
 _VALID_PHASES = frozenset({"X", "i", "M"})
-
-#: the fixed non-event sections of a Chrome trace file
-CHROME_OTHER_DATA = {"clock": "simulated", "time_unit": "us"}
-CHROME_DISPLAY_TIME_UNIT = "ms"
-
-
-def _json_safe(value: object) -> object:
-    """Recursively convert a value into strict-JSON-safe primitives."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return value
-    if isinstance(value, float):
-        return value if math.isfinite(value) else str(value)
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(str(v) for v in value)
-    return str(value)
 
 
 def ordered_records(
@@ -94,169 +65,61 @@ def ordered_records(
     return out
 
 
-class TrackNumbering:
-    """First-appearance pid/tid assignment shared by batch and stream.
+def replay(collector: SpanCollector, sink: ObsSink) -> None:
+    """Feed every record of ``collector`` to ``sink`` in completion order.
 
-    Feeding tracks in completion order yields the same numbering whether
-    the records come from a finished collector or one close at a time.
+    Each span's effective end from :func:`ordered_records` is passed
+    explicitly, so a collector that was never finalized exports its
+    still-open spans closed at the horizon (with ``seq`` still ``None``)
+    and is left untouched.
     """
-
-    def __init__(self) -> None:
-        self.group_ids: dict[str, int] = {}
-        self.lane_ids: dict[tuple[str, str], int] = {}
-
-    def metadata_for(self, track: tuple[str, str]) -> list[dict[str, object]]:
-        """The ``M`` events to emit before the first event on ``track``."""
-        group, _ = track
-        events: list[dict[str, object]] = []
-        if group not in self.group_ids:
-            self.group_ids[group] = len(self.group_ids) + 1
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": self.group_ids[group],
-                    "tid": 0,
-                    "ts": 0,
-                    "args": {"name": group},
-                }
-            )
-        if track not in self.lane_ids:
-            self.lane_ids[track] = len(self.lane_ids) + 1
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": self.group_ids[group],
-                    "tid": self.lane_ids[track],
-                    "ts": 0,
-                    "args": {"name": track[1]},
-                }
-            )
-        return events
-
-    def ids(self, track: tuple[str, str]) -> tuple[int, int]:
-        return self.group_ids[track[0]], self.lane_ids[track]
-
-
-def chrome_span_event(
-    span: Span, end: float, tracks: TrackNumbering
-) -> dict[str, object]:
-    """One ``X`` (complete) trace event for a closed span."""
-    args = dict(span.args)
-    args["sid"] = span.sid
-    if span.parent is not None:
-        args["parent"] = span.parent
-    pid, tid = tracks.ids(span.track)
-    return {
-        "name": span.name,
-        "cat": span.cat,
-        "ph": "X",
-        "ts": span.start * _US,
-        "dur": max(0.0, end - span.start) * _US,
-        "pid": pid,
-        "tid": tid,
-        "args": _json_safe(args),
-    }
-
-
-def chrome_instant_event(
-    event: InstantEvent, tracks: TrackNumbering
-) -> dict[str, object]:
-    """One ``i`` (instant) trace event."""
-    pid, tid = tracks.ids(event.track)
-    return {
-        "name": event.name,
-        "cat": event.cat,
-        "ph": "i",
-        "s": "t",
-        "ts": event.time * _US,
-        "pid": pid,
-        "tid": tid,
-        "args": _json_safe(dict(event.args)),
-    }
-
-
-def chrome_events(collector: SpanCollector) -> Iterator[dict[str, object]]:
-    """The full event stream (metadata interleaved) in canonical order."""
-    tracks = TrackNumbering()
     for record, end in ordered_records(collector):
-        yield from tracks.metadata_for(record.track)
         if isinstance(record, Span):
-            yield chrome_span_event(record, end, tracks)  # type: ignore[arg-type]
+            sink.on_span_close(record, end)
         else:
-            yield chrome_instant_event(record, tracks)
+            sink.on_instant(record)
+
+
+def _render(
+    collector: SpanCollector, writer: type[ChromeStreamWriter | JsonlStreamWriter]
+) -> str:
+    """The text ``writer`` produces for a replay of ``collector``."""
+    buffer = io.StringIO()
+    sink = writer(buffer)
+    replay(collector, sink)
+    sink.close()
+    return buffer.getvalue()
 
 
 def chrome_trace(collector: SpanCollector) -> dict[str, object]:
-    """Render the collected spans/events as a Chrome trace-event object."""
-    return {
-        "traceEvents": list(chrome_events(collector)),
-        "displayTimeUnit": CHROME_DISPLAY_TIME_UNIT,
-        "otherData": dict(CHROME_OTHER_DATA),
-    }
-
-
-def jsonl_span_record(span: Span, end: float) -> dict[str, object]:
-    """The JSONL form of one closed span."""
-    return {
-        "type": "span",
-        "sid": span.sid,
-        "seq": span.seq,
-        "cat": span.cat,
-        "name": span.name,
-        "group": span.track[0],
-        "lane": span.track[1],
-        "start": span.start,
-        "end": end,
-        "parent": span.parent,
-        "args": _json_safe(dict(span.args)),
-    }
-
-
-def jsonl_instant_record(event: InstantEvent) -> dict[str, object]:
-    """The JSONL form of one instant."""
-    return {
-        "type": "instant",
-        "seq": event.seq,
-        "cat": event.cat,
-        "name": event.name,
-        "group": event.track[0],
-        "lane": event.track[1],
-        "time": event.time,
-        "args": _json_safe(dict(event.args)),
-    }
-
-
-def encode_jsonl(record: dict[str, object]) -> str:
-    """Canonical one-line encoding shared by batch and streaming writers."""
-    return json.dumps(_json_safe(record), sort_keys=True, separators=(",", ":"))
+    """The collected spans/events as a Chrome trace-event object."""
+    return json.loads(_render(collector, ChromeStreamWriter))
 
 
 def jsonl_lines(collector: SpanCollector) -> list[str]:
     """One JSON record per span/instant, in completion (``seq``) order."""
-    lines: list[str] = []
-    for record, end in ordered_records(collector):
-        if isinstance(record, Span):
-            lines.append(encode_jsonl(jsonl_span_record(record, end)))  # type: ignore[arg-type]
-        else:
-            lines.append(encode_jsonl(jsonl_instant_record(record)))
-    return lines
+    return _render(collector, JsonlStreamWriter).splitlines()
 
 
 def write_chrome_trace(collector: SpanCollector, path: str | Path) -> Path:
     """Write (and validate) a Chrome trace-event JSON file."""
-    trace = chrome_trace(collector)
-    assert_valid_chrome_trace(trace)
+    text = _render(collector, ChromeStreamWriter)
+    assert_valid_chrome_trace(json.loads(text))
     path = Path(path)
-    path.write_text(json.dumps(trace, sort_keys=True, indent=1) + "\n")
+    path.write_text(text)
     return path
 
 
 def write_jsonl_trace(collector: SpanCollector, path: str | Path) -> Path:
-    """Write the JSONL form (one record per line)."""
+    """Write the JSONL form (one record per line).
+
+    Open spans of an unfinalized collector are written with
+    ``"seq": null``; :meth:`repro.obs.analyze.Trace.load` reads them back.
+    """
     path = Path(path)
-    path.write_text("\n".join(jsonl_lines(collector)) + "\n")
+    sink = JsonlStreamWriter(path)
+    replay(collector, sink)
+    sink.close()
     return path
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.obs.export import _json_safe
+from repro.obs.stream import _json_safe
 from repro.version import __version__
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -21,13 +21,12 @@ runs/a``).  Both render to the terminal and to markdown (``--md``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.analyze import Trace
+from repro.obs.analyze import Trace, load_json
 
 #: timer name -> (report label, what the bucket measures)
 SUBSYSTEM_TIMERS: dict[str, tuple[str, str]] = {
@@ -236,12 +235,16 @@ def report_run_dir(directory: str | Path, wallclock: bool = True) -> RunReport:
     _trace_sections(report, Trace.load(trace_path))
     counters_path = directory / "counters.json"
     if counters_path.is_file():
-        payload = json.loads(counters_path.read_text())
-        counters = payload.get("counters", payload)
+        counters = load_json(counters_path)
         if isinstance(counters, dict):
-            report.counters = {
-                str(k): int(v) for k, v in sorted(counters.items())
-            }
+            counters = counters.get("counters", counters)
+        if not isinstance(counters, dict) or not all(
+            isinstance(v, int) for v in counters.values()
+        ):
+            raise ObservabilityError(
+                f"{counters_path}: counters must be an object of integers"
+            )
+        report.counters = {k: int(v) for k, v in sorted(counters.items())}
     metrics_dir = directory / "metrics"
     if metrics_dir.is_dir():
         for path in sorted(metrics_dir.glob("*.jsonl")):

@@ -1,9 +1,8 @@
 """Streaming telemetry sinks: flush records as the run produces them.
 
-The batch exporters in :mod:`repro.obs.export` hold every span in memory
-and write one file at the end of the run.  This module provides the
-LDMS-style alternative — an :class:`ObsSink` protocol plus bounded-memory
-incremental writers that flush each record the moment it is final:
+Each on-disk telemetry format has exactly one serialiser, and it lives
+here: an :class:`ObsSink` writer that flushes each record the moment it
+is final, with bounded memory:
 
 * spans flush when they **close** (the collector assigns their completion
   ``seq`` and notifies every registered sink),
@@ -13,15 +12,20 @@ incremental writers that flush each record the moment it is final:
 * :class:`~repro.sim.stats.SimStats` counters flush as periodic snapshot
   records alongside the samples (plus one final snapshot at close).
 
+The batch exporters in :mod:`repro.obs.export` and
+:mod:`repro.monitoring.export` are replays of a finished collector (or
+of a service's stored columns) through these same writers, so a streamed
+file and its batch export cannot drift apart.
+
 **The ObsSink contract.**  A sink receives records in canonical
-completion (``seq``) order, the same order the batch exporters use, so a
-sink that writes records as they arrive produces byte-identical files —
-the ``stream_export`` differential oracle in :mod:`repro.check` asserts
-exactly this for every fuzz-corpus case.  Determinism requirements:
+completion (``seq``) order — the order a batch replay feeds them in.
+Determinism requirements:
 
 * *Flush points are content-final*: a span's args must not be mutated
   after it closes; the collector enforces the ordering, the emitters the
-  finality.
+  finality.  The ``stream_export`` differential oracle in
+  :mod:`repro.check` compares a live stream with a post-run replay of
+  the same run to catch a violation.
 * *Finalize before close*: still-open spans at the end of a run are
   sealed (and streamed) by
   :meth:`~repro.obs.spans.SpanCollector.finalize`; closing a writer
@@ -46,20 +50,11 @@ which is the layout ``repro diff`` and ``repro report`` analyse.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ObservabilityError
-from repro.obs.export import (
-    CHROME_DISPLAY_TIME_UNIT,
-    CHROME_OTHER_DATA,
-    TrackNumbering,
-    chrome_instant_event,
-    chrome_span_event,
-    encode_jsonl,
-    jsonl_instant_record,
-    jsonl_span_record,
-)
 from repro.obs.spans import InstantEvent, Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,6 +69,24 @@ METRICS_DIR = "metrics"
 COUNTERS_JSONL = "counters.jsonl"
 COUNTERS_JSON = "counters.json"
 
+#: simulated seconds -> Chrome trace microseconds
+_US = 1e6
+
+
+def _json_safe(value: object) -> object:
+    """Recursively convert a value into strict-JSON-safe primitives."""
+    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(str(v) for v in value)
+    return str(value)
+
 
 class ObsSink:
     """Protocol base for streaming telemetry consumers.
@@ -87,8 +100,12 @@ class ObsSink:
     def on_span_open(self, span: Span) -> None:
         """A span was opened (its content is *not* final yet)."""
 
-    def on_span_close(self, span: Span) -> None:
-        """A span closed; its ``seq``, ``end`` and args are final."""
+    def on_span_close(self, span: Span, end: float | None = None) -> None:
+        """A span closed; its ``seq``, ``end`` and args are final.
+
+        ``end`` overrides ``span.end``: a replay of an unfinalized
+        collector passes the horizon it closes still-open spans at.
+        """
 
     def on_instant(self, event: InstantEvent) -> None:
         """An instant was recorded (final at birth)."""
@@ -106,7 +123,7 @@ class ObsSink:
 
 
 class _FileSink(ObsSink):
-    """Shared file-handle plumbing: accepts a path or an open text file."""
+    """File-handle plumbing: accepts a path or an open text file."""
 
     def __init__(self, target: str | Path | IO[str]) -> None:
         if hasattr(target, "write"):
@@ -138,39 +155,74 @@ class _FileSink(ObsSink):
 
 
 class JsonlStreamWriter(_FileSink):
-    """Incremental JSONL trace writer.
+    """The trace JSONL serialiser: one record line per span / instant.
 
-    Writes one record line per closed span / instant as it arrives;
-    after :meth:`~repro.obs.spans.SpanCollector.finalize` + :meth:`close`
-    the file is byte-identical to
-    :func:`repro.obs.export.write_jsonl_trace` of the same collector.
+    Keys are sorted, separators compact and non-finite floats
+    stringified, so the bytes are canonical.
     """
 
-    def on_span_close(self, span: Span) -> None:
-        assert span.end is not None
-        self._write(encode_jsonl(jsonl_span_record(span, span.end)) + "\n")
+    def _record(self, record: dict[str, object]) -> None:
+        self._write(
+            json.dumps(_json_safe(record), sort_keys=True, separators=(",", ":"))
+            + "\n"
+        )
+
+    def on_span_close(self, span: Span, end: float | None = None) -> None:
+        if end is None:
+            end = span.end
+        assert end is not None
+        self._record(
+            {
+                "type": "span",
+                "sid": span.sid,
+                "seq": span.seq,
+                "cat": span.cat,
+                "name": span.name,
+                "group": span.track[0],
+                "lane": span.track[1],
+                "start": span.start,
+                "end": end,
+                "parent": span.parent,
+                "args": dict(span.args),
+            }
+        )
 
     def on_instant(self, event: InstantEvent) -> None:
-        self._write(encode_jsonl(jsonl_instant_record(event)) + "\n")
+        self._record(
+            {
+                "type": "instant",
+                "seq": event.seq,
+                "cat": event.cat,
+                "name": event.name,
+                "group": event.track[0],
+                "lane": event.track[1],
+                "time": event.time,
+                "args": dict(event.args),
+            }
+        )
 
 
 class ChromeStreamWriter(_FileSink):
-    """Incremental Chrome trace-event writer.
+    """The Chrome trace-event serialiser (Perfetto / ``chrome://tracing``).
 
-    Reproduces ``json.dumps(chrome_trace(collector), sort_keys=True,
-    indent=1)`` byte-for-byte without ever holding more than one event:
-    the fixed header keys sort before ``traceEvents``, track metadata is
-    interleaved at first use, and each event is serialised independently
-    and re-indented into the array.
+    Writes ``json.dumps(trace, sort_keys=True, indent=1)`` of one
+    ``{"displayTimeUnit", "otherData", "traceEvents"}`` object without
+    ever holding more than one event: the fixed header keys sort before
+    ``traceEvents``, and each event is serialised independently and
+    re-indented into the array.  Spans become ``X`` events, instants ``i``
+    events, in microseconds.  Track ids (``pid`` per group, ``tid`` per
+    lane) are numbered by first appearance, and the ``M`` metadata events
+    naming a track are emitted immediately before its first event.
     """
 
     def __init__(self, target: str | Path | IO[str]) -> None:
         super().__init__(target)
-        self._tracks = TrackNumbering()
+        self._group_ids: dict[str, int] = {}
+        self._lane_ids: dict[tuple[str, str], int] = {}
         self._n_events = 0
         header = {
-            "displayTimeUnit": CHROME_DISPLAY_TIME_UNIT,
-            "otherData": dict(CHROME_OTHER_DATA),
+            "displayTimeUnit": "ms",
+            "otherData": {"clock": "simulated", "time_unit": "us"},
         }
         # Render the fixed keys exactly as json.dumps would, then re-open
         # the object for the trailing "traceEvents" array.
@@ -183,21 +235,73 @@ class ChromeStreamWriter(_FileSink):
         self._write(lead + "\n".join("  " + line for line in dumped.splitlines()))
         self._n_events += 1
 
-    def _emit_with_metadata(self, track: tuple[str, str], event: dict[str, object]) -> None:
-        for meta in self._tracks.metadata_for(track):
-            self._emit(meta)
-        self._emit(event)
+    def _ids(self, track: tuple[str, str]) -> tuple[int, int]:
+        """``(pid, tid)`` of a track, naming it with ``M`` events at first use."""
+        group = track[0]
+        pid = self._group_ids.get(group)
+        if pid is None:
+            pid = self._group_ids[group] = len(self._group_ids) + 1
+            self._emit(
+                {
+                    "name": "process_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": 0,
+                    "ts": 0,
+                    "args": {"name": group},
+                }
+            )
+        tid = self._lane_ids.get(track)
+        if tid is None:
+            tid = self._lane_ids[track] = len(self._lane_ids) + 1
+            self._emit(
+                {
+                    "name": "thread_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": tid,
+                    "ts": 0,
+                    "args": {"name": track[1]},
+                }
+            )
+        return pid, tid
 
-    def on_span_close(self, span: Span) -> None:
-        assert span.end is not None
-        for meta in self._tracks.metadata_for(span.track):
-            self._emit(meta)
-        self._emit(chrome_span_event(span, span.end, self._tracks))
+    def on_span_close(self, span: Span, end: float | None = None) -> None:
+        if end is None:
+            end = span.end
+        assert end is not None
+        pid, tid = self._ids(span.track)
+        args = dict(span.args)
+        args["sid"] = span.sid
+        if span.parent is not None:
+            args["parent"] = span.parent
+        self._emit(
+            {
+                "name": span.name,
+                "cat": span.cat,
+                "ph": "X",
+                "ts": span.start * _US,
+                "dur": max(0.0, end - span.start) * _US,
+                "pid": pid,
+                "tid": tid,
+                "args": _json_safe(args),
+            }
+        )
 
     def on_instant(self, event: InstantEvent) -> None:
-        for meta in self._tracks.metadata_for(event.track):
-            self._emit(meta)
-        self._emit(chrome_instant_event(event, self._tracks))
+        pid, tid = self._ids(event.track)
+        self._emit(
+            {
+                "name": event.name,
+                "cat": event.cat,
+                "ph": "i",
+                "s": "t",
+                "ts": event.time * _US,
+                "pid": pid,
+                "tid": tid,
+                "args": _json_safe(dict(event.args)),
+            }
+        )
 
     def close(self) -> None:
         if self._closed:
@@ -207,12 +311,11 @@ class ChromeStreamWriter(_FileSink):
 
 
 class MetricJsonlStreamWriter(_FileSink):
-    """Streams one node's monitoring samples as JSONL.
+    """The metric JSONL serialiser: one node's monitoring samples.
 
-    Byte-identical to :func:`repro.monitoring.export.to_jsonl_text` for
-    the same node once the run ends: one ``{"time", "node", metrics...}``
-    record per sampling tick, restricted to the service's declared metric
-    names (per-core extras stay out of the export, as in the batch path).
+    One ``{"time", "node", metrics...}`` record per sampling tick (keys
+    sorted), restricted to the service's declared metric names (per-core
+    extras stay out of the export).
     """
 
     def __init__(

@@ -166,9 +166,9 @@ class VarbenchResult:
     """Registry-shaped wrapper: a variability report with ``render()``.
 
     ``render()`` returns exactly the lines ``VariabilityReport.write``
-    prints, so the ``repro varbench`` CLI produces byte-identical stdout
-    whether it calls the report directly (legacy) or routes through the
-    job service.  ``seed``/``config`` feed the persisted manifest.
+    prints, so the ``repro varbench`` CLI, which routes through the job
+    service, prints what a direct ``VariabilityReport.write`` call
+    would.  ``seed``/``config`` feed the persisted manifest.
     """
 
     report: VariabilityReport

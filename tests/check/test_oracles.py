@@ -15,13 +15,12 @@ from repro.check.oracles import (
     oracle_checkpoint_free,
     oracle_checkpoint_restart,
     oracle_parallel_sweep,
-    oracle_registry_cli,
     oracle_result_cache,
     oracle_stream_export,
     run_global_oracles,
 )
 from repro.cluster.ratemodel import ClusterRateModel
-from repro.network.flows import FlowResult, FlowSolver
+from repro.network.flows import FlowSolver
 
 PINNED_CORPUS = Path(__file__).with_name("corpus.json")
 
@@ -33,7 +32,6 @@ class TestCleanTree:
             "parallel_sweep",
             "checkpoint_restart",
             "checkpoint_free",
-            "registry_cli",
             "result_cache",
             "stream_export",
             "trace_replay",
@@ -130,33 +128,6 @@ class TestCheckpointFreeOracle:
         assert result.ok, result.detail
 
 
-class TestRegistryCliOracle:
-    def test_passes_clean(self, capsys):
-        result = oracle_registry_cli(seed=0)
-        assert result.ok, result.detail
-        # the probe spec must not leak into the registry
-        from repro.experiments.registry import EXPERIMENT_REGISTRY
-
-        assert "check_probe" not in EXPERIMENT_REGISTRY
-
-    def test_catches_diverging_output(self, monkeypatch):
-        # Simulate the regression this oracle exists for: the legacy
-        # spelling printing something the registry spelling does not.
-        from repro import cli
-        from repro.output import OutputWriter
-
-        real_main = cli.main
-
-        def noisy_main(argv):
-            rc = real_main(argv)
-            OutputWriter().line("legacy extra line")
-            return rc
-
-        monkeypatch.setattr(cli, "main", noisy_main)
-        result = oracle_registry_cli(seed=0)
-        assert not result.ok
-
-
 class TestResultCacheOracle:
     def test_passes_clean(self):
         result = oracle_result_cache(seed=0)
@@ -209,23 +180,24 @@ class TestResultCacheOracle:
 
 
 class TestFlowMemoOracle:
-    """The memoized-vs-cold comparison lives in evaluate_case."""
+    """The network-stage-memo-vs-cold comparison lives in evaluate_case."""
 
     def test_catches_memo_divergence(self, net_spec, monkeypatch):
-        # Skew grants only when the memo is enabled; the cold reference
-        # path stays exact, so the flow_memo oracle must fire.
-        real = FlowSolver.solve
+        # Planted bug: the network-stage memo ignores its key and replays
+        # the first stage it ever stored.  The skew fires only while the
+        # memo is on; the cold path solves every signature, so the
+        # flow_memo oracle must fire.
+        real = ClusterRateModel.__init__
 
-        def perturbed(self, flows, signature=None):
-            result = real(self, flows, signature=signature)
-            if self.memoize and result.grants:
-                return FlowResult(
-                    grants={k: g * 0.75 for k, g in result.grants.items()},
-                    edge_load=dict(result.edge_load),
-                )
-            return result
+        class KeyBlindMemo(dict):
+            def get(self, key, default=None):
+                return next(iter(self.values()), default)
 
-        monkeypatch.setattr(FlowSolver, "solve", perturbed)
+        def with_blind_memo(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self._net_memo = KeyBlindMemo()
+
+        monkeypatch.setattr(ClusterRateModel, "__init__", with_blind_memo)
         outcome = evaluate_case(net_spec)
         assert not outcome.ok
         names = [name for name, _ in outcome.mismatches]
@@ -239,29 +211,44 @@ class TestStreamExportOracle:
         result = oracle_stream_export(seed=1, cases=2)
         assert result.ok, result.detail
 
-    def test_catches_dropped_records(self, monkeypatch):
-        # A sink that silently loses instants — the lost-flush regression
-        # streaming exists to never ship with.
-        from repro.obs.stream import JsonlStreamWriter
+    def test_catches_nonfinal_flush(self, monkeypatch):
+        # Planted bug: an emitter that keeps writing a span's args after
+        # the span closed.  The live writers flushed the old content; the
+        # post-run replay sees the new one.
+        from repro.obs.spans import SpanCollector
 
-        monkeypatch.setattr(
-            JsonlStreamWriter, "on_instant", lambda self, event: None
-        )
+        real = SpanCollector._close
+
+        def late_args(self, span, t, args=None):
+            real(self, span, t, args)
+            span.args["late"] = True
+
+        monkeypatch.setattr(SpanCollector, "_close", late_args)
         result = oracle_stream_export(seed=0, cases=2)
         assert not result.ok
         assert "jsonl drift" in result.detail
+        assert "chrome drift" in result.detail
 
-    def test_catches_nonfinal_flush(self, monkeypatch):
-        # A metric writer that mangles values at flush time: streamed
-        # bytes must mirror the batch export, not a lossy rounding.
-        from repro.obs.stream import MetricJsonlStreamWriter
+    def test_catches_sink_fed_other_values(self, monkeypatch):
+        # Planted bug: a metric service that hands its sinks a value one
+        # part in 1e9 away from the one it stores.
+        from repro.monitoring.service import MetricService
+        from repro.obs.stream import ObsSink
 
-        real = MetricJsonlStreamWriter.on_metric_sample
+        real_add = MetricService.add_sink
 
-        def rounded(self, time, node, values):
-            real(self, time, node, {k: round(v, 1) for k, v in values.items()})
+        class Skewed(ObsSink):
+            def __init__(self, inner):
+                self.inner = inner
 
-        monkeypatch.setattr(MetricJsonlStreamWriter, "on_metric_sample", rounded)
+            def on_metric_sample(self, time, node, values):
+                skewed = {k: v * (1.0 + 1e-9) for k, v in values.items()}
+                self.inner.on_metric_sample(time, node, skewed)
+
+        def add_skewed(self, sink):
+            real_add(self, Skewed(sink))
+
+        monkeypatch.setattr(MetricService, "add_sink", add_skewed)
         result = oracle_stream_export(seed=0, cases=2)
         assert not result.ok
         assert "metric stream" in result.detail

@@ -13,50 +13,6 @@ def solver(topo=None, **kwargs):
     return FlowSolver(topo if topo is not None else star(num_nodes=4, link_bw=10e9), **kwargs)
 
 
-class TestMemoisation:
-    FLOWS = [
-        FlowRequest(key=1, src="node0", dst="node1", demand=5e9),
-        FlowRequest(key=2, src="node0", dst="node2", demand=3e9),
-    ]
-
-    def test_identical_signature_hits_the_memo(self):
-        s = solver()
-        first = s.solve(list(self.FLOWS))
-        second = s.solve(list(self.FLOWS))
-        assert s.stats.counters["flow_solves"] == 1
-        assert s.stats.counters["flow_memo_hits"] == 1
-        assert second.grants == first.grants
-        assert second.edge_load == first.edge_load
-
-    def test_changed_demand_misses(self):
-        s = solver()
-        s.solve(list(self.FLOWS))
-        changed = [
-            FlowRequest(key=1, src="node0", dst="node1", demand=6e9),
-            FlowRequest(key=2, src="node0", dst="node2", demand=3e9),
-        ]
-        s.solve(changed)
-        assert s.stats.counters["flow_solves"] == 2
-        assert s.stats.counters.get("flow_memo_hits", 0) == 0
-
-    def test_hit_returns_a_copy(self):
-        s = solver()
-        s.solve(list(self.FLOWS))
-        tampered = s.solve(list(self.FLOWS))
-        tampered.grants[1] = -1.0
-        clean = s.solve(list(self.FLOWS))
-        assert clean.grants[1] > 0
-
-    def test_memo_evicts_oldest_at_capacity(self):
-        s = solver()
-        s.MEMO_SIZE = 2
-        for demand in (1e9, 2e9, 3e9):
-            s.solve([FlowRequest(key=1, src="node0", dst="node1", demand=demand)])
-        # The first signature was evicted; re-solving it is a miss.
-        s.solve([FlowRequest(key=1, src="node0", dst="node1", demand=1e9)])
-        assert s.stats.counters["flow_solves"] == 4
-
-
 class TestBasics:
     def test_single_flow_gets_demand(self):
         s = solver(latency_alpha=0.0)

@@ -8,7 +8,6 @@ reference-model differential oracle fingerprints cluster state down to
 the float bit, so "approximately the same grants" is not good enough.
 """
 
-import numpy as np
 import pytest
 
 from repro.cluster.reference import ReferenceFlowSolver
@@ -60,7 +59,7 @@ class TestVectorizedMatchesScalarReference:
             flows = _random_flows(rng, nodes, n_flows=int(rng.integers(1, 9)))
             zero_demand_flows += sum(f.demand == 0.0 for f in flows)
             for k in (1, 2, 4):
-                got = FlowSolver(topo, k_paths=k, memoize=False).solve(list(flows))
+                got = FlowSolver(topo, k_paths=k).solve(list(flows))
                 want = ReferenceFlowSolver(topo, k_paths=k).solve(list(flows))
                 _assert_identical(got, want, f"trial {trial}, k={k}")
         assert zero_demand_flows > 0  # the zero-demand branch was exercised
@@ -73,7 +72,7 @@ class TestVectorizedMatchesScalarReference:
         nodes = _compute_nodes(topo)
         rng = spawn_rng(701, "flows:wide")
         flows = _random_flows(rng, nodes, n_flows=48)
-        got = FlowSolver(topo, latency_alpha=alpha, memoize=False).solve(flows)
+        got = FlowSolver(topo, latency_alpha=alpha).solve(flows)
         want = ReferenceFlowSolver(topo, latency_alpha=alpha).solve(flows)
         _assert_identical(got, want)
 
@@ -86,7 +85,7 @@ class TestVectorizedMatchesScalarReference:
             FlowRequest(key=k, src="node0", dst=f"node{k + 1}", demand=1e9)
             for k in range(4)
         ]
-        got = FlowSolver(topo, memoize=False).solve(list(flows))
+        got = FlowSolver(topo).solve(list(flows))
         want = ReferenceFlowSolver(topo).solve(list(flows))
         _assert_identical(got, want)
 
@@ -96,42 +95,12 @@ class TestVectorizedMatchesScalarReference:
             FlowRequest(key=1, src="node0", dst="node5", demand=0.0),
             FlowRequest(key=2, src="node1", dst="node6", demand=0.0),
         ]
-        got = FlowSolver(topo, memoize=False).solve(list(flows))
+        got = FlowSolver(topo).solve(list(flows))
         _assert_identical(got, ReferenceFlowSolver(topo).solve(list(flows)))
         assert got.grants == {1: 0.0, 2: 0.0}
 
     def test_vectorized_solve_counter(self):
-        s = FlowSolver(star(num_nodes=4, link_bw=10e9), memoize=False)
+        s = FlowSolver(star(num_nodes=4, link_bw=10e9))
         s.solve([FlowRequest(key=1, src="node0", dst="node1", demand=5e9)])
         # One count per water-filling pass; latency_alpha > 0 re-shares.
         assert s.stats.counters["flow_waterfills"] == 2
-
-
-class TestExternalSignature:
-    FLOWS = [
-        FlowRequest(key=1, src="node0", dst="node1", demand=5e9),
-        FlowRequest(key=2, src="node0", dst="node2", demand=3e9),
-    ]
-
-    def test_precomputed_signature_keys_the_memo(self):
-        s = FlowSolver(star(num_nodes=4, link_bw=10e9))
-        demands = np.array([f.demand for f in self.FLOWS])
-        sig = (("node0", "node1", "node0", "node2", 1, 2), demands.tobytes())
-        first = s.solve(list(self.FLOWS), signature=sig)
-        second = s.solve(list(self.FLOWS), signature=sig)
-        assert s.stats.counters["flow_solves"] == 1
-        assert s.stats.counters["flow_memo_hits"] == 1
-        assert second.grants == first.grants
-
-    def test_distinct_signatures_do_not_collide(self):
-        s = FlowSolver(star(num_nodes=4, link_bw=10e9))
-        demands = np.array([f.demand for f in self.FLOWS])
-        s.solve(list(self.FLOWS), signature=("k", demands.tobytes()))
-        bumped = [
-            FlowRequest(key=1, src="node0", dst="node1", demand=6e9),
-            FlowRequest(key=2, src="node0", dst="node2", demand=3e9),
-        ]
-        new_demands = np.array([f.demand for f in bumped])
-        res = s.solve(bumped, signature=("k", new_demands.tobytes()))
-        assert s.stats.counters["flow_solves"] == 2
-        assert res.grants[1] != pytest.approx(5e9)

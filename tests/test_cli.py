@@ -138,31 +138,18 @@ class TestExperimentSubcommand:
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
 
-    def test_deprecated_alias_warns_on_stderr(self, capsys, monkeypatch):
+    def test_bare_experiment_name_is_not_a_subcommand(self, capsys, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(["stub_exp", "--no-persist"])
+        with pytest.raises(SystemExit) as exc:
+            main(["stub_exp", "--no-persist"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'stub_exp'" in capsys.readouterr().err
+        # the one spelling that runs an experiment is unchanged
+        rc = main(["experiment", "stub_exp", "--no-persist"])
         assert rc == 0
         captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "repro experiment stub_exp" in captured.err
-        assert "stub table" in captured.out
-        assert "deprecated" not in captured.out
-
-    def test_deprecated_alias_silent_under_quiet(self, capsys, monkeypatch):
-        _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(["stub_exp", "--no-persist", "--quiet"])
-        assert rc == 0
-        captured = capsys.readouterr()
+        assert captured.out == "stub table\n"
         assert captured.err == ""
-        assert "stub table" in captured.out
-
-    def test_deprecated_alias_silent_under_short_quiet(self, capsys, monkeypatch):
-        _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(["stub_exp", "--no-persist", "-q"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert "stub table" in captured.out
 
     def test_quiet_suppresses_archive_line(self, capsys, tmp_path, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
