@@ -2,14 +2,10 @@
 
 The harness turns a :class:`~repro.check.generators.CaseSpec` into a
 **fingerprint** — a SHA-256 over every process's final state, timing, and
-counters rendered with ``float.hex()`` — and asserts that the fingerprint
-is byte-identical across paired implementations of the same semantics:
-
-* the production rate model vs the scalar, cache-free
-  :class:`~repro.cluster.reference.ReferenceRateModel`
-  (:func:`use_reference_model`),
-* the network-stage memo vs cold flow solves
-  (``ClusterRateModel.memoize_network = False``).
+counters rendered with ``float.hex()`` — and asserts that the production
+rate model, memos and all, fingerprints byte-identically to the scalar,
+cache-free :class:`~repro.cluster.reference.ReferenceRateModel`
+(:func:`use_reference_model`).
 
 The fast path additionally runs with an :class:`InvariantChecker`
 attached in ``record`` mode, so one evaluation yields both the
@@ -105,15 +101,12 @@ def use_reference_model(cluster: Cluster) -> Cluster:
 def _run_case(
     spec: CaseSpec,
     reference: bool = False,
-    memoize: bool = True,
     checker: InvariantChecker | None = None,
 ) -> str:
     """Materialise, run, and fingerprint one case on a fresh cluster."""
     cluster = build_cluster(spec)
     if reference:
         use_reference_model(cluster)
-    if not memoize:
-        cluster.model.memoize_network = False
     if checker is not None:
         checker.attach(cluster)
     jobs = deploy_case(spec, cluster)
@@ -151,7 +144,7 @@ class CaseOutcome:
 
 
 def evaluate_case(spec: CaseSpec) -> CaseOutcome:
-    """Run one case through the fast path and both reference paths."""
+    """Run one case through the fast path and the reference model."""
     checker = InvariantChecker(mode="record")
     fast = _run_case(spec, checker=checker)
     mismatches = []
@@ -162,11 +155,6 @@ def evaluate_case(spec: CaseSpec) -> CaseOutcome:
                 "reference_model",
                 f"production {fast[:16]}.. != reference {ref[:16]}..",
             )
-        )
-    cold = _run_case(spec, memoize=False)
-    if fast != cold:
-        mismatches.append(
-            ("flow_memo", f"memoized {fast[:16]}.. != cold {cold[:16]}..")
         )
     return CaseOutcome(
         spec=spec,
@@ -323,7 +311,7 @@ def run_fuzz(
     ``jobs > 1`` fans the per-case evaluations out over worker processes
     (via :func:`repro.parallel.run_trials`, so results are identical for
     every job count).  Every case is compared against the reference rate
-    model and cold flow solves (:func:`evaluate_case`).  ``with_oracles``
+    model (:func:`evaluate_case`).  ``with_oracles``
     additionally runs the global differential oracles — parallel-vs-serial
     sweep, checkpoint/restart equivalence, result cache, live telemetry
     stream vs post-run replay, and trace record/replay identity — which

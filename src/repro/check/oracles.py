@@ -1,15 +1,14 @@
 """Differential oracles: paired paths that must agree byte-for-byte.
 
 Every optimisation keeps a reference path alive next to its fast path —
-the scalar reference rate model next to the production one, cold flow
-solves next to the network-stage memo, serial sweeps next to
-``--jobs N``, uninterrupted jobs next to checkpoint/restart, and a live
-telemetry stream next to its post-run replay.  Each oracle here runs one
-seeded scenario through both sides and reports whether the results are
-byte-identical; the per-case reference-model/memo variants live in
-:mod:`repro.check.harness` (they reuse the case fingerprint), while this
-module holds the oracles that need machinery a single case cannot
-exercise.
+the scalar reference rate model next to the production one, serial
+sweeps next to ``--jobs N``, uninterrupted jobs next to
+checkpoint/restart, and a live telemetry stream next to its post-run
+replay.  Each oracle here runs one seeded scenario through both sides
+and reports whether the results are byte-identical; the per-case
+reference-model comparison lives in :mod:`repro.check.harness` (it
+reuses the case fingerprint), while this module holds the oracles that
+need machinery a single case cannot exercise.
 
 All comparisons use ``float.hex()`` / fingerprint equality — "close
 enough" is exactly the silent-divergence failure mode this subsystem

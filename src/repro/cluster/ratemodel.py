@@ -18,10 +18,11 @@ read at 1 Hz.
 
 Resolves are *incremental*: the engine passes the set of pids whose
 segment changed, stage 1 re-solves only the nodes hosting a dirty pid
-(clean nodes keep their rows bit-for-bit), and the network/storage
-stages are skipped outright when their demand signature is unchanged
-since the previous resolve (see docs/PERFORMANCE.md).  The state lives
-in flat numpy arrays; :class:`~repro.cluster.reference.ReferenceRateModel`
+(clean nodes keep their rows bit-for-bit), recurring network demand
+replays from a memo, and the storage stage is skipped outright when its
+demand signature is unchanged since the previous resolve (see
+docs/PERFORMANCE.md).  Per-process speeds, rates and counters live in
+flat numpy arrays; :class:`~repro.cluster.reference.ReferenceRateModel`
 states the same equations as plain scalar loops, and the differential
 oracle in :mod:`repro.check` holds the two byte-identical.
 """
@@ -35,10 +36,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.cache.model import CacheDemand, inclusive_footprints, solve_occupancy
+from repro.cache.model import (
+    CacheDemand,
+    cascade_miss_factor,
+    inclusive_footprints,
+    solve_occupancy,
+)
 from repro.memory.bandwidth import ShareFn
 from repro.network.flows import FlowRequest, FlowSolver
-from repro.resources.fairshare import max_min_fair_share, waterfill
+from repro.resources.fairshare import max_min_fair_share
 from repro.sim.engine import RateModel
 from repro.sim.process import CACHE_LEVELS, IODemand, SimProcess
 from repro.sim.stats import SimStats
@@ -69,12 +75,14 @@ _RATE_KEYS = (
 )
 (_CPU, _MEM, _INSTR, _L2, _L3, _NIC, _IOW, _IOR, _IOM) = range(len(_RATE_KEYS))
 
+#: a ``_row_dem`` entry before the row's first segment
+_NO_DEMAND = (0.0,) * 8
+
 
 @dataclass
 class _NetStage:
-    """Cached network-stage outcome in array form (rows into the model)."""
+    """Memoized network-stage outcome in array form (rows into the model)."""
 
-    signature: tuple
     rows: np.ndarray
     ratios: np.ndarray
     tx: np.ndarray
@@ -187,20 +195,18 @@ class ClusterRateModel(RateModel):
       (:meth:`accrue_background` runs just before the sampler reads),
       process end, and end of :meth:`~repro.sim.engine.Simulator.run`
       (:meth:`sync_counters`);
-    * stage 1 resolves a dirty node's tenants in **one vectorized pass**
-      (:meth:`_solve_node_vectorized`): cache totals, SMT-coupled CPU
-      sharing, per-socket bandwidth degradation, and the roofline
-      composition are all elementwise/grouped array ops that reproduce
-      the scalar loop bit-for-bit; a content-addressed memo in front of
-      it (:meth:`_solve_node_memo`) reuses whole configurations — a
-      node's solve is a pure function of (spec, per-tenant ``(core,
-      segment demand)``), and synchronized ranks cycle a handful of
-      identical configurations;
+    * stage 1 solves a dirty node's tenants with one scalar pass over
+      plain tuples (:meth:`_solve_node`), in the reference model's float
+      order; a node hosts 1–32 tenants, too few for numpy's per-call
+      cost to pay.  A content-addressed memo in front of it
+      (:meth:`_solve_node_memo`) reuses whole configurations — a node's
+      solve is a pure function of (spec, per-tenant ``(core, segment
+      demand)``), and synchronized ranks cycle a handful of identical
+      configurations;
     * the network stage's memo signature is an array fingerprint — the
-      structural (pid, src, dst) tuple plus ``demands.tobytes()`` — used
-      three deep: an unchanged signature reuses the previous allocation
-      outright, a recurring one replays a cached stage from
-      ``_net_memo``, and only novel signatures reach
+      interned (pid, src, dst) structure token plus ``demands.tobytes()``
+      — so a recurring signature replays a memoized stage from
+      ``_net_memo`` and only novel signatures reach
       :meth:`FlowSolver.solve`.
 
     Exactness rules used throughout (see docs/PERFORMANCE.md): elementwise
@@ -213,8 +219,8 @@ class ClusterRateModel(RateModel):
 
     #: distinct (spec, tenancy) stage-1 configurations kept.  Jittered
     #: ranks desynchronize, so distinct tenancy configurations number in
-    #: the thousands on long contended runs; entries are four small
-    #: arrays, so a deep memo is cheap.
+    #: the thousands on long contended runs; entries are a small key
+    #: tuple and four small arrays, so a deep memo is cheap.
     STAGE1_MEMO_SIZE = 4096
     #: distinct network-stage signatures kept (and interned flow
     #: structures, whose tokens those signatures carry)
@@ -283,30 +289,26 @@ class ClusterRateModel(RateModel):
         # demand and rows are never recycled (pids are globally unique).
         self._pid_row: dict[int, int] = {}
         self._row_proc: list[SimProcess] = []
-        self._seg_key_list: list[int | None] = []
+        #: stage-1 topology of the row's core: (core, physical core,
+        #: sibling or -1, socket), fixed at spawn
+        self._row_topo: list[tuple[int, int, int, int]] = []
+        #: stage-1 demand of the row's current segment: (cpu, inclusive
+        #: L1/L2/L3 footprints, intensity, miss-CPI penalty, mem_bw,
+        #: mem_bw_extra); kept as-is when a segment ends
+        self._row_dem: list[tuple[float, ...]] = []
         self._row_flows: list[tuple | None] = []
         self._nrows = 0
         self._alloc(64)
         #: stage-1 configuration memo (content-addressed, see class doc)
         self._stage1_cache: dict[tuple, tuple] = {}
-        #: per-spec stacked cache-level geometry (see ``_evict_levels``)
-        self._evict_geom: dict[int, tuple] = {}
         #: per-node tenant quadruples keyed by (node, ordered pid tuple);
         #: a node's tenant configuration is a pure function of that key
         #: (rows and core pinning are fixed per pid), and recurs across
         #: many distinct global running sets, so group (re)builds mostly
         #: assemble interned entries
         self._node_rows_intern: dict[tuple, tuple] = {}
-        #: segment-key interning table: memo keys carry small ints instead
-        #: of nested float tuples, so hashing them is integer work
-        self._seg_intern: dict[tuple, int] = {}
-        self._net_cache: _NetStage | None = None
         #: network-stage memo (signature → folded stage outcome)
         self._net_memo: dict[tuple, _NetStage] = {}
-        #: ``False`` bypasses ``_net_memo`` so every novel signature is
-        #: solved cold — the reference path of the ``repro check``
-        #: flow-memo oracle
-        self.memoize_network = True
         # flow-structure cache: rebuilt only when the set of flow-bearing
         # rows (or any of their segments) changes
         self._flow_rows_key: tuple | None = None
@@ -351,26 +353,11 @@ class ClusterRateModel(RateModel):
 
         self._row_node = grow(getattr(self, "_row_node", None), cap, np.int64)
         self._row_corecell = grow(getattr(self, "_row_corecell", None), cap, np.int64)
-        # node-local topology of the row's core (stage-1 group indices)
-        self._row_core = grow(getattr(self, "_row_core", None), cap, np.int64)
-        self._row_phys = grow(getattr(self, "_row_phys", None), cap, np.int64)
-        self._row_sib = grow(getattr(self, "_row_sib", None), cap, np.int64)
-        self._row_sock = grow(getattr(self, "_row_sock", None), cap, np.int64)
         self._row_amp = grow(getattr(self, "_row_amp", None), cap, float)
         self._seg_present = grow(getattr(self, "_seg_present", None), cap, bool)
         self._seg_ips = grow(getattr(self, "_seg_ips", None), cap, float)
         self._seg_mpki_base = grow(getattr(self, "_seg_mpki_base", None), cap, float)
         self._seg_mpki_extra = grow(getattr(self, "_seg_mpki_extra", None), cap, float)
-        # stage-1 demand vector of the row's current segment (refreshed
-        # when the segment changes; footprints are inclusive-normalized)
-        self._seg_cpu = grow(getattr(self, "_seg_cpu", None), cap, float)
-        self._seg_int = grow(getattr(self, "_seg_int", None), cap, float)
-        self._seg_mcp = grow(getattr(self, "_seg_mcp", None), cap, float)
-        self._seg_bw = grow(getattr(self, "_seg_bw", None), cap, float)
-        self._seg_bwx = grow(getattr(self, "_seg_bwx", None), cap, float)
-        self._seg_fp1 = grow(getattr(self, "_seg_fp1", None), cap, float)
-        self._seg_fp2 = grow(getattr(self, "_seg_fp2", None), cap, float)
-        self._seg_fp3 = grow(getattr(self, "_seg_fp3", None), cap, float)
         # stage-2/3 membership of the row's current segment
         self._row_flow_mask = grow(getattr(self, "_row_flow_mask", None), cap, bool)
         self._row_io_mask = grow(getattr(self, "_row_io_mask", None), cap, bool)
@@ -394,17 +381,21 @@ class ClusterRateModel(RateModel):
         self._nrows += 1
         self._pid_row[proc.pid] = row
         self._row_proc.append(proc)
-        self._seg_key_list.append(None)
         self._row_flows.append(None)
         ni = self._node_index[proc.node]
         spec = self._node_list[ni].spec
+        sibling = spec.sibling_of(proc.core)
+        self._row_topo.append(
+            (
+                proc.core,
+                spec.physical_core_of(proc.core),
+                -1 if sibling is None else sibling,
+                spec.socket_of(proc.core),
+            )
+        )
+        self._row_dem.append(_NO_DEMAND)
         self._row_node[row] = ni
         self._row_corecell[row] = ni * self._ncores + proc.core
-        self._row_core[row] = proc.core
-        self._row_phys[row] = spec.physical_core_of(proc.core)
-        sibling = spec.sibling_of(proc.core)
-        self._row_sib[row] = -1 if sibling is None else sibling
-        self._row_sock[row] = spec.socket_of(proc.core)
         self._row_amp[row] = spec.miss_amplification
         counters = proc.counters
         for col, key in enumerate(_RATE_KEYS):
@@ -434,7 +425,6 @@ class ClusterRateModel(RateModel):
             # The stage-1 memo goes too — a forced full resolve signals
             # that model inputs may have changed out-of-band.
             self._node_cache.clear()
-            self._net_cache = None
             self._io_cache = None
             self._stage1_cache.clear()
             self._net_memo.clear()
@@ -590,23 +580,19 @@ class ClusterRateModel(RateModel):
         self._seg_ips[row] = seg.ips
         self._seg_mpki_base[row] = seg.mpki_base
         self._seg_mpki_extra[row] = seg.mpki_extra
-        self._seg_cpu[row] = seg.cpu
-        self._seg_int[row] = seg.cache_intensity
-        self._seg_mcp[row] = seg.miss_cpi_penalty
-        self._seg_bw[row] = seg.mem_bw
-        self._seg_bwx[row] = seg.mem_bw_extra
         fp = inclusive_footprints(
             seg.cache_footprint, self._node_sizes[self._row_node[row]]
         )
-        self._seg_fp1[row] = fp["L1"]
-        self._seg_fp2[row] = fp["L2"]
-        self._seg_fp3[row] = fp["L3"]
-        seg_key = self._segment_key(seg)
-        token = self._seg_intern.get(seg_key)
-        if token is None:
-            token = len(self._seg_intern)
-            self._seg_intern[seg_key] = token
-        self._seg_key_list[row] = token
+        self._row_dem[row] = (
+            float(seg.cpu),
+            fp["L1"],
+            fp["L2"],
+            fp["L3"],
+            float(seg.cache_intensity),
+            float(seg.miss_cpi_penalty),
+            float(seg.mem_bw),
+            float(seg.mem_bw_extra),
+        )
         flows = seg.flows if seg.flows else None
         self._row_flows[row] = flows
         self._row_flow_mask[row] = flows is not None
@@ -616,19 +602,6 @@ class ClusterRateModel(RateModel):
 
     # -- stage 1 with a configuration memo ----------------------------------
 
-    @staticmethod
-    def _segment_key(seg) -> tuple:
-        # Exactly the segment fields stage 1 reads; two segments agreeing
-        # on these produce bit-identical node solves.
-        return (
-            seg.cpu,
-            tuple(sorted(seg.cache_footprint.items())),
-            seg.cache_intensity,
-            seg.miss_cpi_penalty,
-            seg.mem_bw,
-            seg.mem_bw_extra,
-        )
-
     def _solve_node_memo(self, node_rows: tuple) -> None:
         """Stage-1 solve via the content-addressed configuration memo.
 
@@ -636,21 +609,22 @@ class ClusterRateModel(RateModel):
         per-tenant ``(core, segment demand)`` vector — pids only label the
         outputs — so identical configurations (synchronized ranks cycling
         compute/comm phases) are served from the memo bit-for-bit.  The
-        memoized value is the vectorized solve's output quadruple
-        ``(speed, miss_factor, cpu_rate, mem_rate)`` — one array each,
-        aligned with the rows — scattered into the stage-1 arrays here.
-        Segment demand enters the key as its interned token (see
-        :meth:`_refresh_segment`), so key hashing is integer work.
+        memoized value is :meth:`_solve_node`'s output quadruple
+        ``(speed, miss_factor, cpu_rate, mem_rate)`` as one array each,
+        aligned with the rows, scattered into the stage-1 arrays here.
         """
         rows, rows_py, cores, spec = node_rows
-        seg_keys = self._seg_key_list
-        key = (id(spec), cores, tuple(seg_keys[r] for r in rows_py))
+        row_dem = self._row_dem
+        dem = tuple(row_dem[r] for r in rows_py)
+        key = (id(spec), cores, dem)
         hit = self._stage1_cache.get(key)
         if hit is not None:
             self.stats.count("stage1_memo_hits")
         else:
             self.stats.count("stage1_memo_misses")
-            hit = self._solve_node_vectorized(spec, rows)
+            row_topo = self._row_topo
+            topo = [row_topo[r] for r in rows_py]
+            hit = tuple(np.array(out) for out in self._solve_node(spec, dem, topo))
             if len(self._stage1_cache) >= self.STAGE1_MEMO_SIZE:
                 self._stage1_cache.pop(next(iter(self._stage1_cache)))
             self._stage1_cache[key] = hit
@@ -660,171 +634,113 @@ class ClusterRateModel(RateModel):
         self._s1_cpu[rows] = cpu_rate
         self._s1_mem[rows] = mem_rate
 
-    def _evict_levels(
+    def _solve_node(
         self,
         spec,
-        phys: np.ndarray,
-        sock: np.ndarray,
-        fp1: np.ndarray,
-        fp2: np.ndarray,
-        fp3: np.ndarray,
-        inten: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-tenant eviction fractions for all three cache levels.
+        dem: Sequence[tuple[float, ...]],
+        topo: Sequence[tuple[int, int, int, int]],
+    ) -> tuple[list[float], list[float], list[float], list[float]]:
+        """One node's stage-1 solve over its tenants' demand tuples.
 
-        The three per-level solves are independent (their cell groups are
-        disjoint), so they stack into one cell space — L1 cells ``[0,
-        P)``, L2 ``[P, 2P)``, L3 ``[2P, 2P+S)`` for ``P`` physical cores
-        and ``S`` sockets — and resolve in a single add.at/compare pass.
-        Group totals come from ``np.add.at`` (strictly sequential, and
-        riding-along ``0.0`` footprints cannot perturb a non-negative
-        running sum), so the fits/overflow decision lands on exactly the
-        bits the scalar ``solve_occupancy`` would see.  Groups that fit —
-        the overwhelmingly common case — are all-zero evictions by
-        definition; each oversubscribed group falls back to the scalar
-        weighted-fill solver on identical inputs, in ascending stacked
-        cell order — exactly the old L1-then-L2-then-L3,
-        ascending-cell-within-level order.
+        ``dem[i]`` and ``topo[i]`` are tenant ``i``'s ``_row_dem`` and
+        ``_row_topo`` entries.  Returns per-tenant lists of speed, miss
+        factor, CPU rate and memory rate.  The float operations run in
+        the order of
+        :meth:`~repro.cluster.reference.ReferenceRateModel._solve_node`
+        (group sums from ``0.0`` in tenant order, the same occupancy and
+        bandwidth solvers on the same inputs), so the outputs match the
+        reference bit-for-bit — the property the ``reference_model``
+        oracle pins.
         """
-        geom = self._evict_geom.get(id(spec))
-        if geom is None:
-            cache = spec.cache
-            p, s = spec.physical_cores, spec.sockets
-            caps = np.empty(2 * p + s)
-            caps[:p] = cache.size("L1")
-            caps[p : 2 * p] = cache.size("L2")
-            caps[2 * p :] = cache.size("L3")
-            geom = (p, caps)
-            self._evict_geom[id(spec)] = geom
-        p, caps = geom
-        gid = np.concatenate((phys, phys + p, sock + 2 * p))
-        fp = np.concatenate((fp1, fp2, fp3))
-        tot = np.zeros(caps.size)
-        np.add.at(tot, gid, fp)
-        ev = np.zeros(gid.size)
-        over = tot[gid] > caps[gid]
-        if over.any():
-            inten3 = np.concatenate((inten, inten, inten))
-            for cell in sorted(set(gid[over].tolist())):
-                idx = np.nonzero(gid == cell)[0]
+        n = len(dem)
+        # Cache occupancy: L1/L2 contested per physical core, L3 per
+        # socket.  A cell whose footprints fit evicts nobody, so only
+        # oversubscribed cells reach the occupancy solver.
+        evictions: list[dict[str, float]] = [{} for _ in range(n)]
+        for lvl, level in enumerate(CACHE_LEVELS):
+            size = spec.cache.size(level)
+            cell_of = 3 if level == "L3" else 1
+            cells: dict[int, list[int]] = {}
+            totals: dict[int, float] = {}
+            for i in range(n):
+                cell = topo[i][cell_of]
+                totals[cell] = totals.get(cell, 0.0) + dem[i][1 + lvl]
+                cells.setdefault(cell, []).append(i)
+            for cell, tenants in cells.items():
+                if totals[cell] <= size:
+                    continue
                 res = solve_occupancy(
-                    float(caps[cell]),
-                    [
-                        CacheDemand(int(i), float(fp[i]), float(inten3[i]))
-                        for i in idx
-                    ],
+                    size,
+                    [CacheDemand(i, dem[i][1 + lvl], dem[i][4]) for i in tenants],
                     sharpness=self.cache_sharpness,
                 )
-                for i in idx.tolist():
-                    ev[i] = res[i].eviction
-        n = phys.size
-        return ev[:n], ev[n : 2 * n], ev[2 * n :]
-
-    def _solve_node_vectorized(self, spec, rows: np.ndarray) -> tuple:
-        """One node's stage-1 solve as a single vectorized pass.
-
-        Replays the scalar loop of
-        :meth:`~repro.cluster.reference.ReferenceRateModel._solve_node`
-        with array ops whose float sequence is identical to it
-        (elementwise ops are IEEE-identical, group sums use ``np.add.at``
-        in tenant order, branchy scalar code becomes ``np.where`` with
-        masked-safe denominators), so the outputs match the reference
-        bit-for-bit — the property the ``reference_model`` oracle pins.
-        """
-        fp1 = self._seg_fp1[rows]
-        fp2 = self._seg_fp2[rows]
-        fp3 = self._seg_fp3[rows]
-        inten = self._seg_int[rows]
-        core = self._row_core[rows]
-        phys = self._row_phys[rows]
-        sib = self._row_sib[rows]
-        sock = self._row_sock[rows]
-
-        # Cache occupancy: L1/L2 contested per physical core, L3 per
-        # socket, all three levels solved in one stacked pass.
-        ev1, ev2, ev3 = self._evict_levels(spec, phys, sock, fp1, fp2, fp3, inten)
-
-        # cascade_miss_factor, vectorized: the dominant contribution counts
-        # fully, the other two at 30%.  IEEE addition commutes bitwise, so
-        # summing the two non-dominant terms in either order matches the
-        # scalar sorted()-based reduction exactly.
-        c1, c2, c3 = spec.cache_miss_cascade
-        ca = c1 * ev1
-        cb = c2 * ev2
-        cc = c3 * ev3
-        bc = np.maximum(cb, cc)
-        hi = np.maximum(ca, bc)
-        others = np.where(
-            ca >= bc, cb + cc, np.where(cb >= np.maximum(ca, cc), ca + cc, ca + cb)
-        )
-        mf = np.minimum(1.0, hi + 0.3 * others)
+                for i in tenants:
+                    evictions[i][level] = res[i].eviction
+        # No eviction at any level gives a miss factor of exactly 0.0.
+        cascade = spec.cache_miss_cascade
+        mf = [cascade_miss_factor(ev, cascade) if ev else 0.0 for ev in evictions]
 
         # CPU: processor sharing per logical core, SMT capacity coupling.
-        cpu = self._seg_cpu[rows]
-        cd = np.zeros(spec.logical_cores)
-        np.add.at(cd, core, cpu)
-        has_sib = sib >= 0
-        sib_util = np.where(
-            has_sib, np.minimum(1.0, cd[np.where(has_sib, sib, 0)]), 0.0
-        )
-        smt_capacity = 1.0 - (1.0 - spec.smt_throughput / 2.0) * sib_util
-        total = cd[core]
-        pos = cpu > 0.0
-        time_share = np.where(
-            pos, cpu * np.minimum(1.0, 1.0 / np.where(pos, total, 1.0)), 0.0
-        )
-        cpu_ratio = np.where(
-            pos, (time_share / np.where(pos, cpu, 1.0)) * smt_capacity, 1.0
-        )
-        cpi = 1.0 + self._seg_mcp[rows] * mf
-        compute_speed = cpu_ratio / cpi
+        core_demand: dict[int, float] = {}
+        for d, t in zip(dem, topo):
+            core_demand[t[0]] = core_demand.get(t[0], 0.0) + d[0]
+        smt_loss = 1.0 - spec.smt_throughput / 2.0
+        time_share = [0.0] * n
+        compute_speed = [0.0] * n
+        for i in range(n):
+            cpu = dem[i][0]
+            core, _, sib, _ = topo[i]
+            sibling_util = min(1.0, core_demand.get(sib, 0.0)) if sib >= 0 else 0.0
+            capacity = 1.0 - smt_loss * sibling_util
+            if cpu > 0:
+                share = cpu * min(1.0, 1.0 / core_demand[core])
+                cpu_ratio = (share / cpu) * capacity
+            else:
+                share, cpu_ratio = 0.0, 1.0
+            time_share[i] = share
+            compute_speed[i] = cpu_ratio / (1.0 + dem[i][5] * mf[i])
 
-        # Memory bandwidth per socket: latency degradation elementwise,
-        # then the sharing discipline per socket group.  The max-min fast
-        # path is inlined on the same pairwise total the solver would
-        # compute; any other share_fn (ablations) gets the generic call.
+        # Memory bandwidth per socket: latency degradation on the socket
+        # total, then the sharing discipline.
         corebw = spec.core_mem_bw
         sockbw = spec.mem_bw_per_socket
         alpha = spec.bw_latency_alpha
-        want = np.minimum(self._seg_bw[rows] + self._seg_bwx[rows] * mf, corebw)
-        totw = np.zeros(spec.sockets)
-        np.add.at(totw, sock, want)
-        other_load = np.maximum(0.0, totw[sock] - want) / sockbw
-        degraded = want / (1.0 + alpha * other_load)
-        grants = np.empty(rows.size)
-        inline_maxmin = self.share_fn is max_min_fair_share
-        for s in sorted(set(sock.tolist())):
-            idx = np.nonzero(sock == s)[0]
-            dem = degraded[idx]
-            if inline_maxmin:
-                grants[idx] = (
-                    dem if float(dem.sum()) <= sockbw else waterfill(sockbw, dem)
-                )
-            else:
-                grants[idx] = self.share_fn(sockbw, dem)
-        wpos = want > 0.0
-        mem_ratio = np.where(
-            wpos, np.minimum(1.0, grants / np.where(wpos, want, 1.0)), 1.0
-        )
-        phi = want / corebw
-        phi0 = np.minimum(self._seg_bw[rows], corebw) / corebw
+        want = [min(d[6] + d[7] * m, corebw) for d, m in zip(dem, mf)]
+        sockets: dict[int, list[int]] = {}
+        for i, t in enumerate(topo):
+            sockets.setdefault(t[3], []).append(i)
+        grant = [0.0] * n
+        for tenants in sockets.values():
+            total = 0.0
+            for i in tenants:
+                total += want[i]
+            degraded = [
+                want[i] / (1.0 + alpha * (max(0.0, total - want[i]) / sockbw))
+                for i in tenants
+            ]
+            for i, g in zip(tenants, self.share_fn(sockbw, degraded)):
+                grant[i] = g
 
         # Roofline composition (see the reference model for the rationale).
-        baseline = np.maximum(1.0 - phi0, phi0)
-        slowdown = (
-            np.maximum((1.0 - phi0) / compute_speed, phi / mem_ratio) / baseline
-        )
-        speed = 1.0 / slowdown
-        mem_rate = phi * corebw * speed
+        speed = [0.0] * n
+        mem_rate = [0.0] * n
+        for i in range(n):
+            w = want[i]
+            mem_ratio = 1.0 if w <= 0 else min(1.0, grant[i] / w)
+            phi = w / corebw
+            phi0 = min(dem[i][6], corebw) / corebw
+            baseline = max(1.0 - phi0, phi0)
+            slowdown = (
+                max((1.0 - phi0) / compute_speed[i], phi / mem_ratio) / baseline
+            )
+            speed[i] = 1.0 / slowdown
+            mem_rate[i] = phi * corebw * speed[i]
         return speed, mf, time_share, mem_rate
 
     # -- stage 2: network ----------------------------------------------------
 
     def _solve_network_array(self, flow_rows: list[int]) -> None:
-        if self.flow_solver is None:
-            return
-        if not flow_rows:
-            self._net_cache = None
+        if self.flow_solver is None or not flow_rows:
             return
         # Rebuild the flow-structure arrays only when the set of
         # flow-bearing rows changed or one of their segments refreshed;
@@ -872,13 +788,8 @@ class ClusterRateModel(RateModel):
         # bytes (bytes objects cache their hash, so repeat signatures cost
         # one int hash plus two cached-byte hashes).
         signature = (self._flow_token, nic.tobytes(), demands.tobytes())
-        cache = self._net_cache
-        if cache is not None and cache.signature == signature:
-            self.stats.count("network_stage_skips")
-            self._apply_net_stage(cache)
-            return
-        memo = self._net_memo if self.memoize_network else None
-        stage = memo.get(signature) if memo is not None else None
+        memo = self._net_memo
+        stage = memo.get(signature)
         if stage is not None:
             self.stats.count("network_memo_hits")
         else:
@@ -903,7 +814,6 @@ class ClusterRateModel(RateModel):
                 tx[row] = tx.get(row, 0.0) + grant
                 remote[request.dst] = remote.get(request.dst, 0.0) + grant
             stage = _NetStage(
-                signature=signature,
                 rows=np.fromiter(worst, dtype=np.int64, count=len(worst)),
                 ratios=np.fromiter(worst.values(), dtype=float, count=len(worst)),
                 tx=np.fromiter(
@@ -911,11 +821,9 @@ class ClusterRateModel(RateModel):
                 ),
                 remote=remote,
             )
-            if memo is not None:
-                if len(memo) >= self.NET_MEMO_SIZE:
-                    memo.pop(next(iter(memo)))
-                memo[signature] = stage
-        self._net_cache = stage
+            if len(memo) >= self.NET_MEMO_SIZE:
+                memo.pop(next(iter(memo)))
+            memo[signature] = stage
         self._apply_net_stage(stage)
 
     def _apply_net_stage(self, stage: _NetStage) -> None:

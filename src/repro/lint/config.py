@@ -76,10 +76,10 @@ class LintConfig:
     # mutated at runtime (RL013): observability counters and the attached
     # checker hook never change the result.
     flow_memo_state_allowed: tuple[str, ...] = ("stats", "check", "obs")
-    # Instance attributes whose contents are content-addressed by an
-    # interned token or array fingerprint that *does* appear in the cache
-    # key (RL013): the attribute and the key token are written together,
-    # so a memo hit implies identical contents.  The linter trusts the
+    # Instance attributes whose contents are fixed by a token, array
+    # fingerprint or value that *does* appear in the cache key (RL013):
+    # the attribute and that key part are written together, so a memo
+    # hit implies identical contents.  The linter trusts the
     # declared pairing; the production-vs-reference rate-model oracle
     # enforces it at runtime.
     flow_memo_derived_state: tuple[str, ...] = ()

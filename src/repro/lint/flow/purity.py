@@ -40,8 +40,9 @@ class MemoImpurityRule(FlowRule):
     ``FlowSolver.solve`` or the per-node solve cache reads instance state
     that (a) is mutated at runtime and (b) does not appear in the key
     expression, a cache hit can silently return a result computed under
-    *different* state — the exact class of bug the memoized-vs-cold
-    differential oracle exists to catch, found here statically.
+    *different* state — a class of bug the ``reference_model``
+    differential oracle (which keeps no memos) catches at runtime, found
+    here statically.
     """
 
     id = "RL013"
@@ -130,7 +131,7 @@ class MemoImpurityRule(FlowRule):
         reads hide behind locals that feed the fingerprint.  A fixpoint
         over the function's simple local assignments propagates
         self-attribute provenance through those locals (including
-        aliases like ``seg_keys = self._seg_key_list``), so every
+        aliases like ``row_dem = self._row_dem``), so every
         attribute whose *contents* reach the key bytes counts as
         key-covered.  The closure is flow-insensitive (both arms of a
         branch contribute), which errs toward treating state as covered

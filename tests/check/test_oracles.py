@@ -98,10 +98,26 @@ class TestReferenceModel:
 
         monkeypatch.setattr(FlowSolver, "_waterfill", one_ulp_short)
         outcome = evaluate_case(spec)
-        names = [name for name, _ in outcome.mismatches]
-        assert "reference_model" in names
-        # memoized and cold solves run the same skewed code
-        assert "flow_memo" not in names
+        assert "reference_model" in [name for name, _ in outcome.mismatches]
+
+    def test_catches_key_blind_network_memo(self, net_spec, monkeypatch):
+        # Planted bug: the network-stage memo ignores its key and replays
+        # the first stage it ever stored.  The reference model keeps no
+        # memo and solves every resolve's flows cold, so it must disagree.
+        real = ClusterRateModel.__init__
+
+        class KeyBlindMemo(dict):
+            def get(self, key, default=None):
+                return next(iter(self.values()), default)
+
+        def with_blind_memo(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self._net_memo = KeyBlindMemo()
+
+        monkeypatch.setattr(ClusterRateModel, "__init__", with_blind_memo)
+        outcome = evaluate_case(net_spec)
+        assert not outcome.ok
+        assert [name for name, _ in outcome.mismatches] == ["reference_model"]
 
 
 class TestCheckpointRestartOracle:
@@ -177,33 +193,6 @@ class TestResultCacheOracle:
         result = oracle_result_cache(seed=0)
         assert not result.ok
         assert "2 times" in result.detail
-
-
-class TestFlowMemoOracle:
-    """The network-stage-memo-vs-cold comparison lives in evaluate_case."""
-
-    def test_catches_memo_divergence(self, net_spec, monkeypatch):
-        # Planted bug: the network-stage memo ignores its key and replays
-        # the first stage it ever stored.  The skew fires only while the
-        # memo is on; the cold path solves every signature, so the
-        # flow_memo oracle must fire.
-        real = ClusterRateModel.__init__
-
-        class KeyBlindMemo(dict):
-            def get(self, key, default=None):
-                return next(iter(self.values()), default)
-
-        def with_blind_memo(self, *args, **kwargs):
-            real(self, *args, **kwargs)
-            self._net_memo = KeyBlindMemo()
-
-        monkeypatch.setattr(ClusterRateModel, "__init__", with_blind_memo)
-        outcome = evaluate_case(net_spec)
-        assert not outcome.ok
-        names = [name for name, _ in outcome.mismatches]
-        assert "flow_memo" in names
-        # the reference model solves flows cold, so it disagrees too
-        assert "reference_model" in names
 
 
 class TestStreamExportOracle:

@@ -104,12 +104,12 @@ class TestWorkAvoidance:
 
     def test_network_stage_skipped_for_disjoint_changes(self):
         # A CPU-only change on node6 leaves the flow signature untouched,
-        # so the network stage is replayed from cache, not re-solved.
+        # so the network stage is replayed from the memo, not re-solved.
         cluster = Cluster.voltrino(num_nodes=8)
         NetOccupy.launch_pair(cluster, src="node0", dst="node4", ranks=2)
         CpuOccupy(utilization=70, duration=50).launch(cluster, "node6", core=0)
         cluster.sim.run(until=100)
-        assert cluster.sim.stats.counters["network_stage_skips"] > 0
+        assert cluster.sim.stats.counters["network_memo_hits"] > 0
 
 
 class TestForcedFullResolve:
