@@ -12,19 +12,19 @@
 3. **Storage** — filesystem demands are priced by each
    :class:`~repro.storage.filesystem.SharedFilesystem`'s coupled pools.
 
-``accrue`` integrates the rates computed by the last ``resolve`` into
-per-process and per-node counters, which is what the LDMS-style samplers
-read at 1 Hz.
+``accrue`` integrates the rates computed by the last ``resolve`` straight
+into the per-process and per-node counter dicts, which is what apps and
+the LDMS-style samplers read at 1 Hz; the dicts are always current.
 
 Resolves are *incremental*: the engine passes the set of pids whose
 segment changed, stage 1 re-solves only the nodes hosting a dirty pid
 (clean nodes keep their rows bit-for-bit), recurring network demand
 replays from a memo, and the storage stage is skipped outright when its
 demand signature is unchanged since the previous resolve (see
-docs/PERFORMANCE.md).  Per-process speeds, rates and counters live in
-flat numpy arrays; :class:`~repro.cluster.reference.ReferenceRateModel`
-states the same equations as plain scalar loops, and the differential
-oracle in :mod:`repro.check` holds the two byte-identical.
+docs/PERFORMANCE.md).  Per-process speeds and rates live in flat numpy
+arrays; :class:`~repro.cluster.reference.ReferenceRateModel` states the
+same equations as plain scalar loops, and the differential oracle in
+:mod:`repro.check` holds the two byte-identical.
 """
 
 from __future__ import annotations
@@ -57,11 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: modelled L3 MPKI into an L2 MPKI for the PAPI-style sampler.
 L2_MISS_FACTOR = 2.5
 
-#: the model-owned per-process counter keys, in column order; each is
-#: also the name of the node counter it accrues into.  Disjoint from
-#: app-written keys (``cpu_seconds``, ``app_iterations``,
-#: ``charm_compute_seconds``), so the model can flush its columns by
-#: assignment without clobbering anything the app wrote directly.
+#: the model-owned per-process counter keys, in rate-matrix column order;
+#: each is also the name of the node counter it accrues into.
 _RATE_KEYS = (
     "cpu_user_seconds",
     "mem_bytes",
@@ -116,9 +113,7 @@ class _RunGroup:
         "node_pids",
         "node_rows",
         "pid_index",
-        "resolved",
-        "node_cells",
-        "core_cells",
+        "targets",
     )
 
     def __init__(
@@ -160,9 +155,7 @@ class _RunGroup:
         self.node_pids = node_pids
         self.node_rows = node_rows
         self.pid_index = {pid: i for i, pid in enumerate(pids)}
-        self.resolved = frozenset(pids)
-        self.node_cells = model._row_node[rows]
-        self.core_cells = model._row_corecell[rows]
+        self.targets = [model._row_targets[row] for row in rows_list]
 
 
 class ClusterRateModel(RateModel):
@@ -179,22 +172,18 @@ class ClusterRateModel(RateModel):
     k_paths:
         Paths considered by adaptive routing; 1 = static routing.
 
-    The per-event Python dict traffic of a scalar model (see
-    :class:`~repro.cluster.reference.ReferenceRateModel`) is replaced by
-    flat numpy state:
+    Compared with the scalar model (see
+    :class:`~repro.cluster.reference.ReferenceRateModel`):
 
     * per-process speeds and the nine model-owned counter *rates* live in
       contiguous arrays indexed by a pid→row slot table; a resolve writes
       rows, not dicts;
-    * per-process and per-node counter *totals* live in matching arrays;
-      ``accrue`` is a handful of vectorized adds (``np.add.at`` applies
-      per-cell additions in running order, so every float lands exactly
-      as the scalar loop's would);
-    * counter dictionaries become a *view* refreshed by assignment at the
-      points where readers look: the monitoring tick
-      (:meth:`accrue_background` runs just before the sampler reads),
-      process end, and end of :meth:`~repro.sim.engine.Simulator.run`
-      (:meth:`sync_counters`);
+    * counter *totals* have one home, the process and node counter
+      dicts.  Each resolve ends by pairing every running row's dicts
+      with its rate row (:meth:`_plan_accrue`); ``accrue`` walks that
+      plan in running order and adds ``rate * dt`` for every positive
+      rate, so every counter cell receives the reference loop's floats
+      in the reference loop's order;
     * stage 1 solves a dirty node's tenants with one scalar pass over
       plain tuples (:meth:`_solve_node`), in the reference model's float
       order; a node hosts 1–32 tenants, too few for numpy's per-call
@@ -210,11 +199,10 @@ class ClusterRateModel(RateModel):
       :meth:`FlowSolver.solve`.
 
     Exactness rules used throughout (see docs/PERFORMANCE.md): elementwise
-    numpy ops are IEEE-identical to the scalar ops they replace;
-    ``np.add.at`` accumulates strictly in index order; adding ``0.0`` to a
-    non-negative total is a bitwise no-op (which is why untouched rate
-    cells can ride along in the vectorized add); reductions that would
-    reassociate floating-point sums are never used on accumulated values.
+    numpy ops are IEEE-identical to the scalar ops they replace; adding
+    ``0.0`` to a non-negative total is a bitwise no-op (which is why
+    ``accrue`` may skip zero rates); reductions that would reassociate
+    floating-point sums are never used on accumulated values.
     """
 
     #: distinct (spec, tenancy) stage-1 configurations kept.  Jittered
@@ -258,37 +246,13 @@ class ClusterRateModel(RateModel):
             {lvl: node.spec.cache.size(lvl) for lvl in CACHE_LEVELS}
             for node in nodes
         ]
-        first = nodes[0]
-        node_keys = [k for k in first.counters if not k.startswith("cpu_core")]
-        self._node_cols = {k: j for j, k in enumerate(node_keys)}
-        self._node_key_list = node_keys
-        self._ncores = first.logical_cores
-        self._core_keys = [f"cpu_core{i}_seconds" for i in range(self._ncores)]
-        #: per-node counter totals (matching the nodes' dicts column-wise)
-        self._NC = np.array(
-            [[node.counters[k] for k in node_keys] for node in nodes], dtype=float
-        )
-        self._NCcore = np.array(
-            [[node.counters[k] for k in self._core_keys] for node in nodes],
-            dtype=float,
-        )
-        self._key_node_col_arr = np.asarray(
-            [self._node_cols[k] for k in _RATE_KEYS], dtype=np.int64
-        )
-        self._sys_col = self._node_cols["cpu_sys_seconds"]
-        self._rx_col = self._node_cols["nic_rx_bytes"]
-        self._noise_base = np.array(
-            [node.spec.os_noise_util * node.logical_cores for node in nodes],
-            dtype=float,
-        )
-        #: sampler-flush snapshots: cells equal to these are already in
-        #: the node dicts, so a flush only writes what changed
-        self._NC_flushed = self._NC.copy()
-        self._NCcore_flushed = self._NCcore.copy()
         # pid → row slot table plus row-indexed state; capacity doubles on
         # demand and rows are never recycled (pids are globally unique).
         self._pid_row: dict[int, int] = {}
         self._row_proc: list[SimProcess] = []
+        #: the row's counter targets: (process dict, node dict, node
+        #: per-core key), fixed at spawn
+        self._row_targets: list[tuple[dict, dict, str]] = []
         #: stage-1 topology of the row's core: (core, physical core,
         #: sibling or -1, socket), fixed at spawn
         self._row_topo: list[tuple[int, int, int, int]] = []
@@ -327,13 +291,21 @@ class ClusterRateModel(RateModel):
         self._flow_pairs: list[tuple[str, str]] = []
         self._flow_ones = np.zeros(0)
         self._flows_dirty = False
+        #: nic_rx_bytes rate per destination node, from the network stage
         self._remote: dict[str, float] = {}
-        self._acc_rows = np.zeros(0, dtype=np.int64)
-        self._acc_sel: slice | np.ndarray = self._acc_rows
-        self._acc_node_cells = np.zeros(0, dtype=np.int64)
-        self._acc_core_cells = np.zeros(0, dtype=np.int64)
-        self._resolved_pids: frozenset[int] = frozenset()
-        self._last_pids: Sequence[int] = []
+        #: the last resolve's running pids, their index, and the accrue
+        #: plan built from its rates (see :meth:`_plan_accrue`)
+        self._last_pids: tuple[int, ...] = ()
+        self._last_index: dict[int, int] = {}
+        self._plan: list[tuple] = []
+        #: pids whose segment changed since their priced keys were last
+        #: found in their counter dict
+        self._unkeyed: set[int] = set()
+        #: (node dict, OS-noise busy cores) per node
+        self._noise = [
+            (node.counters, node.spec.os_noise_util * node.logical_cores)
+            for node in nodes
+        ]
         #: running-set grouping caches keyed by the ordered pid tuple —
         #: barrier phases make the running set oscillate between a few
         #: recurring configurations, so one entry per configuration
@@ -352,7 +324,6 @@ class ClusterRateModel(RateModel):
             return out
 
         self._row_node = grow(getattr(self, "_row_node", None), cap, np.int64)
-        self._row_corecell = grow(getattr(self, "_row_corecell", None), cap, np.int64)
         self._row_amp = grow(getattr(self, "_row_amp", None), cap, float)
         self._seg_present = grow(getattr(self, "_seg_present", None), cap, bool)
         self._seg_ips = grow(getattr(self, "_seg_ips", None), cap, float)
@@ -368,8 +339,6 @@ class ClusterRateModel(RateModel):
         self._S = grow(getattr(self, "_S", None), cap, float)
         self._R = grow(getattr(self, "_R", None), (cap, nkeys), float)
         self._Tmask = grow(getattr(self, "_Tmask", None), (cap, nkeys), bool)
-        self._C = grow(getattr(self, "_C", None), (cap, nkeys), float)
-        self._Tc = grow(getattr(self, "_Tc", None), (cap, nkeys), bool)
 
     def _row_for(self, proc: SimProcess) -> int:
         row = self._pid_row.get(proc.pid)
@@ -394,14 +363,15 @@ class ClusterRateModel(RateModel):
             )
         )
         self._row_dem.append(_NO_DEMAND)
+        self._row_targets.append(
+            (
+                proc.counters,
+                self._node_list[ni].counters,
+                f"cpu_core{proc.core}_seconds",
+            )
+        )
         self._row_node[row] = ni
-        self._row_corecell[row] = ni * self._ncores + proc.core
         self._row_amp[row] = spec.miss_amplification
-        counters = proc.counters
-        for col, key in enumerate(_RATE_KEYS):
-            if key in counters:
-                self._C[row, col] = counters[key]
-                self._Tc[row, col] = True
         return row
 
     # -- resolve ------------------------------------------------------------
@@ -438,15 +408,10 @@ class ClusterRateModel(RateModel):
             self._solve_network_array(rows[self._row_flow_mask[sel]].tolist())
         with stats.timer("storage"):
             self._solve_storage_array(rows[self._row_io_mask[sel]])
-        self._acc_rows = rows
-        self._acc_sel = sel
-        self._acc_node_cells = group.node_cells
-        self._acc_core_cells = group.core_cells
-        self._record_rates_array(rows)
-
-        self._Tc[sel] |= self._Tmask[sel]
-        self._resolved_pids = group.resolved
+        self._record_rates(group)
+        self._plan_accrue(group)
         self._last_pids = group.pids
+        self._last_index = group.pid_index
         return dict(zip(group.pids, self._S[sel].tolist()))
 
     def _solve_nodes(
@@ -540,7 +505,7 @@ class ClusterRateModel(RateModel):
             node_factor = np.ones(len(self._node_index))
             for name, i in self._node_index.items():
                 node_factor[i] = faults.speed_factor(name)
-            factor = node_factor[group.node_cells]
+            factor = node_factor[self._row_node[rows]]
             degraded = factor < 1.0
             if degraded.any():
                 drows = rows[degraded]
@@ -566,6 +531,7 @@ class ClusterRateModel(RateModel):
 
     def _refresh_segment(self, proc: SimProcess, row: int) -> None:
         """Mirror the row's current segment into the demand arrays."""
+        self._unkeyed.add(proc.pid)
         seg = proc.current
         old_flows = self._row_flows[row]
         if seg is None:
@@ -907,16 +873,17 @@ class ClusterRateModel(RateModel):
 
     # -- finalize ------------------------------------------------------------
 
-    def _record_rates_array(self, rows: np.ndarray) -> None:
+    def _record_rates(self, group: _RunGroup) -> None:
+        """Instruction and cache-miss rates from each row's final speed."""
+        rows = group.rows
         if not rows.size:
             return
-        # The resolve that just ran leaves its selector in _acc_sel; when
-        # every row has a live segment (the common case) the whole update
-        # runs on that selector — a slice for contiguous groups.
-        sel = self._acc_sel if rows is self._acc_rows else rows
-        present = self._seg_present[sel]
+        # When every row has a live segment (the common case) the whole
+        # update runs on the group's selector — a slice for contiguous
+        # groups.
+        present = self._seg_present[group.sel]
         if present.all():
-            rr: slice | np.ndarray = sel
+            rr: slice | np.ndarray = group.sel
         else:
             rr = rows[present]
             if not rr.size:
@@ -936,95 +903,77 @@ class ClusterRateModel(RateModel):
         self._Tmask[rr, _L3] = True
         self._Tmask[rr, _L2] = True
 
+    def _plan_accrue(self, group: _RunGroup) -> None:
+        """Pair each running row's counter targets with its final rates.
+
+        The plan :meth:`accrue` runs holds one ``(targets, rates,
+        missing)`` entry per running row, in running order: the row's
+        ``_row_targets`` entry, its rate row as a list, and the priced
+        keys its process dict still lacks.  ``accrue`` creates those at
+        ``0.0``, so they appear at the first accrued interval, as the
+        reference model's do, and never for a process that is priced but
+        never accrued.  A row's priced keys follow from its segment, so
+        only pids in ``_unkeyed`` (refreshed since their keys were last
+        found present) are checked.
+        """
+        targets = group.targets
+        rates = self._R[group.sel].tolist()
+        plan = list(zip(targets, rates, [()] * len(targets)))
+        unkeyed = self._unkeyed
+        index = group.pid_index
+        for pid in [pid for pid in unkeyed if pid in index]:
+            i = index[pid]
+            counters = targets[i][0]
+            priced = self._Tmask[group.rows_list[i]].tolist()
+            missing = [
+                key
+                for key in itertools.compress(_RATE_KEYS, priced)
+                if key not in counters
+            ]
+            if missing:
+                plan[i] = (targets[i], rates[i], missing)
+            else:
+                unkeyed.discard(pid)
+        self._plan = plan
+
     # -- accrual -------------------------------------------------------------
 
     def accrue(self, running: Sequence[SimProcess], t0: float, t1: float) -> None:
         dt = t1 - t0
-        rows = self._acc_rows
-        if rows.size != len(running) or (
-            rows.size and self._pid_row.get(running[0].pid, -1) != rows[0]
+        plan = self._plan
+        if len(plan) != len(running) or (
+            plan and running[0].pid != self._last_pids[0]
         ):
             # Running set drifted from the last resolve (only possible for
             # un-resolved newcomers; any change marks the engine dirty and
-            # forces a resolve before the next accrue).
-            rows = np.asarray(
-                [
-                    self._pid_row[p.pid]
-                    for p in running
-                    if p.pid in self._resolved_pids
-                ],
-                dtype=np.int64,
-            )
-            sel: slice | np.ndarray = rows
-            node_cells = self._row_node[rows]
-            core_cells = self._row_corecell[rows]
-        else:
-            sel = self._acc_sel
-            node_cells = self._acc_node_cells
-            core_cells = self._acc_core_cells
-        if rows.size:
-            amounts = self._R[sel] * dt
-            self._C[sel] += amounts
-            # One fused scatter-add; C-order iteration is per-process,
-            # per-key — and because each rate key lands in its own node
-            # counter column, each target cell still receives its
-            # contributions in process order, bit-identical to the scalar
-            # per-process loop.
-            np.add.at(
-                self._NC,
-                (node_cells[:, None], self._key_node_col_arr[None, :]),
-                amounts,
-            )
-            np.add.at(
-                self._NCcore.reshape(-1),
-                core_cells,
-                amounts[:, _CPU],
-            )
+            # forces a resolve before the next accrue): accrue the resolved
+            # processes still running, in running order.
+            index = self._last_index
+            plan = [plan[index[p.pid]] for p in running if p.pid in index]
+        # Every counter cell receives its contributions in running order,
+        # one ``rate * dt`` each, as in the reference model's loop.  Zero
+        # rates are skipped: adding 0.0 to a non-negative total is a
+        # bitwise no-op.
+        for (counters, node_counters, core_key), rates, missing in plan:
+            for key in missing:
+                counters.setdefault(key, 0.0)
+            for key, rate in zip(_RATE_KEYS, rates):
+                if rate > 0.0:
+                    amount = rate * dt
+                    counters[key] += amount
+                    node_counters[key] += amount
+            cpu = rates[_CPU]
+            if cpu > 0.0:
+                node_counters[core_key] += cpu * dt
+        nodes = self.cluster.nodes
         for node_name, rate in self._remote.items():
-            self._NC[self._node_index[node_name], self._rx_col] += rate * dt
+            nodes[node_name].counters["nic_rx_bytes"] += rate * dt
 
     def accrue_background(self, dt: float) -> None:
-        """OS noise accounting plus the pre-sampler counter flush."""
-        self._NC[:, self._sys_col] += self._noise_base * dt
-        self._flush_nodes()
-
-    # -- counter flushes -----------------------------------------------------
-
-    def _flush_proc_row(self, proc: SimProcess, row: int) -> None:
-        counters = proc.counters
-        for col, key in enumerate(_RATE_KEYS):
-            if self._Tc[row, col]:
-                counters[key] = float(self._C[row, col])
-
-    def _flush_nodes(self) -> None:
-        """Write array-held node counters back to the node dicts.
-
-        Cells equal to the last-flushed snapshot are already current in
-        the dicts (this model is the only writer of these keys), so only
-        the delta is materialized — the sampler tick touches a handful of
-        cells, not every counter on every node.
-        """
-        nodes = self._node_list
-        changed = np.nonzero(self._NC != self._NC_flushed)
-        if changed[0].size:
-            keys = self._node_key_list
-            for i, j in zip(changed[0].tolist(), changed[1].tolist()):
-                nodes[i].counters[keys[j]] = float(self._NC[i, j])
-            np.copyto(self._NC_flushed, self._NC)
-        changed = np.nonzero(self._NCcore != self._NCcore_flushed)
-        if changed[0].size:
-            keys = self._core_keys
-            for i, c in zip(changed[0].tolist(), changed[1].tolist()):
-                nodes[i].counters[keys[c]] = float(self._NCcore[i, c])
-            np.copyto(self._NCcore_flushed, self._NCcore)
-
-    def sync_counters(self) -> None:
-        for proc, row in zip(self._row_proc, range(self._nrows)):
-            self._flush_proc_row(proc, row)
-        self._flush_nodes()
+        """OS noise accounting; called by the cluster's sys sampler."""
+        for counters, busy in self._noise:
+            counters["cpu_sys_seconds"] += busy * dt
 
     def on_process_end(self, proc: SimProcess) -> None:
-        row = self._pid_row.get(proc.pid)
-        if row is not None:
-            self._flush_proc_row(proc, row)
+        self._unkeyed.discard(proc.pid)
         self.cluster.node(proc.node).memory.free_all(proc.pid)

@@ -54,7 +54,9 @@ class RateModel(ABC):
 
     Implementations translate the demand vectors of running segments into
     per-process speeds (fraction of nominal progress per wall second) and
-    integrate usage counters between events.
+    integrate usage counters between events.  :meth:`accrue` adds straight
+    into the process and node counter dicts, so readers see current
+    counters at every event.
     """
 
     #: shared counter block; the engine injects its own via :meth:`attach_stats`
@@ -96,15 +98,6 @@ class RateModel(ABC):
 
     def on_process_end(self, proc: SimProcess) -> None:
         """Hook called when a process finishes or is killed (cleanup)."""
-
-    def sync_counters(self) -> None:
-        """Flush any internally-buffered usage counters to their dicts.
-
-        Models that accumulate counters in flat arrays (the cluster rate
-        model) override this; the engine calls it whenever
-        :meth:`Simulator.run` returns so post-run readers always see
-        up-to-date dictionaries.
-        """
 
 
 class UnitRateModel(RateModel):
@@ -340,9 +333,6 @@ class Simulator:
         try:
             return self._run_batched(until, stop_when)
         finally:
-            # Array-backed models buffer counters; make every run() exit a
-            # consistent read point for samplers, apps and fingerprints.
-            self.model.sync_counters()
             if self._events_dispatched:
                 self.stats.counters["events_dispatched"] = self._events_dispatched
 

@@ -134,6 +134,7 @@ class TraceRecord:
         # on that — ``2097152`` and ``2097152.0`` are equal in Python yet
         # different JSON bytes, which would break the sha256 round trip.
         object.__setattr__(self, "id", int(self.id))
+        object.__setattr__(self, "kind", str(self.kind))
         object.__setattr__(self, "rank", int(self.rank))
         object.__setattr__(self, "deps", tuple(sorted(int(d) for d in self.deps)))
         object.__setattr__(
@@ -170,6 +171,7 @@ class TraceRecord:
             )
         if self.mem is not None:
             object.__setattr__(self, "mem", float(self.mem))
+        object.__setattr__(self, "label", str(self.label))
 
     def validate(self, ranks: int) -> None:
         """Field-level validation (the trace validates the edges)."""
@@ -259,43 +261,33 @@ class TraceRecord:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "TraceRecord":
+        """Inverse of :meth:`to_json`; ``__post_init__`` does the type
+        conversion, so a field of the wrong shape raises here as a
+        :class:`~repro.errors.TraceFormatError`."""
         try:
-            io_raw = data.get("io")
-            io = None
-            if io_raw is not None:
-                fs, write_bw, read_bw, meta_ops = io_raw  # type: ignore[misc]
-                io = (str(fs), float(write_bw), float(read_bw), float(meta_ops))
+            get = data.get
             return cls(
-                id=int(data["id"]),  # type: ignore[arg-type]
-                kind=str(data["kind"]),
-                rank=int(data["rank"]),  # type: ignore[arg-type]
-                deps=tuple(int(d) for d in data.get("deps", ())),  # type: ignore[union-attr]
-                work=float(data.get("work", 0.0)),  # type: ignore[arg-type]
-                cpu=float(data.get("cpu", 1.0)),  # type: ignore[arg-type]
-                cache=tuple(
-                    (str(level), float(size))
-                    for level, size in data.get("cache", ())  # type: ignore[union-attr]
-                ),
-                cache_intensity=float(data.get("cache_intensity", 0.0)),  # type: ignore[arg-type]
-                mpki_base=float(data.get("mpki_base", 0.0)),  # type: ignore[arg-type]
-                mpki_extra=float(data.get("mpki_extra", 0.0)),  # type: ignore[arg-type]
-                miss_cpi_penalty=float(data.get("miss_cpi_penalty", 0.0)),  # type: ignore[arg-type]
-                mem_bw=float(data.get("mem_bw", 0.0)),  # type: ignore[arg-type]
-                mem_bw_extra=float(data.get("mem_bw_extra", 0.0)),  # type: ignore[arg-type]
-                ips=float(data.get("ips", 0.0)),  # type: ignore[arg-type]
-                flows=tuple(
-                    (str(dst), float(rate))
-                    for dst, rate in data.get("flows", ())  # type: ignore[union-attr]
-                ),
-                io=io,
-                counters=tuple(
-                    (str(key), float(value))
-                    for key, value in data.get("counters", ())  # type: ignore[union-attr]
-                ),
-                mem=None if data.get("mem") is None else float(data["mem"]),  # type: ignore[arg-type]
-                label=str(data.get("label", "")),
+                id=data["id"],  # type: ignore[arg-type]
+                kind=data["kind"],  # type: ignore[arg-type]
+                rank=data["rank"],  # type: ignore[arg-type]
+                deps=get("deps", ()),  # type: ignore[arg-type]
+                work=get("work", 0.0),  # type: ignore[arg-type]
+                cpu=get("cpu", 1.0),  # type: ignore[arg-type]
+                cache=get("cache", ()),  # type: ignore[arg-type]
+                cache_intensity=get("cache_intensity", 0.0),  # type: ignore[arg-type]
+                mpki_base=get("mpki_base", 0.0),  # type: ignore[arg-type]
+                mpki_extra=get("mpki_extra", 0.0),  # type: ignore[arg-type]
+                miss_cpi_penalty=get("miss_cpi_penalty", 0.0),  # type: ignore[arg-type]
+                mem_bw=get("mem_bw", 0.0),  # type: ignore[arg-type]
+                mem_bw_extra=get("mem_bw_extra", 0.0),  # type: ignore[arg-type]
+                ips=get("ips", 0.0),  # type: ignore[arg-type]
+                flows=get("flows", ()),  # type: ignore[arg-type]
+                io=get("io"),  # type: ignore[arg-type]
+                counters=get("counters", ()),  # type: ignore[arg-type]
+                mem=get("mem"),  # type: ignore[arg-type]
+                label=get("label", ""),  # type: ignore[arg-type]
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise TraceFormatError(f"malformed trace record: {err}") from err
 
 

@@ -19,7 +19,7 @@ from repro.check.oracles import (
     oracle_stream_export,
     run_global_oracles,
 )
-from repro.cluster.ratemodel import ClusterRateModel
+from repro.cluster.ratemodel import _INSTR, ClusterRateModel
 from repro.network.flows import FlowSolver
 
 PINNED_CORPUS = Path(__file__).with_name("corpus.json")
@@ -72,14 +72,15 @@ class TestReferenceModel:
         # Planted bug: the production model mis-prices instruction rates
         # by a hair.  "A hair" is precisely what fingerprints exist to
         # catch.
-        real = ClusterRateModel._record_rates_array
+        # The plant sits in _record_rates, which derives the rates that
+        # _plan_accrue hands to accrue.
+        real = ClusterRateModel._record_rates
 
-        def skewed(self, rows):
-            real(self, rows)
-            if rows.size:
-                self._R[rows, 2] *= 1.0 + 1e-9  # instructions column
+        def skewed(self, group):
+            real(self, group)
+            self._R[group.sel, _INSTR] *= 1.0 + 1e-9
 
-        monkeypatch.setattr(ClusterRateModel, "_record_rates_array", skewed)
+        monkeypatch.setattr(ClusterRateModel, "_record_rates", skewed)
         outcome = evaluate_case(net_spec)
         assert "reference_model" in [name for name, _ in outcome.mismatches]
 

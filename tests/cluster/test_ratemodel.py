@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.check import fingerprint_cluster, use_reference_model
 from repro.cluster import Cluster, MachineSpec
 from repro.sim.process import Flow, IODemand, ProcessState, Segment
 from repro.storage.filesystem import SharedFilesystem
@@ -250,3 +251,59 @@ class TestStageTimers:
         for stage in ("node", "network", "storage"):
             assert stage in timings
             assert timings[stage] >= 0.0
+
+
+class TestCountersMatchReference:
+    """Counter dicts hold the same keys and floats under both models."""
+
+    @staticmethod
+    def _cluster(reference):
+        cluster = Cluster.voltrino(num_nodes=8)
+        if reference:
+            use_reference_model(cluster)
+        return cluster
+
+    def _read_mid_run(self, reference):
+        cluster = self._cluster(reference)
+
+        def sender(proc):
+            yield Segment(
+                work=5.0, cpu=1.0, ips=1e9, flows=[Flow(dst="node4", rate=1e9)]
+            )
+
+        p = cluster.spawn("snd", sender, node=0, core=0)
+        seen = {}
+
+        def read():
+            seen["proc"] = dict(p.counters)
+            seen["node0"] = dict(cluster.node(0).counters)
+            seen["node4"] = dict(cluster.node(4).counters)
+
+        cluster.sim.schedule(2.0, read)
+        cluster.sim.run(until=10.0)
+        return seen
+
+    def test_mid_run_read_matches_reference(self):
+        seen = self._read_mid_run(reference=False)
+        assert seen == self._read_mid_run(reference=True)
+        assert seen["proc"]["instructions"] == 2e9
+        assert seen["node0"]["cpu_core0_seconds"] == 2.0
+        assert seen["node4"]["nic_rx_bytes"] > 0.0
+
+    def _fingerprint_zero_work(self, reference):
+        cluster = self._cluster(reference)
+
+        def blip(proc):
+            yield Segment(work=0.0, cpu=1.0, ips=1e9)
+
+        cluster.spawn("blip", blip, node=0, core=0)
+        cluster.spawn("p", compute(3.0, ips=1e9), node=0, core=1)
+        cluster.sim.run(until=10.0)
+        return fingerprint_cluster(cluster)
+
+    def test_zero_work_segment_fingerprint_matches_reference(self):
+        # The zero-work segment is priced but never accrued, so neither
+        # model may give it counter keys.
+        assert self._fingerprint_zero_work(False) == self._fingerprint_zero_work(
+            True
+        )

@@ -57,6 +57,26 @@ def test_end_record_carries_reason():
     assert records[0].time == pytest.approx(2.0)
 
 
+def _counters_after_run(traced):
+    cluster = Cluster(num_nodes=1)
+    if traced:
+        Tracer().attach(cluster.sim)
+
+    def app(proc):
+        yield Segment(work=10.0, ips=1e9, mem_bw=1e9)
+
+    app_proc = cluster.spawn("app", app, node=0, core=0)
+    CpuOccupy(utilization=100, duration=4.0).launch(cluster, "node0", core=0, start=2.0)
+    cluster.sim.run(until=100)
+    return dict(app_proc.counters), dict(cluster.node(0).counters)
+
+
+def test_tracing_leaves_counters_unchanged():
+    traced = _counters_after_run(traced=True)
+    assert traced == _counters_after_run(traced=False)
+    assert traced[0]["instructions"] > 0.0
+
+
 def test_render_is_readable():
     cluster = Cluster(num_nodes=1)
     tracer = Tracer()

@@ -86,6 +86,40 @@ def test_tampered_record_fails_sha():
         loads(tampered)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda rec: rec.pop("id"),
+        lambda rec: rec.update(rank="zero"),
+        lambda rec: rec.update(deps=7),
+        lambda rec: rec.update(work=None),
+        lambda rec: rec.update(cache=[["L2"]]),
+        lambda rec: rec.update(flows=[["node1", "fast"]]),
+        lambda rec: rec.update(io=["nfs", 1.0]),
+        lambda rec: rec.update(counters=[["steps", []]]),
+        lambda rec: rec.update(mem="lots"),
+    ],
+)
+def test_damaged_record_field_is_typed_error(damage):
+    data = _tiny_trace().records[0].to_json()
+    damage(data)
+    with pytest.raises(TraceFormatError, match="malformed trace record"):
+        TraceRecord.from_json(data)
+
+
+def test_non_object_record_is_typed_error():
+    text = dumps(_tiny_trace())
+    first = text.split("\n")[1]
+    with pytest.raises(TraceFormatError, match="malformed trace record"):
+        loads(text.replace(first, '{"record":[1,2]}', 1))
+
+
+def test_record_text_fields_canonicalize():
+    data = _tiny_trace().records[0].to_json()
+    data["label"] = 5
+    assert TraceRecord.from_json(data).label == "5"
+
+
 def test_missing_trace_file_is_typed_error(tmp_path):
     with pytest.raises(TraceFormatError, match="cannot read"):
         load_trace(tmp_path / "nope.jsonl")
