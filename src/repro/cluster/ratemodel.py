@@ -21,10 +21,11 @@ segment changed, stage 1 re-solves only the nodes hosting a dirty pid
 (clean nodes keep their rows bit-for-bit), recurring network demand
 replays from a memo, and the storage stage is skipped outright when its
 demand signature is unchanged since the previous resolve (see
-docs/PERFORMANCE.md).  Per-process speeds and rates live in flat numpy
-arrays; :class:`~repro.cluster.reference.ReferenceRateModel` states the
-same equations as plain scalar loops, and the differential oracle in
-:mod:`repro.check` holds the two byte-identical.
+docs/PERFORMANCE.md).  Per-process state lives in plain lists indexed
+by a pid→row table, so the model runs the same scalar float operations
+as :class:`~repro.cluster.reference.ReferenceRateModel`; the two differ
+only in their caches, and the differential oracle in :mod:`repro.check`
+holds them byte-identical.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from repro.cache.model import (
     CacheDemand,
@@ -57,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: modelled L3 MPKI into an L2 MPKI for the PAPI-style sampler.
 L2_MISS_FACTOR = 2.5
 
-#: the model-owned per-process counter keys, in rate-matrix column order;
+#: the model-owned per-process counter keys, in rate-row column order;
 #: each is also the name of the node counter it accrues into.
 _RATE_KEYS = (
     "cpu_user_seconds",
@@ -74,15 +73,16 @@ _RATE_KEYS = (
 
 #: a ``_row_dem`` entry before the row's first segment
 _NO_DEMAND = (0.0,) * 8
+#: an ``_s1`` entry before the row's first solve
+_NO_STAGE1 = (0.0,) * 4
 
 
 @dataclass
 class _NetStage:
-    """Memoized network-stage outcome in array form (rows into the model)."""
+    """Memoized network-stage outcome: ``(row, worst ratio, tx rate)`` per
+    flow-bearing row, and the rx rate per destination node."""
 
-    rows: np.ndarray
-    ratios: np.ndarray
-    tx: np.ndarray
+    grants: tuple[tuple[int, float, float], ...]
     remote: dict[str, float]
 
 
@@ -92,7 +92,8 @@ class _IOStage:
 
     signature: tuple
     ratios: dict[int, float]
-    rates: dict[int, dict[str, float]]
+    #: per pid: (write, read, metadata) rates
+    rates: dict[int, tuple[float, float, float]]
 
 
 class _RunGroup:
@@ -100,16 +101,11 @@ class _RunGroup:
 
     The engine resolves thousands of times per simulated run against the
     same ordered process list; everything here is a pure function of that
-    list, so rebuilding it per resolve is pure overhead.  ``sel`` is a
-    slice when the rows happen to be contiguous (the common case — rows
-    are handed out in spawn order), letting the per-resolve array ops use
-    basic indexing instead of fancy indexing."""
+    list, so rebuilding it per resolve is pure overhead."""
 
     __slots__ = (
         "pids",
         "rows",
-        "rows_list",
-        "sel",
         "node_pids",
         "node_rows",
         "pid_index",
@@ -120,18 +116,11 @@ class _RunGroup:
         self,
         model: "ClusterRateModel",
         pids: tuple[int, ...],
-        rows_list: list[int],
+        rows: list[int],
         by_node: dict[str, list[SimProcess]],
     ) -> None:
         self.pids = pids
-        self.rows_list = rows_list
-        rows = np.asarray(rows_list, dtype=np.int64)
         self.rows = rows
-        n = len(rows_list)
-        if n and rows_list == list(range(rows_list[0], rows_list[0] + n)):
-            self.sel: slice | np.ndarray = slice(rows_list[0], rows_list[0] + n)
-        else:
-            self.sel = rows
         pid_row = model._pid_row
         intern = model._node_rows_intern
         node_pids: dict[str, tuple[int, ...]] = {}
@@ -139,23 +128,21 @@ class _RunGroup:
         for name, procs in by_node.items():
             pids_t = tuple(p.pid for p in procs)
             node_pids[name] = pids_t
-            quad = intern.get((name, pids_t))
-            if quad is None:
-                rows_py = [pid_row[p.pid] for p in procs]
-                quad = (
-                    np.asarray(rows_py, dtype=np.int64),
-                    rows_py,
+            triple = intern.get((name, pids_t))
+            if triple is None:
+                triple = (
+                    [pid_row[p.pid] for p in procs],
                     tuple(p.core for p in procs),
                     model.cluster.node(name).spec,
                 )
-                intern[(name, pids_t)] = quad
+                intern[(name, pids_t)] = triple
                 if len(intern) > 4 * model.GROUP_CACHE_SIZE:
                     del intern[next(iter(intern))]
-            node_rows[name] = quad
+            node_rows[name] = triple
         self.node_pids = node_pids
         self.node_rows = node_rows
         self.pid_index = {pid: i for i, pid in enumerate(pids)}
-        self.targets = [model._row_targets[row] for row in rows_list]
+        self.targets = [model._row_targets[row] for row in rows]
 
 
 class ClusterRateModel(RateModel):
@@ -172,34 +159,33 @@ class ClusterRateModel(RateModel):
     k_paths:
         Paths considered by adaptive routing; 1 = static routing.
 
-    Compared with the scalar model (see
-    :class:`~repro.cluster.reference.ReferenceRateModel`):
+    Compared with the reference model (see
+    :class:`~repro.cluster.reference.ReferenceRateModel`), which runs the
+    same scalar float operations on dicts and keeps no caches:
 
-    * per-process speeds and the nine model-owned counter *rates* live in
-      contiguous arrays indexed by a pid→row slot table; a resolve writes
-      rows, not dicts;
+    * per-process state lives in plain lists indexed by a pid→row slot
+      table.  A resolve gives each running row its speed in ``_speed``
+      and a fresh list of the nine model-owned counter *rates* in
+      ``_rates``; ``_row_priced`` names the columns the reference would
+      have priced for the row's segment;
     * counter *totals* have one home, the process and node counter
       dicts.  Each resolve ends by pairing every running row's dicts
-      with its rate row (:meth:`_plan_accrue`); ``accrue`` walks that
+      with its rate list (:meth:`_plan_accrue`); ``accrue`` walks that
       plan in running order and adds ``rate * dt`` for every positive
       rate, so every counter cell receives the reference loop's floats
       in the reference loop's order;
-    * stage 1 solves a dirty node's tenants with one scalar pass over
-      plain tuples (:meth:`_solve_node`), in the reference model's float
-      order; a node hosts 1–32 tenants, too few for numpy's per-call
-      cost to pay.  A content-addressed memo in front of it
+    * stage 1 re-solves only nodes that host a dirty pid, and a
+      content-addressed memo in front of the solve
       (:meth:`_solve_node_memo`) reuses whole configurations — a node's
       solve is a pure function of (spec, per-tenant ``(core, segment
       demand)``), and synchronized ranks cycle a handful of identical
       configurations;
-    * the network stage's memo signature is an array fingerprint — the
-      interned (pid, src, dst) structure token plus ``demands.tobytes()``
-      — so a recurring signature replays a memoized stage from
-      ``_net_memo`` and only novel signatures reach
-      :meth:`FlowSolver.solve`.
+    * the network stage's memo signature is the interned (pid, src, dst)
+      structure token plus the per-flow NIC factors and demands, so a
+      recurring signature replays a memoized stage from ``_net_memo``
+      and only novel signatures reach :meth:`FlowSolver.solve`.
 
-    Exactness rules used throughout (see docs/PERFORMANCE.md): elementwise
-    numpy ops are IEEE-identical to the scalar ops they replace; adding
+    Exactness rules used throughout (see docs/PERFORMANCE.md): adding
     ``0.0`` to a non-negative total is a bitwise no-op (which is why
     ``accrue`` may skip zero rates); reductions that would reassociate
     floating-point sums are never used on accumulated values.
@@ -207,8 +193,8 @@ class ClusterRateModel(RateModel):
 
     #: distinct (spec, tenancy) stage-1 configurations kept.  Jittered
     #: ranks desynchronize, so distinct tenancy configurations number in
-    #: the thousands on long contended runs; entries are a small key
-    #: tuple and four small arrays, so a deep memo is cheap.
+    #: the thousands on long contended runs; entries are small tuples,
+    #: so a deep memo is cheap.
     STAGE1_MEMO_SIZE = 4096
     #: distinct network-stage signatures kept (and interned flow
     #: structures, whose tokens those signatures carry)
@@ -246,12 +232,14 @@ class ClusterRateModel(RateModel):
             {lvl: node.spec.cache.size(lvl) for lvl in CACHE_LEVELS}
             for node in nodes
         ]
-        # pid → row slot table plus row-indexed state; capacity doubles on
-        # demand and rows are never recycled (pids are globally unique).
+        # pid → row slot table plus row-indexed lists, appended in
+        # _row_for; rows are never recycled (pids are globally unique).
         self._pid_row: dict[int, int] = {}
         self._row_proc: list[SimProcess] = []
-        #: the row's counter targets: (process dict, node dict, node
-        #: per-core key), fixed at spawn
+        #: fixed at spawn: the row's node index, miss amplification and
+        #: counter targets (process dict, node dict, node per-core key)
+        self._row_node: list[int] = []
+        self._row_amp: list[float] = []
         self._row_targets: list[tuple[dict, dict, str]] = []
         #: stage-1 topology of the row's core: (core, physical core,
         #: sibling or -1, socket), fixed at spawn
@@ -260,12 +248,20 @@ class ClusterRateModel(RateModel):
         #: L1/L2/L3 footprints, intensity, miss-CPI penalty, mem_bw,
         #: mem_bw_extra); kept as-is when a segment ends
         self._row_dem: list[tuple[float, ...]] = []
+        #: the current segment's (ips, mpki_base, mpki_extra), flows, I/O
+        #: demand and priced rate columns; ``None`` where it has none
+        self._row_seg: list[tuple[float, float, float] | None] = []
         self._row_flows: list[tuple | None] = []
-        self._nrows = 0
-        self._alloc(64)
+        self._row_io: list[IODemand | None] = []
+        self._row_priced: list[tuple[int, ...]] = []
+        #: pre-fault stage-1 outcome: (speed, miss factor, cpu, mem rate)
+        self._s1: list[tuple[float, float, float, float]] = []
+        #: the last resolve's speed and rate list of each running row
+        self._speed: list[float] = []
+        self._rates: list[list[float]] = []
         #: stage-1 configuration memo (content-addressed, see class doc)
         self._stage1_cache: dict[tuple, tuple] = {}
-        #: per-node tenant quadruples keyed by (node, ordered pid tuple);
+        #: per-node tenant triples keyed by (node, ordered pid tuple);
         #: a node's tenant configuration is a pure function of that key
         #: (rows and core pinning are fixed per pid), and recurs across
         #: many distinct global running sets, so group (re)builds mostly
@@ -273,11 +269,12 @@ class ClusterRateModel(RateModel):
         self._node_rows_intern: dict[tuple, tuple] = {}
         #: network-stage memo (signature → folded stage outcome)
         self._net_memo: dict[tuple, _NetStage] = {}
-        # flow-structure cache: rebuilt only when the set of flow-bearing
-        # rows (or any of their segments) changes
+        # per-flow lists (owning row, nominal rate, structure, node
+        # pair): rebuilt only when the set of flow-bearing rows (or any
+        # of their segments) changes
         self._flow_rows_key: tuple | None = None
-        self._flow_rows_arr = np.zeros(0, dtype=np.int64)
-        self._flow_rates_arr = np.zeros(0)
+        self._flow_owner: list[int] = []
+        self._flow_rates: list[float] = []
         self._flow_struct: tuple = ()
         self._flow_token = -1
         #: flow-structure interning table (structure tuple → token); the
@@ -289,7 +286,6 @@ class ClusterRateModel(RateModel):
         self._struct_intern: dict[tuple, int] = {}
         self._struct_tokens = itertools.count()
         self._flow_pairs: list[tuple[str, str]] = []
-        self._flow_ones = np.zeros(0)
         self._flows_dirty = False
         #: nic_rx_bytes rate per destination node, from the network stage
         self._remote: dict[str, float] = {}
@@ -314,45 +310,24 @@ class ClusterRateModel(RateModel):
 
     # -- slot management ----------------------------------------------------
 
-    def _alloc(self, cap: int) -> None:
-        nkeys = len(_RATE_KEYS)
-
-        def grow(old, shape, dtype):
-            out = np.zeros(shape, dtype=dtype)
-            if old is not None:
-                out[: old.shape[0]] = old
-            return out
-
-        self._row_node = grow(getattr(self, "_row_node", None), cap, np.int64)
-        self._row_amp = grow(getattr(self, "_row_amp", None), cap, float)
-        self._seg_present = grow(getattr(self, "_seg_present", None), cap, bool)
-        self._seg_ips = grow(getattr(self, "_seg_ips", None), cap, float)
-        self._seg_mpki_base = grow(getattr(self, "_seg_mpki_base", None), cap, float)
-        self._seg_mpki_extra = grow(getattr(self, "_seg_mpki_extra", None), cap, float)
-        # stage-2/3 membership of the row's current segment
-        self._row_flow_mask = grow(getattr(self, "_row_flow_mask", None), cap, bool)
-        self._row_io_mask = grow(getattr(self, "_row_io_mask", None), cap, bool)
-        self._s1_speed = grow(getattr(self, "_s1_speed", None), cap, float)
-        self._s1_cpu = grow(getattr(self, "_s1_cpu", None), cap, float)
-        self._s1_mem = grow(getattr(self, "_s1_mem", None), cap, float)
-        self._mf = grow(getattr(self, "_mf", None), cap, float)
-        self._S = grow(getattr(self, "_S", None), cap, float)
-        self._R = grow(getattr(self, "_R", None), (cap, nkeys), float)
-        self._Tmask = grow(getattr(self, "_Tmask", None), (cap, nkeys), bool)
-
     def _row_for(self, proc: SimProcess) -> int:
         row = self._pid_row.get(proc.pid)
         if row is not None:
             return row
-        if self._nrows == self._S.shape[0]:
-            self._alloc(2 * self._nrows)
-        row = self._nrows
-        self._nrows += 1
+        row = len(self._row_proc)
         self._pid_row[proc.pid] = row
         self._row_proc.append(proc)
-        self._row_flows.append(None)
         ni = self._node_index[proc.node]
         spec = self._node_list[ni].spec
+        self._row_node.append(ni)
+        self._row_amp.append(spec.miss_amplification)
+        self._row_seg.append(None)
+        self._row_flows.append(None)
+        self._row_io.append(None)
+        self._row_priced.append((_CPU, _MEM))
+        self._s1.append(_NO_STAGE1)
+        self._speed.append(0.0)
+        self._rates.append([0.0] * len(_RATE_KEYS))
         sibling = spec.sibling_of(proc.core)
         self._row_topo.append(
             (
@@ -370,8 +345,6 @@ class ClusterRateModel(RateModel):
                 f"cpu_core{proc.core}_seconds",
             )
         )
-        self._row_node[row] = ni
-        self._row_amp[row] = spec.miss_amplification
         return row
 
     # -- resolve ------------------------------------------------------------
@@ -403,16 +376,16 @@ class ClusterRateModel(RateModel):
         with stats.timer("node"):
             group = self._solve_nodes(running, dirty)
         rows = group.rows
-        sel = group.sel
         with stats.timer("network"):
-            self._solve_network_array(rows[self._row_flow_mask[sel]].tolist())
+            self._solve_network(rows)
         with stats.timer("storage"):
-            self._solve_storage_array(rows[self._row_io_mask[sel]])
+            self._solve_storage(rows)
         self._record_rates(group)
         self._plan_accrue(group)
         self._last_pids = group.pids
         self._last_index = group.pid_index
-        return dict(zip(group.pids, self._S[sel].tolist()))
+        speed = self._speed
+        return dict(zip(group.pids, [speed[row] for row in rows]))
 
     def _solve_nodes(
         self, running: Sequence[SimProcess], dirty: frozenset[int] | None
@@ -429,40 +402,37 @@ class ClusterRateModel(RateModel):
             # proc's node/core pinning is fixed for its lifetime, so a
             # configuration revived after a barrier phase is still exact.
             rows = group.rows
-            rows_list = group.rows_list
             if dirty is None:
                 for i, proc in enumerate(running):
-                    self._refresh_segment(proc, rows_list[i])
+                    self._refresh_segment(proc, rows[i])
             else:
                 if dirty:
                     pid_index = group.pid_index
                     for pid in dirty:
                         i = pid_index.get(pid)
                         if i is not None:
-                            self._refresh_segment(running[i], rows_list[i])
-                present = self._seg_present[group.sel]
-                if not present.all():
-                    for i in np.nonzero(~present)[0].tolist():
-                        if pids[i] not in dirty:
-                            self._refresh_segment(running[i], rows_list[i])
+                            self._refresh_segment(running[i], rows[i])
+                row_seg = self._row_seg
+                for i, row in enumerate(rows):
+                    if row_seg[row] is None and pids[i] not in dirty:
+                        self._refresh_segment(running[i], row)
         else:
-            rows_list = []
+            rows = []
             by_node: dict[str, list[SimProcess]] = {}
             for proc in running:
                 row = self._row_for(proc)
-                rows_list.append(row)
+                rows.append(row)
                 procs = by_node.get(proc.node)
                 if procs is None:
                     by_node[proc.node] = [proc]
                 else:
                     procs.append(proc)
-                if dirty is None or proc.pid in dirty or not self._seg_present[row]:
+                if dirty is None or proc.pid in dirty or self._row_seg[row] is None:
                     self._refresh_segment(proc, row)
-            group = _RunGroup(self, pids, rows_list, by_node)
+            group = _RunGroup(self, pids, rows, by_node)
             self._group_cache[pids] = group
             if len(self._group_cache) > self.GROUP_CACHE_SIZE:
                 del self._group_cache[next(iter(self._group_cache))]
-            rows = group.rows
             # Nodes only lose all tenants when the running set changes, so
             # stale-entry cleanup belongs to the group rebuild.
             for stale in [
@@ -485,15 +455,13 @@ class ClusterRateModel(RateModel):
             self._solve_node_memo(node_rows[node_name])
             self._node_cache[node_name] = pids_t
 
-        sel = group.sel
-        if rows.size:
-            self._R[sel] = 0.0
-            self._Tmask[sel] = False
-            self._S[sel] = self._s1_speed[sel]
-            self._R[sel, _CPU] = self._s1_cpu[sel]
-            self._R[sel, _MEM] = self._s1_mem[sel]
-            self._Tmask[sel, _CPU] = True
-            self._Tmask[sel, _MEM] = True
+        s1 = self._s1
+        speed = self._speed
+        rates = self._rates
+        for row in rows:
+            s, _, cpu, mem = s1[row]
+            speed[row] = s
+            rates[row] = [cpu, mem, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
         # Fault-induced compute degradation: stage-1 rows always store
         # *pre-fault* values, so the factor is applied uniformly on every
@@ -501,51 +469,45 @@ class ClusterRateModel(RateModel):
         # materialized rates are the stage-1 pair, exactly the keys the
         # reference model scales.
         faults = self.cluster.faults
-        if faults is not None and faults.active and rows.size:
-            node_factor = np.ones(len(self._node_index))
-            for name, i in self._node_index.items():
-                node_factor[i] = faults.speed_factor(name)
-            factor = node_factor[self._row_node[rows]]
-            degraded = factor < 1.0
-            if degraded.any():
-                drows = rows[degraded]
-                f = factor[degraded]
-                self._S[drows] *= f
-                self._R[drows, _CPU] *= f
-                self._R[drows, _MEM] *= f
+        if faults is not None and faults.active:
+            node_factor = [faults.speed_factor(node.name) for node in self._node_list]
+            row_node = self._row_node
+            for row in rows:
+                f = node_factor[row_node[row]]
+                if f < 1.0:
+                    speed[row] *= f
+                    rate = rates[row]
+                    rate[_CPU] *= f
+                    rate[_MEM] *= f
         return group
 
     @property
     def last_rates(self) -> dict[int, dict[str, float]]:
         """Per-pid accounting rates from the last resolve, materialized
-        on demand from the rate matrix (checker-facing view)."""
+        on demand from the priced columns of each rate list
+        (checker-facing view)."""
         out: dict[int, dict[str, float]] = {}
         for pid in self._last_pids:
             row = self._pid_row[pid]
-            rates: dict[str, float] = {}
-            for col, key in enumerate(_RATE_KEYS):
-                if self._Tmask[row, col]:
-                    rates[key] = float(self._R[row, col])
-            out[pid] = rates
+            rates = self._rates[row]
+            out[pid] = {_RATE_KEYS[col]: rates[col] for col in self._row_priced[row]}
         return out
 
     def _refresh_segment(self, proc: SimProcess, row: int) -> None:
-        """Mirror the row's current segment into the demand arrays."""
+        """Mirror the row's current segment into the row lists; the
+        priced columns are the keys the reference model prices for it."""
         self._unkeyed.add(proc.pid)
         seg = proc.current
         old_flows = self._row_flows[row]
         if seg is None:
-            self._seg_present[row] = False
+            self._row_seg[row] = None
             self._row_flows[row] = None
-            self._row_flow_mask[row] = False
-            self._row_io_mask[row] = False
+            self._row_io[row] = None
+            self._row_priced[row] = (_CPU, _MEM)
             if old_flows is not None:
                 self._flows_dirty = True
             return
-        self._seg_present[row] = True
-        self._seg_ips[row] = seg.ips
-        self._seg_mpki_base[row] = seg.mpki_base
-        self._seg_mpki_extra[row] = seg.mpki_extra
+        self._row_seg[row] = (seg.ips, seg.mpki_base, seg.mpki_extra)
         fp = inclusive_footprints(
             seg.cache_footprint, self._node_sizes[self._row_node[row]]
         )
@@ -561,8 +523,13 @@ class ClusterRateModel(RateModel):
         )
         flows = seg.flows if seg.flows else None
         self._row_flows[row] = flows
-        self._row_flow_mask[row] = flows is not None
-        self._row_io_mask[row] = seg.io is not None
+        self._row_io[row] = seg.io
+        priced = [_CPU, _MEM, _INSTR, _L2, _L3]
+        if flows is not None and self.flow_solver is not None:
+            priced.append(_NIC)
+        if seg.io is not None:
+            priced += (_IOW, _IOR, _IOM)
+        self._row_priced[row] = tuple(priced)
         if flows is not None or old_flows is not None:
             self._flows_dirty = True
 
@@ -575,13 +542,13 @@ class ClusterRateModel(RateModel):
         per-tenant ``(core, segment demand)`` vector — pids only label the
         outputs — so identical configurations (synchronized ranks cycling
         compute/comm phases) are served from the memo bit-for-bit.  The
-        memoized value is :meth:`_solve_node`'s output quadruple
-        ``(speed, miss_factor, cpu_rate, mem_rate)`` as one array each,
-        aligned with the rows, scattered into the stage-1 arrays here.
+        memoized value holds one ``(speed, miss_factor, cpu_rate,
+        mem_rate)`` tuple per tenant, aligned with the rows, stored into
+        ``_s1`` here.
         """
-        rows, rows_py, cores, spec = node_rows
+        rows, cores, spec = node_rows
         row_dem = self._row_dem
-        dem = tuple(row_dem[r] for r in rows_py)
+        dem = tuple(row_dem[r] for r in rows)
         key = (id(spec), cores, dem)
         hit = self._stage1_cache.get(key)
         if hit is not None:
@@ -589,16 +556,14 @@ class ClusterRateModel(RateModel):
         else:
             self.stats.count("stage1_memo_misses")
             row_topo = self._row_topo
-            topo = [row_topo[r] for r in rows_py]
-            hit = tuple(np.array(out) for out in self._solve_node(spec, dem, topo))
+            topo = [row_topo[r] for r in rows]
+            hit = tuple(zip(*self._solve_node(spec, dem, topo)))
             if len(self._stage1_cache) >= self.STAGE1_MEMO_SIZE:
                 self._stage1_cache.pop(next(iter(self._stage1_cache)))
             self._stage1_cache[key] = hit
-        speed, mf, cpu_rate, mem_rate = hit
-        self._s1_speed[rows] = speed
-        self._mf[rows] = mf
-        self._s1_cpu[rows] = cpu_rate
-        self._s1_mem[rows] = mem_rate
+        s1 = self._s1
+        for row, out in zip(rows, hit):
+            s1[row] = out
 
     def _solve_node(
         self,
@@ -705,28 +670,31 @@ class ClusterRateModel(RateModel):
 
     # -- stage 2: network ----------------------------------------------------
 
-    def _solve_network_array(self, flow_rows: list[int]) -> None:
-        if self.flow_solver is None or not flow_rows:
+    def _solve_network(self, rows: list[int]) -> None:
+        if self.flow_solver is None:
             return
-        # Rebuild the flow-structure arrays only when the set of
-        # flow-bearing rows changed or one of their segments refreshed;
-        # between changes a resolve just rescales cached per-flow rates.
-        key = tuple(flow_rows)
-        if self._flows_dirty or key != self._flow_rows_key:
-            rows_l: list[int] = []
+        row_flows = self._row_flows
+        flow_rows = tuple([row for row in rows if row_flows[row] is not None])
+        if not flow_rows:
+            return
+        # Rebuild the per-flow lists only when the set of flow-bearing
+        # rows changed or one of their segments refreshed; between
+        # changes a resolve just rescales the cached per-flow rates.
+        if self._flows_dirty or flow_rows != self._flow_rows_key:
+            owners: list[int] = []
             rates: list[float] = []
             struct: list[tuple] = []
             pairs: list[tuple[str, str]] = []
             for row in flow_rows:
                 proc = self._row_proc[row]
-                for flow in self._row_flows[row]:
-                    rows_l.append(row)
+                for flow in row_flows[row]:
+                    owners.append(row)
                     rates.append(flow.rate)
                     struct.append((proc.pid, proc.node, flow.dst))
                     pairs.append((proc.node, flow.dst))
-            self._flow_rows_key = key
-            self._flow_rows_arr = np.asarray(rows_l, dtype=np.int64)
-            self._flow_rates_arr = np.asarray(rates)
+            self._flow_rows_key = flow_rows
+            self._flow_owner = owners
+            self._flow_rates = rates
             struct_t = tuple(struct)
             self._flow_struct = struct_t
             token = self._struct_intern.get(struct_t)
@@ -737,23 +705,27 @@ class ClusterRateModel(RateModel):
                 self._struct_intern[struct_t] = token
             self._flow_token = token
             self._flow_pairs = pairs
-            self._flow_ones = np.ones(len(rows_l))
             self._flows_dirty = False
-        demands = self._flow_rates_arr * self._S[self._flow_rows_arr]
+        speed = self._speed
+        demands = tuple(
+            [rate * speed[row] for row, rate in zip(self._flow_owner, self._flow_rates)]
+        )
         faults = self.cluster.faults
         if faults is not None and faults.active:
-            nic = np.asarray(
+            nic = tuple(
                 [
                     faults.nic_factor(src) * faults.nic_factor(dst)
                     for src, dst in self._flow_pairs
                 ]
             )
         else:
-            nic = self._flow_ones
-        # Array fingerprint: interned structure token + raw demand/nic
-        # bytes (bytes objects cache their hash, so repeat signatures cost
-        # one int hash plus two cached-byte hashes).
-        signature = (self._flow_token, nic.tobytes(), demands.tobytes())
+            nic = (1.0,) * len(demands)
+        # The interned structure token plus the per-flow NIC factors and
+        # demands.  Float equality is exact for every value the stage can
+        # see: it merges -0.0 with 0.0, but both take the same
+        # ``demand <= 0`` branch below, so a hit across them replays the
+        # same stage; a NaN never equals a fresh NaN, so it only misses.
+        signature = (self._flow_token, nic, demands)
         memo = self._net_memo
         stage = memo.get(signature)
         if stage is not None:
@@ -761,7 +733,7 @@ class ClusterRateModel(RateModel):
         else:
             self.stats.count("network_stage_solves")
             requests = [
-                FlowRequest(key=k, src=src, dst=dst, demand=float(demand))
+                FlowRequest(key=k, src=src, dst=dst, demand=demand)
                 for k, ((pid, src, dst), demand) in enumerate(
                     zip(self._flow_struct, demands)
                 )
@@ -770,9 +742,7 @@ class ClusterRateModel(RateModel):
             worst: dict[int, float] = {}
             tx: dict[int, float] = {}
             remote: dict[str, float] = {}
-            nic_list = nic.tolist()
-            rows_list = self._flow_rows_arr.tolist()
-            for request, row, nic_k in zip(requests, rows_list, nic_list):
+            for request, row, nic_k in zip(requests, self._flow_owner, nic):
                 grant = result.grants[request.key] * nic_k
                 demand = request.demand
                 ratio = nic_k if demand <= 0 else min(1.0, grant / demand)
@@ -780,11 +750,7 @@ class ClusterRateModel(RateModel):
                 tx[row] = tx.get(row, 0.0) + grant
                 remote[request.dst] = remote.get(request.dst, 0.0) + grant
             stage = _NetStage(
-                rows=np.fromiter(worst, dtype=np.int64, count=len(worst)),
-                ratios=np.fromiter(worst.values(), dtype=float, count=len(worst)),
-                tx=np.fromiter(
-                    (tx[row] for row in worst), dtype=float, count=len(worst)
-                ),
+                grants=tuple((row, ratio, tx[row]) for row, ratio in worst.items()),
                 remote=remote,
             )
             if len(memo) >= self.NET_MEMO_SIZE:
@@ -793,27 +759,32 @@ class ClusterRateModel(RateModel):
         self._apply_net_stage(stage)
 
     def _apply_net_stage(self, stage: _NetStage) -> None:
-        self._S[stage.rows] *= stage.ratios
-        self._R[stage.rows, _NIC] = stage.tx
-        self._Tmask[stage.rows, _NIC] = True
+        speed = self._speed
+        rates = self._rates
+        for row, ratio, tx in stage.grants:
+            speed[row] *= ratio
+            rates[row][_NIC] = tx
         for dst, rate in stage.remote.items():
             self._remote[dst] = self._remote.get(dst, 0.0) + rate
 
     # -- stage 3: storage ----------------------------------------------------
 
-    def _solve_storage_array(self, io_rows: np.ndarray) -> None:
+    def _solve_storage(self, rows: list[int]) -> None:
         by_fs: dict[str, list[tuple[SimProcess, IODemand]]] = defaultdict(list)
-        for row in io_rows.tolist():
-            proc = self._row_proc[row]
-            io = proc.current.io
-            speed = float(self._S[row])
+        row_io = self._row_io
+        speeds = self._speed
+        for row in rows:
+            io = row_io[row]
+            if io is None:
+                continue
+            speed = speeds[row]
             scaled = type(io)(
                 fs=io.fs,
                 write_bw=io.write_bw * speed,
                 read_bw=io.read_bw * speed,
                 meta_ops=io.meta_ops * speed,
             )
-            by_fs[io.fs].append((proc, scaled))
+            by_fs[io.fs].append((self._row_proc[row], scaled))
         obs = self.cluster.sim.obs
         if obs is not None:
             for fs_name in self.cluster.filesystems:
@@ -844,71 +815,58 @@ class ClusterRateModel(RateModel):
             return
         self.stats.count("storage_stage_solves")
         ratios: dict[int, float] = {}
-        io_rates: dict[int, dict[str, float]] = {}
+        io_rates: dict[int, tuple[float, float, float]] = {}
         for fs_name, pairs in by_fs.items():
             fs = self.cluster.filesystem(fs_name)
             grants = fs.solve([(p.pid, p.node, io) for p, io in pairs])
             for p, _ in pairs:
                 grant = grants[p.pid]
                 ratios[p.pid] = min(1.0, grant.ratio)
-                io_rates[p.pid] = {
-                    "io_write_bytes": grant.write_bw,
-                    "io_read_bytes": grant.read_bw,
-                    "io_meta_ops": grant.meta_ops,
-                }
+                io_rates[p.pid] = (grant.write_bw, grant.read_bw, grant.meta_ops)
         self._io_cache = _IOStage(signature=signature, ratios=ratios, rates=io_rates)
         self._apply_io_stage(self._io_cache)
 
     def _apply_io_stage(self, stage: _IOStage) -> None:
+        pid_row = self._pid_row
+        speed = self._speed
         for pid, ratio in stage.ratios.items():
-            self._S[self._pid_row[pid]] *= ratio
-        for pid, rates in stage.rates.items():
-            row = self._pid_row[pid]
-            self._R[row, _IOW] = rates["io_write_bytes"]
-            self._R[row, _IOR] = rates["io_read_bytes"]
-            self._R[row, _IOM] = rates["io_meta_ops"]
-            self._Tmask[row, _IOW] = True
-            self._Tmask[row, _IOR] = True
-            self._Tmask[row, _IOM] = True
+            speed[pid_row[pid]] *= ratio
+        for pid, (write, read, meta) in stage.rates.items():
+            rates = self._rates[pid_row[pid]]
+            rates[_IOW] = write
+            rates[_IOR] = read
+            rates[_IOM] = meta
 
     # -- finalize ------------------------------------------------------------
 
     def _record_rates(self, group: _RunGroup) -> None:
-        """Instruction and cache-miss rates from each row's final speed."""
-        rows = group.rows
-        if not rows.size:
-            return
-        # When every row has a live segment (the common case) the whole
-        # update runs on the group's selector — a slice for contiguous
-        # groups.
-        present = self._seg_present[group.sel]
-        if present.all():
-            rr: slice | np.ndarray = group.sel
-        else:
-            rr = rows[present]
-            if not rr.size:
-                return
-        speed = self._S[rr]
-        ips = self._seg_ips[rr] * speed
-        mpki = self._row_amp[rr] * (
-            self._seg_mpki_base[rr] + self._seg_mpki_extra[rr] * self._mf[rr]
-        )
-        self._R[rr, _INSTR] = ips
-        self._R[rr, _L3] = mpki * ips / 1000.0
-        self._R[rr, _L2] = np.maximum(
-            L2_MISS_FACTOR * mpki * ips / 1000.0,
-            self._R[rr, _MEM] / 256.0,
-        )
-        self._Tmask[rr, _INSTR] = True
-        self._Tmask[rr, _L3] = True
-        self._Tmask[rr, _L2] = True
+        """Instruction and cache-miss rates from each row's final speed,
+        in the reference model's float order."""
+        row_seg = self._row_seg
+        row_amp = self._row_amp
+        s1 = self._s1
+        speeds = self._speed
+        all_rates = self._rates
+        for row in group.rows:
+            seg = row_seg[row]
+            if seg is None:
+                continue
+            ips_base, mpki_base, mpki_extra = seg
+            ips = ips_base * speeds[row]
+            mpki = row_amp[row] * (mpki_base + mpki_extra * s1[row][1])
+            rates = all_rates[row]
+            rates[_INSTR] = ips
+            rates[_L3] = mpki * ips / 1000.0
+            rates[_L2] = max(
+                L2_MISS_FACTOR * mpki * ips / 1000.0, rates[_MEM] / 256.0
+            )
 
     def _plan_accrue(self, group: _RunGroup) -> None:
         """Pair each running row's counter targets with its final rates.
 
         The plan :meth:`accrue` runs holds one ``(targets, rates,
         missing)`` entry per running row, in running order: the row's
-        ``_row_targets`` entry, its rate row as a list, and the priced
+        ``_row_targets`` entry, its rate list, and the priced
         keys its process dict still lacks.  ``accrue`` creates those at
         ``0.0``, so they appear at the first accrued interval, as the
         reference model's do, and never for a process that is priced but
@@ -917,18 +875,19 @@ class ClusterRateModel(RateModel):
         found present) are checked.
         """
         targets = group.targets
-        rates = self._R[group.sel].tolist()
+        rows = group.rows
+        all_rates = self._rates
+        rates = [all_rates[row] for row in rows]
         plan = list(zip(targets, rates, [()] * len(targets)))
         unkeyed = self._unkeyed
         index = group.pid_index
         for pid in [pid for pid in unkeyed if pid in index]:
             i = index[pid]
             counters = targets[i][0]
-            priced = self._Tmask[group.rows_list[i]].tolist()
             missing = [
-                key
-                for key in itertools.compress(_RATE_KEYS, priced)
-                if key not in counters
+                _RATE_KEYS[col]
+                for col in self._row_priced[rows[i]]
+                if _RATE_KEYS[col] not in counters
             ]
             if missing:
                 plan[i] = (targets[i], rates[i], missing)

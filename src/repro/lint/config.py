@@ -70,7 +70,7 @@ class LintConfig:
     flow_memo_functions: tuple[str, ...] = (
         "FlowSolver.solve",
         "ClusterRateModel._solve_node_memo",
-        "ClusterRateModel._solve_network_array",
+        "ClusterRateModel._solve_network",
     )
     # Instance attributes a memoized solve may read even though they are
     # mutated at runtime (RL013): observability counters and the attached

@@ -55,10 +55,31 @@ class MemoImpurityRule(FlowRule):
 
     def run(self, project: ProjectIndex, graph: CallGraph):
         for suffix in self.config.flow_memo_functions:
+            matched = False
             for qualname, fn in sorted(project.functions.items()):
                 if qualname.endswith(suffix) and fn.cls is not None:
+                    matched = True
                     self._check_memo(project, graph, fn)
+            if not matched:
+                self._report_stale_entry(project, suffix)
         return sorted(self.findings)
+
+    def _report_stale_entry(self, project: ProjectIndex, suffix: str) -> None:
+        """Report a ``Class.method`` entry whose class lacks the method: a
+        rename left it behind, and it switches the rule off for the renamed
+        solve.  Entries naming a class the tree lacks stay silent."""
+        cls_suffix = suffix.rpartition(".")[0]
+        for qualname, cinfo in sorted(project.classes.items()):
+            info = project.modules.get(cinfo.module)
+            if info is None or not f".{qualname}".endswith(f".{cls_suffix}"):
+                continue
+            self.report(
+                info,
+                cinfo.node,
+                f"flow-memo-functions entry {suffix!r} names no method of "
+                f"{cinfo.name}; a stale entry leaves the renamed memoized "
+                "solve unchecked",
+            )
 
     def _check_memo(
         self, project: ProjectIndex, graph: CallGraph, fn: FunctionInfo
@@ -125,18 +146,18 @@ class MemoImpurityRule(FlowRule):
     def _key_attrs(fn: FunctionInfo) -> set[str]:
         """``self.<attr>`` names the cache-key expression depends on.
 
-        Array-fingerprint keys rarely name their state directly: the
-        idiom is ``demands = self._rates[rows] * self._S[rows]`` followed
-        by ``signature = (token, demands.tobytes())`` — the attribute
-        reads hide behind locals that feed the fingerprint.  A fixpoint
-        over the function's simple local assignments propagates
-        self-attribute provenance through those locals (including
-        aliases like ``row_dem = self._row_dem``), so every
-        attribute whose *contents* reach the key bytes counts as
-        key-covered.  The closure is flow-insensitive (both arms of a
-        branch contribute), which errs toward treating state as covered
-        — acceptable for a WARNING-severity rule whose ground truth is
-        the runtime differential oracle.
+        Keys rarely name their state directly: the idiom is ``speed =
+        self._speed``, then ``demands = tuple([rate * speed[row] ...])``
+        and ``signature = (token, nic, demands)`` — the attribute reads
+        hide behind locals that feed the key.  A fixpoint over the
+        function's simple local assignments propagates self-attribute
+        provenance through those locals (including aliases like
+        ``row_dem = self._row_dem``), so every attribute whose *contents*
+        reach the key values counts as key-covered.  The closure is
+        flow-insensitive (both arms of a branch contribute), which errs
+        toward treating state as covered — acceptable for a
+        WARNING-severity rule whose ground truth is the runtime
+        differential oracle.
         """
         assigns = [
             node for node in ast.walk(fn.node) if isinstance(node, ast.Assign)

@@ -43,8 +43,8 @@ _EPS = 1e-9
 def default_backend() -> str:
     """Name of the simulation core, for run metadata.
 
-    There is one core — the numpy array rate model on the heap event
-    queue — so this is a constant.
+    There is one core — ``ClusterRateModel`` on the heap event queue —
+    so this is a constant.
     """
     return "array"
 

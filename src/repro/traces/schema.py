@@ -505,6 +505,15 @@ def loads(text: str) -> Trace:
         "records" in trailer and "sha256" in trailer,
         "trace trailer missing (torn tail?)",
     )
+    count = trailer["records"]
+    digest = trailer["sha256"]
+    _require(
+        isinstance(count, int)
+        and not isinstance(count, bool)
+        and isinstance(digest, str),
+        "malformed trace trailer: records must be an int and sha256 a "
+        f"string, got {type(count).__name__} and {type(digest).__name__}",
+    )
     _require("meta" in parsed[0], "first trace line must be the meta header")
     meta = TraceMeta.from_json(parsed[0]["meta"])  # type: ignore[arg-type]
     records = []
@@ -515,12 +524,11 @@ def loads(text: str) -> Trace:
         records.append(TraceRecord.from_json(obj["record"]))  # type: ignore[arg-type]
     trace = Trace(meta=meta, records=tuple(records))
     _require(
-        int(trailer["records"]) == len(records),  # type: ignore[arg-type]
-        f"trailer promises {trailer['records']} records, found {len(records)} "
-        "(torn tail?)",
+        count == len(records),
+        f"trailer promises {count} records, found {len(records)} (torn tail?)",
     )
     _require(
-        str(trailer["sha256"]) == trace.sha256,
+        digest == trace.sha256,
         "trace sha256 mismatch: file was modified or torn",
     )
     return trace

@@ -78,7 +78,8 @@ class TestReferenceModel:
 
         def skewed(self, group):
             real(self, group)
-            self._R[group.sel, _INSTR] *= 1.0 + 1e-9
+            for row in group.rows:
+                self._rates[row][_INSTR] *= 1.0 + 1e-9
 
         monkeypatch.setattr(ClusterRateModel, "_record_rates", skewed)
         outcome = evaluate_case(net_spec)

@@ -5,7 +5,16 @@ import math
 import pytest
 
 from repro.check import fingerprint_cluster, use_reference_model
+from repro.check.generators import (
+    AnomalyCase,
+    AppCase,
+    CaseSpec,
+    FaultCase,
+    build_cluster,
+    deploy_case,
+)
 from repro.cluster import Cluster, MachineSpec
+from repro.cluster.ratemodel import _RATE_KEYS
 from repro.sim.process import Flow, IODemand, ProcessState, Segment
 from repro.storage.filesystem import SharedFilesystem
 from repro.units import GB10, MB, MB10
@@ -307,3 +316,76 @@ class TestCountersMatchReference:
         assert self._fingerprint_zero_work(False) == self._fingerprint_zero_work(
             True
         )
+
+
+class TestLastRatesMatchReference:
+    """``last_rates`` holds the reference's priced keys and floats after
+    every resolve; the CK006 invariant reads it."""
+
+    SPEC = CaseSpec(
+        case_id=903,
+        seed=3,
+        machine="chameleon",
+        n_nodes=3,
+        k_paths=2,
+        apps=(
+            AppCase(
+                app="miniMD",
+                first_node=0,
+                n_nodes=2,
+                ranks_per_node=2,
+                iterations=10,
+                start=0.0,
+            ),
+        ),
+        anomalies=(
+            AnomalyCase(name="cpuoccupy", node=0, core=0, start=0.5, duration=6.0),
+            AnomalyCase(name="membw", node=1, core=1, start=1.0, duration=6.0),
+            AnomalyCase(
+                name="netoccupy", node=2, core=0, start=0.5, duration=8.0, peer=0
+            ),
+            AnomalyCase(name="iobandwidth", node=2, core=1, start=1.0, duration=6.0),
+        ),
+        faults=(
+            FaultCase(kind="slowdown", node=0, start=1.5, duration=3.0, factor=0.5),
+            FaultCase(kind="link_down", node=1, start=2.0, duration=2.0, factor=0.0),
+        ),
+        horizon=60.0,
+    )
+
+    def _rates_per_resolve(self, reference):
+        cluster = build_cluster(self.SPEC)
+        if reference:
+            use_reference_model(cluster)
+        model = cluster.model
+        real = model.resolve_incremental
+        seen = []
+
+        def recording(running, now, dirty=None):
+            speeds = real(running, now, dirty)
+            # pids differ between the two runs; process names do not
+            rates = {
+                cluster.sim.process(pid).name: dict(r)
+                for pid, r in model.last_rates.items()
+            }
+            seen.append((now, cluster.faults.active, rates))
+            return speeds
+
+        model.resolve_incremental = recording
+        jobs = deploy_case(self.SPEC, cluster)
+        cluster.sim.run(
+            until=self.SPEC.horizon, stop_when=lambda: all(j.finished for j in jobs)
+        )
+        return seen
+
+    def test_last_rates_match_reference_after_every_resolve(self):
+        seen = self._rates_per_resolve(reference=False)
+        expected = self._rates_per_resolve(reference=True)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert got == want
+        # The scenario prices every column, and resolves inside a fault
+        # window as well as outside one.
+        keys = {key for _, _, rates in seen for r in rates.values() for key in r}
+        assert keys == set(_RATE_KEYS)
+        assert {active for _, active, _ in seen} == {False, True}

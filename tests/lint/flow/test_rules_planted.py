@@ -275,11 +275,11 @@ class TestRL013MemoImpurity:
         assert findings_for(project_factory, files, "RL013", _MEMO_CONFIG) == []
 
     def test_clean_array_fingerprint_key_via_locals(self, project_factory):
-        """State reaching the key bytes through locals is key-covered.
+        """State reaching the key through locals is key-covered.
 
-        The array rate-model idiom: the key expression fingerprints a local
-        (``demands.tobytes()``) that was *derived* from mutable instance
-        arrays, and aliases another (``seg = self.seg_tokens``).  The
+        The rate-model idiom: the key expression holds a local
+        (``demands``) that was *derived* from mutable instance lists, and
+        aliases another (``seg = self.seg_tokens``).  The
         local-provenance closure must credit both attributes to the key.
         """
         files = dict(_MEMO_CLEAN)
@@ -345,6 +345,51 @@ class TestRL013MemoImpurity:
         found = findings_for(project_factory, files, "RL013", _MEMO_CONFIG)
         assert len(found) == 1
         assert "self.footprints" in found[0].message
+
+    def test_bug_stale_entry_after_rename(self, project_factory):
+        """An entry left behind by a method rename is itself a finding.
+
+        Otherwise the renamed solve goes unchecked: here it reads the
+        runtime-mutated ``scale`` outside its key, and the only entry
+        still names the old method.
+        """
+        files = dict(_MEMO_CLEAN)
+        files["repro/network/solver.py"] = """
+            class Solver:
+                def __init__(self):
+                    self.memo = {}
+                    self.scale = 1.0
+
+                def solve_cached(self, demands):
+                    key = tuple(demands)
+                    if key in self.memo:
+                        return self.memo[key]
+                    result = [d * self.scale for d in demands]
+                    self.memo[key] = result
+                    return result
+
+                def set_scale(self, s):
+                    self.scale = s
+        """
+        found = findings_for(project_factory, files, "RL013", _MEMO_CONFIG)
+        assert len(found) == 1
+        assert "'Solver.solve' names no method of Solver" in found[0].message
+        renamed = LintConfig(
+            flow_memo_functions=("Solver.solve_cached",),
+            flow_memo_state_allowed=("memo",),
+        )
+        found = findings_for(project_factory, files, "RL013", renamed)
+        assert len(found) == 1
+        assert "self.scale" in found[0].message
+
+    def test_clean_entry_for_absent_class(self, project_factory):
+        # One config serves trees that lack some memoized class.
+        config = LintConfig(
+            flow_memo_functions=("Solver.solve", "OtherSolver.solve"),
+            flow_memo_state_allowed=("memo",),
+        )
+        assert findings_for(project_factory, _MEMO_CLEAN, "RL013", config) == []
+        assert findings_for(project_factory, _MEMO_CLEAN, "RL013") == []
 
 
 # -- RL014: spawn shared state ------------------------------------------------

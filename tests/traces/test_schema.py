@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import TraceFormatError
@@ -84,6 +86,37 @@ def test_tampered_record_fails_sha():
     assert tampered != text
     with pytest.raises(TraceFormatError, match="sha256 mismatch"):
         loads(tampered)
+
+
+def _with_trailer(trace: Trace, **fields) -> str:
+    lines = dumps(trace).splitlines()
+    trailer = json.loads(lines[-1])
+    trailer.update(fields)
+    return "\n".join([*lines[:-1], json.dumps(trailer)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"records": "many"},
+        {"records": [1]},
+        {"records": None},
+        {"records": 3.0},
+        {"sha256": 5},
+    ],
+)
+def test_malformed_trailer_is_typed_error(fields):
+    with pytest.raises(TraceFormatError, match="malformed trace trailer"):
+        loads(_with_trailer(_tiny_trace(), **fields))
+
+
+def test_boolean_record_count_is_typed_error():
+    # ``true == 1``, so a one-record trace would otherwise load.
+    trace = _tiny_trace()
+    one = with_records(trace, trace.records[:1])
+    assert loads(dumps(one)) == one
+    with pytest.raises(TraceFormatError, match="malformed trace trailer"):
+        loads(_with_trailer(one, records=True))
 
 
 @pytest.mark.parametrize(
