@@ -20,9 +20,9 @@ baseline):
     reference alongside it.
 
 ``waterfill_wide``
-    The vectorized max-min share solver on wide oversubscribed demand
-    vectors (the regime the rate model's network and memory stages feed
-    it), reported as solves/s.
+    The public max-min share solver on wide oversubscribed demand lists
+    (4096 demands, far past the 1-16 a socket produces), reported as
+    solves/s.
 
 ``flow_solve``
     Whole network solves (adaptive path split, re-balance, two
@@ -200,19 +200,20 @@ def bench_resolve_heavy(repeat: int) -> dict:
 
 
 def bench_waterfill_wide(repeat: int) -> dict:
-    """Vectorized max-min share solves on wide oversubscribed demands.
+    """Max-min share solves on wide oversubscribed demand lists.
 
-    The rate model funnels every contended memory-bandwidth and
-    network allocation through :func:`waterfill`; this times it at the
-    widths a many-tenant node produces, after checking one case against
-    the scalar reference (a fast-but-wrong solver must not post a score).
+    Times the public :func:`max_min_fair_share` (validation included) on
+    width-4096 lists, far wider than the 1-16 demands a socket or a
+    filesystem pool hands it in a run, so an accidentally quadratic
+    solver shows up here first.  One case is checked against the numpy
+    reference before timing (a fast-but-wrong solver must not post a
+    score).
     """
     import numpy as np
 
     from repro.resources.fairshare import (
         max_min_fair_share,
         max_min_fair_share_reference,
-        waterfill,
     )
     from repro.sim.rng import spawn_rng
 
@@ -223,14 +224,14 @@ def bench_waterfill_wide(repeat: int) -> dict:
     if max_min_fair_share(capacity, demands.tolist()) != (
         max_min_fair_share_reference(capacity, demands.tolist())
     ):
-        raise AssertionError("vectorized waterfill diverged from the reference")
+        raise AssertionError("max_min_fair_share diverged from the reference")
 
-    cases = [np.roll(demands, k) for k in range(solves)]
+    cases = [np.roll(demands, k).tolist() for k in range(solves)]
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for arr in cases:
-            waterfill(capacity, arr)
+        for case in cases:
+            max_min_fair_share(capacity, case)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return {

@@ -69,10 +69,30 @@ def json_records(path: Path) -> Iterator[tuple[str, dict]]:
         yield where, record
 
 
+def is_number(value: object) -> bool:
+    """True for a JSON number (``true``/``false`` decode to bools: no)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: keys a ``trace.jsonl`` record must carry, by record type
 _RECORD_KEYS = {
     "span": ("sid", "seq", "cat", "name", "group", "lane", "start", "end"),
     "instant": ("seq", "cat", "name", "group", "lane", "time"),
+}
+
+#: what each ``trace.jsonl`` field must hold, where present
+_FIELD_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    **dict.fromkeys(("sid", "seq"), (_is_int, "an integer")),
+    **dict.fromkeys(
+        ("cat", "name", "group", "lane"), (lambda v: isinstance(v, str), "a string")
+    ),
+    **dict.fromkeys(("start", "end", "time"), (is_number, "a number")),
+    "parent": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "args": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
@@ -208,7 +228,9 @@ class Trace:
     def load(cls, path: str | Path) -> "Trace":
         """Load a ``trace.jsonl`` file (streamed or batch — same bytes).
 
-        A span exported from a collector that was never finalized carries
+        Every field is type-checked (damage raises
+        :class:`ObservabilityError` naming ``path:line``).  A span
+        exported from a collector that was never finalized carries
         ``"seq": null``; it gets the same fallback ``seq`` (after every
         sealed record, in file order) as :meth:`from_collector` gives it.
         """
@@ -226,15 +248,16 @@ class Trace:
                     raise ObservabilityError(
                         f"{where}: {kind} record is missing {key!r}"
                     )
-            for key in ("sid", "seq"):
-                value = record.get(key, 0)
-                if key == "seq" and value is None and kind == "span":
-                    unsealed.append(len(spans))
+            unsealed_span = kind == "span" and record["seq"] is None
+            for key, (accepts, what) in _FIELD_TYPES.items():
+                if key not in record or (key == "seq" and unsealed_span):
                     continue
-                if not isinstance(value, int) or isinstance(value, bool):
+                if not accepts(record[key]):
                     raise ObservabilityError(
-                        f"{where}: {key} must be an integer, got {value!r}"
+                        f"{where}: {key} must be {what}, got {record[key]!r}"
                     )
+            if unsealed_span:
+                unsealed.append(len(spans))
             if kind == "span":
                 spans.append(
                     TraceSpan(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ObservabilityError
-from repro.obs.analyze import Trace, TraceSpan, json_records, load_json
+from repro.obs.analyze import Trace, TraceSpan, is_number, json_records, load_json
 
 #: artefact names (relative glob patterns) the differ understands
 _TEXT_PATTERNS = (
@@ -161,7 +161,19 @@ def _manifest_diff_path(a: object, b: object, prefix: str = "") -> str | None:
 
 
 def _metric_records(path: Path) -> list[dict[str, object]]:
-    return [record for _, record in json_records(path)]
+    """The samples of a metric stream; ``time`` and every metric value
+    must be numbers, or :class:`ObservabilityError` names ``path:line``."""
+    records = []
+    for where, record in json_records(path):
+        if "time" not in record:
+            raise ObservabilityError(f"{where}: sample is missing 'time'")
+        for key, value in record.items():
+            if key != "node" and not is_number(value):
+                raise ObservabilityError(
+                    f"{where}: {key} must be a number, got {value!r}"
+                )
+        records.append(record)
+    return records
 
 
 def _localize_series(
@@ -174,7 +186,7 @@ def _localize_series(
         if ra == rb:
             continue
         node = str(ra.get("node", rb.get("node", "?")))
-        time = float(ra.get("time", rb.get("time", 0.0)))
+        time = float(ra["time"])
         for metric in sorted(set(ra) | set(rb)):
             if metric in ("time", "node"):
                 continue
@@ -202,8 +214,8 @@ def _localize_series(
                     index=index,
                     time=time,
                     metric=key,
-                    value_a=float(ra.get("time", 0.0)),
-                    value_b=float(rb.get("time", 0.0)),
+                    value_a=float(ra["time"]),
+                    value_b=float(rb["time"]),
                     span=None,
                 )
     return None

@@ -32,7 +32,7 @@ from repro.obs.analyze import Trace, load_json
 SUBSYSTEM_TIMERS: dict[str, tuple[str, str]] = {
     "accrue": ("engine.accrue", "event-loop progress accrual"),
     "resolve": ("engine.resolve", "rate re-resolution (includes the three below)"),
-    "node": ("rate_model", "per-node rate waterfilling"),
+    "node": ("rate_model", "per-node max-min fair shares"),
     "network": ("flow_solver", "network max-min fair share"),
     "storage": ("storage", "filesystem bandwidth shares"),
     "monitoring": ("monitoring", "metric sampling ticks"),

@@ -7,6 +7,9 @@ Two classic disciplines are provided:
     satisfied; leftover capacity is redistributed among the unsatisfied.
     This is the standard model for fair queueing on links, memory
     controllers and disks, and is the default throughout the simulator.
+    It runs as a plain loop on the list it is given: its callers hand it
+    one socket's or one filesystem pool's 1–16 demands, where numpy's
+    per-call cost would dominate the arithmetic.
 
 ``proportional_share``
     Capacity is split proportionally to demand.  Used by the ablation
@@ -24,17 +27,21 @@ import numpy as np
 from repro.errors import ResourceError
 
 
-def _validate(capacity: float, demands: Sequence[float]) -> np.ndarray:
+def _validate(capacity: float, demands: Sequence[float]) -> list[float]:
+    """``demands`` as a list of floats, or :class:`ResourceError`."""
     if capacity < 0 or math.isnan(capacity):
         raise ResourceError(f"capacity must be >= 0, got {capacity}")
-    arr = np.asarray(demands, dtype=float)
-    if arr.ndim != 1:
+    if getattr(demands, "ndim", 1) != 1:
         raise ResourceError("demands must be a 1-D sequence")
-    if np.any(arr < 0) or np.any(np.isnan(arr)):
-        raise ResourceError("demands must be non-negative and finite")
-    if np.any(np.isinf(arr)):
-        raise ResourceError("demands must be finite")
-    return arr
+    try:
+        values = [float(d) for d in demands]
+    except (TypeError, ValueError):
+        raise ResourceError("demands must be a 1-D sequence of numbers") from None
+    for d in values:
+        # ``not`` catches NaN, which fails every comparison.
+        if not 0.0 <= d < math.inf:
+            raise ResourceError("demands must be non-negative and finite")
+    return values
 
 
 def max_min_fair_share(capacity: float, demands: Sequence[float]) -> list[float]:
@@ -47,62 +54,49 @@ def max_min_fair_share(capacity: float, demands: Sequence[float]) -> list[float]
     * any unsatisfied demand receives at least as much as every other
       demand's grant (max-min fairness).
 
-    Bit-for-bit equal to :func:`max_min_fair_share_reference` (the scalar
-    loop it replaced); ``tests/resources/test_fairshare_vectorized.py``
-    pins that equality on random cases.
+    One pass in ascending (stable) demand order: a demand that fits
+    under the current equal share is granted fully, and the first that
+    does not caps itself and everyone after it at the share.  There are
+    no tolerance thresholds, so the invariants hold at any magnitude.
+
+    Bit-for-bit equal to :func:`max_min_fair_share_reference`, which does
+    the same float operations in the same order;
+    ``tests/resources/test_fairshare_vectorized.py`` pins that equality.
+    The all-satisfied total is summed left to right, the same double as
+    the reference's ``ndarray.sum`` below 8 demands; from 8 on numpy sums
+    pairwise, so only a total within rounding of ``capacity`` could take
+    the other branch.
     """
-    arr = _validate(capacity, demands)
-    n = arr.size
-    if n == 0:
-        return []
-    total = float(arr.sum())
+    values = _validate(capacity, demands)
+    # Not sum(): from Python 3.12 it compensates, and ndarray.sum does not.
+    total = 0.0
+    for d in values:
+        total += d
     if total <= capacity:
-        return [float(d) for d in arr]
-    return [float(g) for g in waterfill(capacity, arr)]
-
-
-def waterfill(capacity: float, arr: np.ndarray) -> np.ndarray:
-    """Vectorized sorted waterfilling over an oversubscribed demand array.
-
-    Callers must have checked ``sum(arr) > capacity`` (otherwise the
-    all-satisfied fast path applies).  Visits demands in ascending order;
-    a demand that fits under the current equal share is granted fully, and
-    the first one that does not caps itself and everyone after it at the
-    share.  Exact in one pass — no tolerance thresholds, so the invariants
-    hold at any magnitude (the iterative variant drifted at ~1e12 scales).
-
-    Every float op mirrors the scalar loop: the running remainders come
-    from ``np.subtract.accumulate`` (strictly sequential, unlike
-    ``np.sum``'s pairwise order), each level is one division, and the
-    first unsatisfied position is found on exactly those values — so the
-    grants are bit-identical to the scalar reference.
-    """
-    n = arr.size
-    order = np.argsort(arr, kind="stable")
-    s = arr[order]
-    # remaining[k] = capacity - s[0] - ... - s[k-1], the water level's
-    # numerator right before visiting position k.
-    remaining = np.subtract.accumulate(np.concatenate(((capacity,), s)))[:-1]
-    levels = remaining / np.arange(n, 0, -1, dtype=float)
-    unsat = s > levels
-    granted = s.copy()
-    if unsat.any():
-        k = int(np.argmax(unsat))
-        granted[k:] = levels[k]
-    grants = np.empty(n)
-    grants[order] = granted
+        return values
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    grants = values[:]
+    remaining = float(capacity)
+    for pos, i in enumerate(order):
+        level = remaining / (n - pos)
+        if values[i] > level:
+            for j in order[pos:]:
+                grants[j] = level
+            break
+        remaining -= values[i]
     return grants
 
 
 def max_min_fair_share_reference(
     capacity: float, demands: Sequence[float]
 ) -> list[float]:
-    """Scalar reference for :func:`max_min_fair_share` (PR 1 semantics).
+    """Numpy reference for :func:`max_min_fair_share`.
 
-    Kept as the ground truth the vectorized implementation is tested
-    against; do not call it from production paths.
+    Kept as the ground truth the production loop is tested against; do
+    not call it from production paths.
     """
-    arr = _validate(capacity, demands)
+    arr = np.array(_validate(capacity, demands))
     n = arr.size
     if n == 0:
         return []
@@ -125,7 +119,9 @@ def max_min_fair_share_reference(
 
 def proportional_share(capacity: float, demands: Sequence[float]) -> list[float]:
     """Split ``capacity`` proportionally to demand (capped at the demand)."""
-    arr = _validate(capacity, demands)
+    # numpy's pairwise total sets every grant's scale; a left-to-right
+    # sum would move grants by an ulp from 8 demands on.
+    arr = np.array(_validate(capacity, demands))
     total = float(arr.sum())
     # total == 0 implies total <= capacity (both validated non-negative),
     # so the all-satisfied branch also covers the no-demand case.

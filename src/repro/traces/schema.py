@@ -235,59 +235,19 @@ class TraceRecord:
             _finite(self.mem, f"record {self.id}: mem")
 
     def to_json(self) -> dict[str, object]:
-        """Stable dict form (tuples become lists; None io/mem omitted)."""
-        data: dict[str, object] = {
-            "id": self.id,
-            "kind": self.kind,
-            "rank": self.rank,
-            "deps": list(self.deps),
-            "work": self.work,
-            "cpu": self.cpu,
-            "cache": [[level, size] for level, size in self.cache],
-            "cache_intensity": self.cache_intensity,
-            "mpki_base": self.mpki_base,
-            "mpki_extra": self.mpki_extra,
-            "miss_cpi_penalty": self.miss_cpi_penalty,
-            "mem_bw": self.mem_bw,
-            "mem_bw_extra": self.mem_bw_extra,
-            "ips": self.ips,
-            "flows": [[dst, rate] for dst, rate in self.flows],
-            "io": None if self.io is None else list(self.io),
-            "counters": [[key, value] for key, value in self.counters],
-            "mem": self.mem,
-            "label": self.label,
-        }
-        return data
+        """Every field by name; :func:`json.dumps` renders the tuples as
+        arrays, and None ``io``/``mem`` as null."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "TraceRecord":
-        """Inverse of :meth:`to_json`; ``__post_init__`` does the type
-        conversion, so a field of the wrong shape raises here as a
+        """Inverse of :meth:`to_json`.  The dataclass gives the defaults
+        and ``__post_init__`` the type conversion, so a missing ``id``,
+        an unknown key or a field of the wrong shape raises here as a
         :class:`~repro.errors.TraceFormatError`."""
         try:
-            get = data.get
-            return cls(
-                id=data["id"],  # type: ignore[arg-type]
-                kind=data["kind"],  # type: ignore[arg-type]
-                rank=data["rank"],  # type: ignore[arg-type]
-                deps=get("deps", ()),  # type: ignore[arg-type]
-                work=get("work", 0.0),  # type: ignore[arg-type]
-                cpu=get("cpu", 1.0),  # type: ignore[arg-type]
-                cache=get("cache", ()),  # type: ignore[arg-type]
-                cache_intensity=get("cache_intensity", 0.0),  # type: ignore[arg-type]
-                mpki_base=get("mpki_base", 0.0),  # type: ignore[arg-type]
-                mpki_extra=get("mpki_extra", 0.0),  # type: ignore[arg-type]
-                miss_cpi_penalty=get("miss_cpi_penalty", 0.0),  # type: ignore[arg-type]
-                mem_bw=get("mem_bw", 0.0),  # type: ignore[arg-type]
-                mem_bw_extra=get("mem_bw_extra", 0.0),  # type: ignore[arg-type]
-                ips=get("ips", 0.0),  # type: ignore[arg-type]
-                flows=get("flows", ()),  # type: ignore[arg-type]
-                io=get("io"),  # type: ignore[arg-type]
-                counters=get("counters", ()),  # type: ignore[arg-type]
-                mem=get("mem"),  # type: ignore[arg-type]
-                label=get("label", ""),  # type: ignore[arg-type]
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            return cls(**data)  # type: ignore[arg-type]
+        except (TypeError, ValueError) as err:
             raise TraceFormatError(f"malformed trace record: {err}") from err
 
 
@@ -320,12 +280,30 @@ class TraceMeta:
     version: int = TRACE_VERSION
 
     def __post_init__(self) -> None:
+        # Same canonicalization as TraceRecord: equal headers serialize
+        # to equal bytes whatever types the caller or the file handed in.
+        for name, kind in (
+            ("name", str),
+            ("machine", str),
+            ("nodes", int),
+            ("ranks", int),
+            ("ran_until", float),
+            ("origin", str),
+            ("version", int),
+        ):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(
             self, "placement", tuple((str(n), int(c)) for n, c in self.placement)
         )
-        object.__setattr__(self, "rank_names", tuple(self.rank_names))
+        object.__setattr__(
+            self, "rank_names", tuple(str(n) for n in self.rank_names)
+        )
         object.__setattr__(self, "starts", tuple(float(s) for s in self.starts))
-        object.__setattr__(self, "filesystems", tuple(sorted(self.filesystems)))
+        object.__setattr__(
+            self, "filesystems", tuple(sorted(str(f) for f in self.filesystems))
+        )
         object.__setattr__(
             self,
             "tickers",
@@ -366,46 +344,15 @@ class TraceMeta:
         _finite(self.ran_until, "ran_until")
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "version": self.version,
-            "name": self.name,
-            "machine": self.machine,
-            "nodes": self.nodes,
-            "ranks": self.ranks,
-            "placement": [[node, core] for node, core in self.placement],
-            "rank_names": list(self.rank_names),
-            "starts": list(self.starts),
-            "filesystems": list(self.filesystems),
-            "tickers": [[i, s, e] for i, s, e in self.tickers],
-            "ran_until": self.ran_until,
-            "seed": self.seed,
-            "origin": self.origin,
-        }
+        """Every field by name, as :meth:`TraceRecord.to_json`."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "TraceMeta":
+        """Inverse of :meth:`to_json`; see :meth:`TraceRecord.from_json`."""
         try:
-            return cls(
-                name=str(data["name"]),
-                machine=str(data["machine"]),
-                nodes=int(data["nodes"]),  # type: ignore[arg-type]
-                ranks=int(data["ranks"]),  # type: ignore[arg-type]
-                placement=tuple(
-                    (str(node), int(core)) for node, core in data["placement"]  # type: ignore[union-attr]
-                ),
-                rank_names=tuple(str(n) for n in data["rank_names"]),  # type: ignore[union-attr]
-                starts=tuple(float(s) for s in data["starts"]),  # type: ignore[union-attr]
-                filesystems=tuple(str(f) for f in data.get("filesystems", ())),  # type: ignore[union-attr]
-                tickers=tuple(
-                    (float(i), float(s), None if e is None else float(e))
-                    for i, s, e in data.get("tickers", ())  # type: ignore[union-attr]
-                ),
-                ran_until=float(data.get("ran_until", 0.0)),  # type: ignore[arg-type]
-                seed=None if data.get("seed") is None else int(data["seed"]),  # type: ignore[arg-type]
-                origin=str(data.get("origin", "generated")),
-                version=int(data.get("version", TRACE_VERSION)),  # type: ignore[arg-type]
-            )
-        except (KeyError, TypeError, ValueError) as err:
+            return cls(**data)  # type: ignore[arg-type]
+        except (TypeError, ValueError) as err:
             raise TraceFormatError(f"malformed trace meta: {err}") from err
 
 

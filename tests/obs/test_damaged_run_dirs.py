@@ -69,6 +69,14 @@ def _append(path, *lines):
         ([_span(sid="7")], "sid must be an integer"),
         (['{"type":"span",'], "not valid JSON"),
         (['{"type":["span"]}'], "unknown record type"),
+        ([_span(start="abc")], "start must be a number"),
+        ([_span(end=True)], "end must be a number"),
+        (['{"type":"instant","seq":1,"cat":"x","name":"x","group":"g",'
+          '"lane":"l","time":"0"}'], "time must be a number"),
+        ([_span(cat=5)], "cat must be a string"),
+        ([_span(lane=None)], "lane must be a string"),
+        ([_span(parent="1")], "parent must be an integer or null"),
+        ([_span(args=[1])], "args must be an object"),
     ],
 )
 def test_damaged_trace_jsonl(damaged, lines, message):
@@ -94,6 +102,28 @@ def test_damaged_metric_stream(run_dir, damaged, line):
     path = damaged / "metrics" / "node0.jsonl"
     lineno = _append(path, line)
     with pytest.raises(ObservabilityError, match=f"node0.jsonl:{lineno}:"):
+        diff_runs(run_dir, damaged)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda r: r.update({"Active::meminfo": "oops"}), "Active::meminfo must"),
+        (lambda r: r.update({"Active::meminfo": None}), "Active::meminfo must"),
+        (lambda r: r.update(time=True), "time must be a number"),
+        (lambda r: r.pop("time"), "sample is missing 'time'"),
+    ],
+)
+def test_non_number_metric_sample(run_dir, damaged, damage, message):
+    # The sample differs from its twin, so diff parses it to localize
+    # the divergence: a value that is not a number is damage, not data.
+    path = damaged / "metrics" / "node0.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    damage(record)
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ObservabilityError, match=f"node0.jsonl:1: {message}"):
         diff_runs(run_dir, damaged)
 
 

@@ -1,12 +1,10 @@
-"""Seeded property tests for the vectorized max-min share solver.
+"""Seeded property tests for the max-min share solver.
 
-PR 7 replaced the scalar sorted-waterfilling loop with a vectorized
-cumulative-sum formulation (``np.subtract.accumulate`` keeps the running
-remainder strictly sequential, so every level is bit-identical to the
-scalar loop's).  The scalar loop survives as
-:func:`max_min_fair_share_reference`; these tests pin exact float
+:func:`max_min_fair_share` is a sorted-waterfilling loop on plain lists;
+:func:`max_min_fair_share_reference` does the same float operations on
+a numpy array and stays as the oracle.  These tests pin exact float
 equality between the two on random cases across magnitude regimes, plus
-the classic fairness properties on the vectorized path itself.
+the classic fairness properties on the production path itself.
 """
 
 import numpy as np
@@ -16,7 +14,6 @@ from repro.errors import ResourceError
 from repro.resources.fairshare import (
     max_min_fair_share,
     max_min_fair_share_reference,
-    waterfill,
 )
 from repro.sim.rng import spawn_rng
 
@@ -52,6 +49,7 @@ class TestExactEqualityWithScalarReference:
             # Exact float equality, not approx: the two solvers must be
             # byte-interchangeable inside the rate model.
             assert fast == slow
+            assert max_min_fair_share(capacity, np.asarray(demands)) == slow
 
     def test_bitwise_equal_on_adversarial_edges(self):
         cases = [
@@ -61,6 +59,11 @@ class TestExactEqualityWithScalarReference:
             (5.0, [5.0, 5.0]),  # tie at the break point
             (1e300, [1e300, 1e300]),  # near-overflow magnitudes
             (3.0, [1.0, 1.0, 1.0, 1.0]),  # equal demands, oversubscribed
+            # Dyadic totals exactly equal to the capacity: every summation
+            # order gives the same double, so both take the fast path.
+            (1.75, [0.25, 1.0, 0.5]),
+            (12.375, [0.5, 1.25, 0.125, 2.0, 1.0, 0.75, 1.5, 0.25, 2.5,
+                      0.375, 1.125, 1.0]),
         ]
         for capacity, demands in cases:
             assert max_min_fair_share(capacity, demands) == (
@@ -70,7 +73,13 @@ class TestExactEqualityWithScalarReference:
     def test_empty_and_validation_behaviour_unchanged(self):
         assert max_min_fair_share(5.0, []) == []
         assert max_min_fair_share_reference(5.0, []) == []
-        for bad in ([-1.0], [float("nan")], [float("inf")]):
+        for bad in (
+            [-1.0],
+            [float("nan")],
+            [float("inf")],
+            np.ones((2, 2)),  # 2-D input
+            [[1.0, 2.0], [3.0, 4.0]],
+        ):
             with pytest.raises(ResourceError):
                 max_min_fair_share(1.0, bad)
             with pytest.raises(ResourceError):
@@ -104,17 +113,3 @@ class TestVectorizedProperties:
             capacity = float(rng.uniform(0.5, 2.0)) * demand * n
             grants = max_min_fair_share(capacity, [demand] * n)
             assert len(set(grants)) == 1
-
-    def test_waterfill_ndarray_matches_list_api(self):
-        # waterfill() is the array-native entry the rate model calls; it
-        # must agree with the list API bit-for-bit on the oversubscribed
-        # regime it is documented for.
-        rng = spawn_rng(74, "fairshare:vectorized")
-        for _ in range(40):
-            n = int(rng.integers(1, 33))
-            arr = np.asarray(rng.uniform(0.0, 10.0, size=n), dtype=float)
-            capacity = float(arr.sum()) * float(rng.uniform(0.1, 0.9))
-            if float(arr.sum()) <= capacity:
-                continue
-            grants = waterfill(capacity, arr)
-            assert [float(g) for g in grants] == max_min_fair_share(capacity, arr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -131,6 +132,7 @@ def test_boolean_record_count_is_typed_error():
         lambda rec: rec.update(io=["nfs", 1.0]),
         lambda rec: rec.update(counters=[["steps", []]]),
         lambda rec: rec.update(mem="lots"),
+        lambda rec: rec.update(wrok=2.0),  # unknown key: never dropped
     ],
 )
 def test_damaged_record_field_is_typed_error(damage):
@@ -138,6 +140,23 @@ def test_damaged_record_field_is_typed_error(damage):
     damage(data)
     with pytest.raises(TraceFormatError, match="malformed trace record"):
         TraceRecord.from_json(data)
+
+
+def test_unknown_meta_key_is_typed_error():
+    data = _tiny_trace().meta.to_json()
+    data["rank"] = 2
+    with pytest.raises(TraceFormatError, match="malformed trace meta"):
+        TraceMeta.from_json(data)
+
+
+def test_meta_fields_canonicalize_at_construction():
+    meta = replace(
+        _tiny_trace().meta, nodes="2", ran_until=0, seed="5", rank_names=(1, 2)
+    )
+    assert (meta.nodes, meta.ran_until, meta.seed) == (2, 0.0, 5)
+    assert type(meta.ran_until) is float
+    assert meta.rank_names == ("1", "2")
+    assert TraceMeta.from_json(meta.to_json()) == meta
 
 
 def test_non_object_record_is_typed_error():
