@@ -19,18 +19,17 @@ the LDMS-style samplers read at 1 Hz; the dicts are always current.
 Resolves are *incremental*: the engine passes the set of pids whose
 segment changed, stage 1 re-solves only the nodes hosting a dirty pid
 (clean nodes keep their rows bit-for-bit), recurring network demand
-replays from a memo, and the storage stage is skipped outright when its
-demand signature is unchanged since the previous resolve (see
-docs/PERFORMANCE.md).  Per-process state lives in plain lists indexed
-by a pid→row table, so the model runs the same scalar float operations
-as :class:`~repro.cluster.reference.ReferenceRateModel`; the two differ
+replays from a memo, and the storage stage prices every filesystem on
+every resolve (see docs/PERFORMANCE.md).  Per-process state lives in
+plain lists indexed by a pid→row table, so the model runs the same
+scalar float operations as
+:class:`~repro.cluster.reference.ReferenceRateModel`; the two differ
 only in their caches, and the differential oracle in :mod:`repro.check`
 holds them byte-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -86,65 +85,6 @@ class _NetStage:
     remote: dict[str, float]
 
 
-@dataclass
-class _IOStage:
-    """Cached storage-stage outcome, keyed by a demand signature."""
-
-    signature: tuple
-    ratios: dict[int, float]
-    #: per pid: (write, read, metadata) rates
-    rates: dict[int, tuple[float, float, float]]
-
-
-class _RunGroup:
-    """Structures derived from one running set, reused while it is stable.
-
-    The engine resolves thousands of times per simulated run against the
-    same ordered process list; everything here is a pure function of that
-    list, so rebuilding it per resolve is pure overhead."""
-
-    __slots__ = (
-        "pids",
-        "rows",
-        "node_pids",
-        "node_rows",
-        "pid_index",
-        "targets",
-    )
-
-    def __init__(
-        self,
-        model: "ClusterRateModel",
-        pids: tuple[int, ...],
-        rows: list[int],
-        by_node: dict[str, list[SimProcess]],
-    ) -> None:
-        self.pids = pids
-        self.rows = rows
-        pid_row = model._pid_row
-        intern = model._node_rows_intern
-        node_pids: dict[str, tuple[int, ...]] = {}
-        node_rows: dict[str, tuple] = {}
-        for name, procs in by_node.items():
-            pids_t = tuple(p.pid for p in procs)
-            node_pids[name] = pids_t
-            triple = intern.get((name, pids_t))
-            if triple is None:
-                triple = (
-                    [pid_row[p.pid] for p in procs],
-                    tuple(p.core for p in procs),
-                    model.cluster.node(name).spec,
-                )
-                intern[(name, pids_t)] = triple
-                if len(intern) > 4 * model.GROUP_CACHE_SIZE:
-                    del intern[next(iter(intern))]
-            node_rows[name] = triple
-        self.node_pids = node_pids
-        self.node_rows = node_rows
-        self.pid_index = {pid: i for i, pid in enumerate(pids)}
-        self.targets = [model._row_targets[row] for row in rows]
-
-
 class ClusterRateModel(RateModel):
     """Translates segment demand vectors into speeds and counter rates.
 
@@ -180,10 +120,11 @@ class ClusterRateModel(RateModel):
       solve is a pure function of (spec, per-tenant ``(core, segment
       demand)``), and synchronized ranks cycle a handful of identical
       configurations;
-    * the network stage's memo signature is the interned (pid, src, dst)
-      structure token plus the per-flow NIC factors and demands, so a
-      recurring signature replays a memoized stage from ``_net_memo``
-      and only novel signatures reach :meth:`FlowSolver.solve`.
+    * the network stage's memo signature is the per-flow (pid, src, dst)
+      structure tuple plus the per-flow NIC factors and demands, all
+      rebuilt from the running rows on every resolve, so a recurring
+      signature replays a memoized stage from ``_net_memo`` and only
+      novel signatures reach :meth:`FlowSolver.solve`.
 
     Exactness rules used throughout (see docs/PERFORMANCE.md): adding
     ``0.0`` to a non-negative total is a bitwise no-op (which is why
@@ -196,11 +137,8 @@ class ClusterRateModel(RateModel):
     #: the thousands on long contended runs; entries are small tuples,
     #: so a deep memo is cheap.
     STAGE1_MEMO_SIZE = 4096
-    #: distinct network-stage signatures kept (and interned flow
-    #: structures, whose tokens those signatures carry)
+    #: distinct network-stage signatures kept
     NET_MEMO_SIZE = 256
-    #: distinct running-set configurations whose grouping is kept
-    GROUP_CACHE_SIZE = 256
 
     def __init__(
         self,
@@ -221,10 +159,9 @@ class ClusterRateModel(RateModel):
         )
         if self.flow_solver is not None:
             self.flow_solver.stats = self.stats
-        #: per-node stage-1 validity: the ordered tenant pids whose rows
-        #: the last solve of that node wrote
+        #: per-node stage-1 validity: the ordered tenant rows the last
+        #: solve of that node wrote
         self._node_cache: dict[str, tuple[int, ...]] = {}
-        self._io_cache: _IOStage | None = None
         nodes = list(cluster.nodes.values())
         self._node_index = {node.name: i for i, node in enumerate(nodes)}
         self._node_list = nodes
@@ -261,38 +198,13 @@ class ClusterRateModel(RateModel):
         self._rates: list[list[float]] = []
         #: stage-1 configuration memo (content-addressed, see class doc)
         self._stage1_cache: dict[tuple, tuple] = {}
-        #: per-node tenant triples keyed by (node, ordered pid tuple);
-        #: a node's tenant configuration is a pure function of that key
-        #: (rows and core pinning are fixed per pid), and recurs across
-        #: many distinct global running sets, so group (re)builds mostly
-        #: assemble interned entries
-        self._node_rows_intern: dict[tuple, tuple] = {}
         #: network-stage memo (signature → folded stage outcome)
         self._net_memo: dict[tuple, _NetStage] = {}
-        # per-flow lists (owning row, nominal rate, structure, node
-        # pair): rebuilt only when the set of flow-bearing rows (or any
-        # of their segments) changes
-        self._flow_rows_key: tuple | None = None
-        self._flow_owner: list[int] = []
-        self._flow_rates: list[float] = []
-        self._flow_struct: tuple = ()
-        self._flow_token = -1
-        #: flow-structure interning table (structure tuple → token); the
-        #: per-resolve network signature carries the token so hashing it
-        #: does not re-walk the structure tuple.  Bounded oldest-first at
-        #: NET_MEMO_SIZE; tokens come from a counter, never reused, so an
-        #: evicted structure that recurs gets a fresh token instead of
-        #: colliding with a live one in the memos.
-        self._struct_intern: dict[tuple, int] = {}
-        self._struct_tokens = itertools.count()
-        self._flow_pairs: list[tuple[str, str]] = []
-        self._flows_dirty = False
         #: nic_rx_bytes rate per destination node, from the network stage
         self._remote: dict[str, float] = {}
-        #: the last resolve's running pids, their index, and the accrue
-        #: plan built from its rates (see :meth:`_plan_accrue`)
+        #: the last resolve's running pids and the accrue plan built from
+        #: its rates (see :meth:`_plan_accrue`)
         self._last_pids: tuple[int, ...] = ()
-        self._last_index: dict[int, int] = {}
         self._plan: list[tuple] = []
         #: pids whose segment changed since their priced keys were last
         #: found in their counter dict
@@ -302,11 +214,6 @@ class ClusterRateModel(RateModel):
             (node.counters, node.spec.os_noise_util * node.logical_cores)
             for node in nodes
         ]
-        #: running-set grouping caches keyed by the ordered pid tuple —
-        #: barrier phases make the running set oscillate between a few
-        #: recurring configurations, so one entry per configuration
-        #: (FIFO-bounded) turns the per-resolve grouping into one lookup
-        self._group_cache: dict[tuple[int, ...], _RunGroup] = {}
 
     # -- slot management ----------------------------------------------------
 
@@ -368,92 +275,74 @@ class ClusterRateModel(RateModel):
             # The stage-1 memo goes too — a forced full resolve signals
             # that model inputs may have changed out-of-band.
             self._node_cache.clear()
-            self._io_cache = None
             self._stage1_cache.clear()
             self._net_memo.clear()
         self._remote = {}
         stats = self.stats
         with stats.timer("node"):
-            group = self._solve_nodes(running, dirty)
-        rows = group.rows
+            rows = self._solve_nodes(running, dirty)
         with stats.timer("network"):
             self._solve_network(rows)
         with stats.timer("storage"):
             self._solve_storage(rows)
-        self._record_rates(group)
-        self._plan_accrue(group)
-        self._last_pids = group.pids
-        self._last_index = group.pid_index
+        self._record_rates(rows)
+        pids = tuple([proc.pid for proc in running])
+        self._plan_accrue(pids, rows)
+        self._last_pids = pids
         speed = self._speed
-        return dict(zip(group.pids, [speed[row] for row in rows]))
+        return dict(zip(pids, [speed[row] for row in rows]))
 
     def _solve_nodes(
         self, running: Sequence[SimProcess], dirty: frozenset[int] | None
-    ) -> _RunGroup:
+    ) -> list[int]:
         """Stage 1: bring every running row's speed and stage-1 rates up
-        to date, re-solving only nodes that host a dirty pid."""
-        pids = tuple(p.pid for p in running)
-        group = self._group_cache.get(pids)
-        if group is not None:
-            # Known running set: rows, by-node grouping, and per-node pid
-            # tuples are all unchanged — only refresh dirty segments (plus
-            # any row whose segment is still unset, e.g. between phases).
-            # Grouping is a pure function of the ordered pid list, and a
-            # proc's node/core pinning is fixed for its lifetime, so a
-            # configuration revived after a barrier phase is still exact.
-            rows = group.rows
-            if dirty is None:
-                for i, proc in enumerate(running):
-                    self._refresh_segment(proc, rows[i])
+        to date, re-solving only nodes that host a dirty pid.  Returns the
+        running rows, in running order."""
+        rows: list[int] = []
+        by_node: dict[str, list[int]] = {}
+        # nodes hosting a dirty pid
+        touched: set[str] = set()
+        row_seg = self._row_seg
+        for proc in running:
+            row = self._row_for(proc)
+            rows.append(row)
+            node = proc.node
+            tenants = by_node.get(node)
+            if tenants is None:
+                by_node[node] = [row]
             else:
-                if dirty:
-                    pid_index = group.pid_index
-                    for pid in dirty:
-                        i = pid_index.get(pid)
-                        if i is not None:
-                            self._refresh_segment(running[i], rows[i])
-                row_seg = self._row_seg
-                for i, row in enumerate(rows):
-                    if row_seg[row] is None and pids[i] not in dirty:
-                        self._refresh_segment(running[i], row)
-        else:
-            rows = []
-            by_node: dict[str, list[SimProcess]] = {}
-            for proc in running:
-                row = self._row_for(proc)
-                rows.append(row)
-                procs = by_node.get(proc.node)
-                if procs is None:
-                    by_node[proc.node] = [proc]
-                else:
-                    procs.append(proc)
-                if dirty is None or proc.pid in dirty or self._row_seg[row] is None:
-                    self._refresh_segment(proc, row)
-            group = _RunGroup(self, pids, rows, by_node)
-            self._group_cache[pids] = group
-            if len(self._group_cache) > self.GROUP_CACHE_SIZE:
-                del self._group_cache[next(iter(self._group_cache))]
-            # Nodes only lose all tenants when the running set changes, so
-            # stale-entry cleanup belongs to the group rebuild.
-            for stale in [
-                name for name in self._node_cache if name not in by_node
-            ]:
-                del self._node_cache[stale]
+                tenants.append(row)
+            # Refresh dirty segments, plus any row whose segment is still
+            # unset (e.g. between phases).
+            if dirty is None:
+                self._refresh_segment(proc, row)
+            elif proc.pid in dirty:
+                self._refresh_segment(proc, row)
+                touched.add(node)
+            elif row_seg[row] is None:
+                self._refresh_segment(proc, row)
 
-        node_rows = group.node_rows
-        for node_name, pids_t in group.node_pids.items():
+        node_cache = self._node_cache
+        stats = self.stats
+        for node, tenants in by_node.items():
+            key = tuple(tenants)
             if (
                 dirty is not None
-                and self._node_cache.get(node_name) == pids_t
-                and dirty.isdisjoint(pids_t)
+                and node not in touched
+                and node_cache.get(node) == key
             ):
                 # Same tenants, same segments: the stage-1 rows are
                 # still exact.
-                self.stats.count("nodes_reused")
+                stats.count("nodes_reused")
                 continue
-            self.stats.count("nodes_solved")
-            self._solve_node_memo(node_rows[node_name])
-            self._node_cache[node_name] = pids_t
+            stats.count("nodes_solved")
+            self._solve_node_memo(key)
+            node_cache[node] = key
+        # Every hosting node now has an entry, so any extra one belongs
+        # to a node that lost all its tenants.
+        if len(node_cache) > len(by_node):
+            for stale in [node for node in node_cache if node not in by_node]:
+                del node_cache[stale]
 
         s1 = self._s1
         speed = self._speed
@@ -479,7 +368,7 @@ class ClusterRateModel(RateModel):
                     rate = rates[row]
                     rate[_CPU] *= f
                     rate[_MEM] *= f
-        return group
+        return rows
 
     @property
     def last_rates(self) -> dict[int, dict[str, float]]:
@@ -498,14 +387,11 @@ class ClusterRateModel(RateModel):
         priced columns are the keys the reference model prices for it."""
         self._unkeyed.add(proc.pid)
         seg = proc.current
-        old_flows = self._row_flows[row]
         if seg is None:
             self._row_seg[row] = None
             self._row_flows[row] = None
             self._row_io[row] = None
             self._row_priced[row] = (_CPU, _MEM)
-            if old_flows is not None:
-                self._flows_dirty = True
             return
         self._row_seg[row] = (seg.ips, seg.mpki_base, seg.mpki_extra)
         fp = inclusive_footprints(
@@ -530,12 +416,10 @@ class ClusterRateModel(RateModel):
         if seg.io is not None:
             priced += (_IOW, _IOR, _IOM)
         self._row_priced[row] = tuple(priced)
-        if flows is not None or old_flows is not None:
-            self._flows_dirty = True
 
     # -- stage 1 with a configuration memo ----------------------------------
 
-    def _solve_node_memo(self, node_rows: tuple) -> None:
+    def _solve_node_memo(self, rows: tuple[int, ...]) -> None:
         """Stage-1 solve via the content-addressed configuration memo.
 
         The solve is a pure function of the node's spec and the ordered
@@ -543,20 +427,20 @@ class ClusterRateModel(RateModel):
         outputs — so identical configurations (synchronized ranks cycling
         compute/comm phases) are served from the memo bit-for-bit.  The
         memoized value holds one ``(speed, miss_factor, cpu_rate,
-        mem_rate)`` tuple per tenant, aligned with the rows, stored into
-        ``_s1`` here.
+        mem_rate)`` tuple per tenant, aligned with ``rows`` (one node's
+        tenant rows, in running order), stored into ``_s1`` here.
         """
-        rows, cores, spec = node_rows
+        spec = self._node_list[self._row_node[rows[0]]].spec
+        row_topo = self._row_topo
         row_dem = self._row_dem
-        dem = tuple(row_dem[r] for r in rows)
-        key = (id(spec), cores, dem)
+        topo = [row_topo[r] for r in rows]
+        dem = tuple([row_dem[r] for r in rows])
+        key = (id(spec), tuple([t[0] for t in topo]), dem)
         hit = self._stage1_cache.get(key)
         if hit is not None:
             self.stats.count("stage1_memo_hits")
         else:
             self.stats.count("stage1_memo_misses")
-            row_topo = self._row_topo
-            topo = [row_topo[r] for r in rows]
             hit = tuple(zip(*self._solve_node(spec, dem, topo)))
             if len(self._stage1_cache) >= self.STAGE1_MEMO_SIZE:
                 self._stage1_cache.pop(next(iter(self._stage1_cache)))
@@ -673,59 +557,42 @@ class ClusterRateModel(RateModel):
     def _solve_network(self, rows: list[int]) -> None:
         if self.flow_solver is None:
             return
+        # Per-flow owner row, demand and (pid, src, dst) structure, in
+        # running order.
         row_flows = self._row_flows
-        flow_rows = tuple([row for row in rows if row_flows[row] is not None])
-        if not flow_rows:
-            return
-        # Rebuild the per-flow lists only when the set of flow-bearing
-        # rows changed or one of their segments refreshed; between
-        # changes a resolve just rescales the cached per-flow rates.
-        if self._flows_dirty or flow_rows != self._flow_rows_key:
-            owners: list[int] = []
-            rates: list[float] = []
-            struct: list[tuple] = []
-            pairs: list[tuple[str, str]] = []
-            for row in flow_rows:
-                proc = self._row_proc[row]
-                for flow in row_flows[row]:
-                    owners.append(row)
-                    rates.append(flow.rate)
-                    struct.append((proc.pid, proc.node, flow.dst))
-                    pairs.append((proc.node, flow.dst))
-            self._flow_rows_key = flow_rows
-            self._flow_owner = owners
-            self._flow_rates = rates
-            struct_t = tuple(struct)
-            self._flow_struct = struct_t
-            token = self._struct_intern.get(struct_t)
-            if token is None:
-                token = next(self._struct_tokens)
-                if len(self._struct_intern) >= self.NET_MEMO_SIZE:
-                    self._struct_intern.pop(next(iter(self._struct_intern)))
-                self._struct_intern[struct_t] = token
-            self._flow_token = token
-            self._flow_pairs = pairs
-            self._flows_dirty = False
+        row_proc = self._row_proc
         speed = self._speed
-        demands = tuple(
-            [rate * speed[row] for row, rate in zip(self._flow_owner, self._flow_rates)]
-        )
+        owners: list[int] = []
+        demands: list[float] = []
+        struct: list[tuple[int, str, str]] = []
+        for row in rows:
+            flows = row_flows[row]
+            if flows is None:
+                continue
+            proc = row_proc[row]
+            pid, src, s = proc.pid, proc.node, speed[row]
+            for flow in flows:
+                owners.append(row)
+                demands.append(flow.rate * s)
+                struct.append((pid, src, flow.dst))
+        if not owners:
+            return
         faults = self.cluster.faults
         if faults is not None and faults.active:
             nic = tuple(
                 [
                     faults.nic_factor(src) * faults.nic_factor(dst)
-                    for src, dst in self._flow_pairs
+                    for _, src, dst in struct
                 ]
             )
         else:
             nic = (1.0,) * len(demands)
-        # The interned structure token plus the per-flow NIC factors and
-        # demands.  Float equality is exact for every value the stage can
-        # see: it merges -0.0 with 0.0, but both take the same
-        # ``demand <= 0`` branch below, so a hit across them replays the
-        # same stage; a NaN never equals a fresh NaN, so it only misses.
-        signature = (self._flow_token, nic, demands)
+        # The structure tuple plus the per-flow NIC factors and demands.
+        # Float equality is exact for every value the stage can see: it
+        # merges -0.0 with 0.0, but both take the same ``demand <= 0``
+        # branch below, so a hit across them replays the same stage; a
+        # NaN never equals a fresh NaN, so it only misses.
+        signature = (tuple(struct), nic, tuple(demands))
         memo = self._net_memo
         stage = memo.get(signature)
         if stage is not None:
@@ -734,15 +601,13 @@ class ClusterRateModel(RateModel):
             self.stats.count("network_stage_solves")
             requests = [
                 FlowRequest(key=k, src=src, dst=dst, demand=demand)
-                for k, ((pid, src, dst), demand) in enumerate(
-                    zip(self._flow_struct, demands)
-                )
+                for k, ((_, src, dst), demand) in enumerate(zip(struct, demands))
             ]
             result = self.flow_solver.solve(requests)
             worst: dict[int, float] = {}
             tx: dict[int, float] = {}
             remote: dict[str, float] = {}
-            for request, row, nic_k in zip(requests, self._flow_owner, nic):
+            for request, row, nic_k in zip(requests, owners, nic):
                 grant = result.grants[request.key] * nic_k
                 demand = request.demand
                 ratio = nic_k if demand <= 0 else min(1.0, grant / demand)
@@ -770,21 +635,23 @@ class ClusterRateModel(RateModel):
     # -- stage 3: storage ----------------------------------------------------
 
     def _solve_storage(self, rows: list[int]) -> None:
-        by_fs: dict[str, list[tuple[SimProcess, IODemand]]] = defaultdict(list)
+        by_fs: dict[str, list[tuple[int, str, IODemand]]] = defaultdict(list)
         row_io = self._row_io
-        speeds = self._speed
+        row_proc = self._row_proc
+        speed = self._speed
         for row in rows:
             io = row_io[row]
             if io is None:
                 continue
-            speed = speeds[row]
+            s = speed[row]
+            proc = row_proc[row]
             scaled = type(io)(
                 fs=io.fs,
-                write_bw=io.write_bw * speed,
-                read_bw=io.read_bw * speed,
-                meta_ops=io.meta_ops * speed,
+                write_bw=io.write_bw * s,
+                read_bw=io.read_bw * s,
+                meta_ops=io.meta_ops * s,
             )
-            by_fs[io.fs].append((self._row_proc[row], scaled))
+            by_fs[io.fs].append((proc.pid, proc.node, scaled))
         obs = self.cluster.sim.obs
         if obs is not None:
             for fs_name in self.cluster.filesystems:
@@ -795,51 +662,23 @@ class ClusterRateModel(RateModel):
                     ("storage", fs_name),
                     active=fs_name in by_fs,
                 )
-        if not by_fs:
-            self._io_cache = None
-            return
-        signature = (
-            tuple(
-                (p.pid, p.node, fs_name, io.write_bw, io.read_bw, io.meta_ops)
-                for fs_name, pairs in by_fs.items()
-                for p, io in pairs
-            ),
-            tuple(
-                (fs_name, self.cluster.filesystem(fs_name).health_revision)
-                for fs_name in sorted(by_fs)
-            ),
-        )
-        if self._io_cache is not None and self._io_cache.signature == signature:
-            self.stats.count("storage_stage_skips")
-            self._apply_io_stage(self._io_cache)
-            return
-        self.stats.count("storage_stage_solves")
-        ratios: dict[int, float] = {}
-        io_rates: dict[int, tuple[float, float, float]] = {}
-        for fs_name, pairs in by_fs.items():
-            fs = self.cluster.filesystem(fs_name)
-            grants = fs.solve([(p.pid, p.node, io) for p, io in pairs])
-            for p, _ in pairs:
-                grant = grants[p.pid]
-                ratios[p.pid] = min(1.0, grant.ratio)
-                io_rates[p.pid] = (grant.write_bw, grant.read_bw, grant.meta_ops)
-        self._io_cache = _IOStage(signature=signature, ratios=ratios, rates=io_rates)
-        self._apply_io_stage(self._io_cache)
-
-    def _apply_io_stage(self, stage: _IOStage) -> None:
+        # Every demand was scaled above, before any ratio is applied.
         pid_row = self._pid_row
-        speed = self._speed
-        for pid, ratio in stage.ratios.items():
-            speed[pid_row[pid]] *= ratio
-        for pid, (write, read, meta) in stage.rates.items():
-            rates = self._rates[pid_row[pid]]
-            rates[_IOW] = write
-            rates[_IOR] = read
-            rates[_IOM] = meta
+        all_rates = self._rates
+        for fs_name, demands in by_fs.items():
+            grants = self.cluster.filesystem(fs_name).solve(demands)
+            for pid, _, _ in demands:
+                grant = grants[pid]
+                row = pid_row[pid]
+                speed[row] *= min(1.0, grant.ratio)
+                rates = all_rates[row]
+                rates[_IOW] = grant.write_bw
+                rates[_IOR] = grant.read_bw
+                rates[_IOM] = grant.meta_ops
 
     # -- finalize ------------------------------------------------------------
 
-    def _record_rates(self, group: _RunGroup) -> None:
+    def _record_rates(self, rows: list[int]) -> None:
         """Instruction and cache-miss rates from each row's final speed,
         in the reference model's float order."""
         row_seg = self._row_seg
@@ -847,7 +686,7 @@ class ClusterRateModel(RateModel):
         s1 = self._s1
         speeds = self._speed
         all_rates = self._rates
-        for row in group.rows:
+        for row in rows:
             seg = row_seg[row]
             if seg is None:
                 continue
@@ -861,7 +700,7 @@ class ClusterRateModel(RateModel):
                 L2_MISS_FACTOR * mpki * ips / 1000.0, rates[_MEM] / 256.0
             )
 
-    def _plan_accrue(self, group: _RunGroup) -> None:
+    def _plan_accrue(self, pids: tuple[int, ...], rows: list[int]) -> None:
         """Pair each running row's counter targets with its final rates.
 
         The plan :meth:`accrue` runs holds one ``(targets, rates,
@@ -874,25 +713,26 @@ class ClusterRateModel(RateModel):
         only pids in ``_unkeyed`` (refreshed since their keys were last
         found present) are checked.
         """
-        targets = group.targets
-        rows = group.rows
+        row_targets = self._row_targets
         all_rates = self._rates
-        rates = [all_rates[row] for row in rows]
-        plan = list(zip(targets, rates, [()] * len(targets)))
+        plan = [(row_targets[row], all_rates[row], ()) for row in rows]
         unkeyed = self._unkeyed
-        index = group.pid_index
-        for pid in [pid for pid in unkeyed if pid in index]:
-            i = index[pid]
-            counters = targets[i][0]
-            missing = [
-                _RATE_KEYS[col]
-                for col in self._row_priced[rows[i]]
-                if _RATE_KEYS[col] not in counters
-            ]
-            if missing:
-                plan[i] = (targets[i], rates[i], missing)
-            else:
-                unkeyed.discard(pid)
+        if unkeyed:
+            row_priced = self._row_priced
+            for i, pid in enumerate(pids):
+                if pid not in unkeyed:
+                    continue
+                targets, rates, _ = plan[i]
+                counters = targets[0]
+                missing = [
+                    _RATE_KEYS[col]
+                    for col in row_priced[rows[i]]
+                    if _RATE_KEYS[col] not in counters
+                ]
+                if missing:
+                    plan[i] = (targets, rates, missing)
+                else:
+                    unkeyed.discard(pid)
         self._plan = plan
 
     # -- accrual -------------------------------------------------------------
@@ -907,7 +747,7 @@ class ClusterRateModel(RateModel):
             # un-resolved newcomers; any change marks the engine dirty and
             # forces a resolve before the next accrue): accrue the resolved
             # processes still running, in running order.
-            index = self._last_index
+            index = {pid: i for i, pid in enumerate(self._last_pids)}
             plan = [plan[index[p.pid]] for p in running if p.pid in index]
         # Every counter cell receives its contributions in running order,
         # one ``rate * dt`` each, as in the reference model's loop.  Zero

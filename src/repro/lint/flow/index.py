@@ -87,6 +87,8 @@ class ClassInfo:
     attr_types: dict[str, str] = field(default_factory=dict)
     #: attributes assigned anywhere outside ``__init__`` (mutable at runtime)
     mutated_attrs: set[str] = field(default_factory=set)
+    #: attributes assigned anywhere, ``__init__`` included
+    assigned_attrs: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -244,6 +246,7 @@ class ProjectIndex:
                             attr = _self_attr(target)
                             if attr is None:
                                 continue
+                            cinfo.assigned_attrs.add(attr)
                             if item.name != "__init__":
                                 cinfo.mutated_attrs.add(attr)
                             value = getattr(sub, "value", None)

@@ -54,15 +54,47 @@ class MemoImpurityRule(FlowRule):
     )
 
     def run(self, project: ProjectIndex, graph: CallGraph):
+        memos: list[FunctionInfo] = []
         for suffix in self.config.flow_memo_functions:
             matched = False
             for qualname, fn in sorted(project.functions.items()):
                 if qualname.endswith(suffix) and fn.cls is not None:
                     matched = True
+                    memos.append(fn)
                     self._check_memo(project, graph, fn)
             if not matched:
                 self._report_stale_entry(project, suffix)
+        if memos:
+            self._report_stale_state(
+                project, min(memos, key=lambda fn: fn.qualname)
+            )
         return sorted(self.findings)
+
+    def _report_stale_state(self, project: ProjectIndex, fn: FunctionInfo) -> None:
+        """Report a state entry that no class in the tree assigns as
+        ``self.<name>``: it allows nothing today, and would silently allow
+        a future attribute of that name.  Reported on the class of ``fn``
+        (a memoized solve in the tree); a tree without one stays silent."""
+        cinfo = project.classes.get(f"{fn.module}.{fn.cls}")
+        info = project.modules.get(fn.module)
+        if cinfo is None or info is None:
+            return
+        assigned: set[str] = set()
+        for other in project.classes.values():
+            assigned |= other.assigned_attrs
+        for option, names in (
+            ("flow-memo-state-allowed", self.config.flow_memo_state_allowed),
+            ("flow-memo-derived-state", self.config.flow_memo_derived_state),
+        ):
+            for name in names:
+                if name not in assigned:
+                    self.report(
+                        info,
+                        cinfo.node,
+                        f"{option} entry {name!r} is assigned as self.{name} "
+                        "by no class in the tree; a stale entry would "
+                        "silently exempt a future attribute of that name",
+                    )
 
     def _report_stale_entry(self, project: ProjectIndex, suffix: str) -> None:
         """Report a ``Class.method`` entry whose class lacks the method: a

@@ -81,39 +81,72 @@ def read_jsonl(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Load a JSONL file produced by :func:`write_jsonl`.
 
     Returns ``(times, {metric: series})`` — the inverse of the export,
-    so round-trips are exact.
+    so round-trips are exact.  A damaged file (a torn line, a sample
+    missing a metric, a value that is not a number) raises
+    :class:`~repro.errors.ConfigError` naming ``path:line``.
     """
     path = Path(path)
-    records = []
-    for line in path.read_text().splitlines():
-        if line.strip():
-            records.append(json.loads(line))
+    records: list[tuple[int, dict]] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: not a JSON record ({exc.msg})"
+            ) from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}:{lineno}: a sample must be a JSON object")
+        records.append((lineno, record))
     if not records:
         return np.empty(0), {}
-    first = records[0]
+    first = records[0][1]
     if "time" not in first:
         raise ConfigError(f"{path} is not a metric export (no time field)")
     metrics = sorted(k for k in first if k not in ("time", "node"))
-    times = np.asarray([r["time"] for r in records], dtype=float)
-    series = {
-        m: np.asarray([r[m] for r in records], dtype=float) for m in metrics
-    }
-    return times, series
+    columns: dict[str, list] = {key: [] for key in ["time", *metrics]}
+    for lineno, record in records:
+        for key, column in columns.items():
+            if key not in record:
+                raise ConfigError(f"{path}:{lineno}: sample lacks {key!r}")
+            value = record[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(
+                    f"{path}:{lineno}: {key!r} is {value!r}, not a number"
+                )
+            column.append(value)
+    times = np.asarray(columns.pop("time"), dtype=float)
+    return times, {m: np.asarray(col, dtype=float) for m, col in columns.items()}
 
 
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Load a CSV produced by :func:`write_csv`.
 
     Returns ``(times, {metric: series})`` — the inverse of the export,
-    so round-trips are exact.
+    so round-trips are exact.  A damaged file (no header, a row of the
+    wrong width, a cell that is not a number) raises
+    :class:`~repro.errors.ConfigError` naming ``path:line``.
     """
     path = Path(path)
     with path.open() as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
-    if header[0] != "time":
-        raise ConfigError(f"{path} is not a metric export (no time column)")
+        header = next(reader, None)
+        if not header:
+            raise ConfigError(f"{path}:1: no header row")
+        if header[0] != "time":
+            raise ConfigError(f"{path} is not a metric export (no time column)")
+        rows = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{where}: {len(row)} cells, the header has {len(header)}"
+                )
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise ConfigError(f"{where}: a cell is not a number") from None
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         return np.empty(0), {m: np.empty(0) for m in header[1:]}

@@ -76,9 +76,9 @@ class TestReferenceModel:
         # _plan_accrue hands to accrue.
         real = ClusterRateModel._record_rates
 
-        def skewed(self, group):
-            real(self, group)
-            for row in group.rows:
+        def skewed(self, rows):
+            real(self, rows)
+            for row in rows:
                 self._rates[row][_INSTR] *= 1.0 + 1e-9
 
         monkeypatch.setattr(ClusterRateModel, "_record_rates", skewed)

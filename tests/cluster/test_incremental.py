@@ -98,10 +98,6 @@ class TestWorkAvoidance:
         _, _, stats = runs
         assert stats["reschedules_skipped"] > 0
 
-    def test_storage_stage_was_skipped_sometimes(self, runs):
-        _, _, stats = runs
-        assert stats.get("storage_stage_skips", 0) > 0
-
     def test_network_stage_skipped_for_disjoint_changes(self):
         # A CPU-only change on node6 leaves the flow signature untouched,
         # so the network stage is replayed from the memo, not re-solved.

@@ -169,7 +169,6 @@ def test_memo_and_intern_tables_stay_bounded(monkeypatch):
     # Lowered bounds make a short run overflow every table several times.
     monkeypatch.setattr(ClusterRateModel, "STAGE1_MEMO_SIZE", 4)
     monkeypatch.setattr(ClusterRateModel, "NET_MEMO_SIZE", 4)
-    monkeypatch.setattr(ClusterRateModel, "GROUP_CACHE_SIZE", 2)
     cluster = _run_drifting(reference=False)
     model = cluster.model
     assert model.stats.counters["stage1_memo_misses"] > 4 * model.STAGE1_MEMO_SIZE
@@ -177,10 +176,7 @@ def test_memo_and_intern_tables_stay_bounded(monkeypatch):
     bounds = {
         "_node_cache": len(cluster.nodes),
         "_stage1_cache": model.STAGE1_MEMO_SIZE,
-        "_group_cache": model.GROUP_CACHE_SIZE,
-        "_node_rows_intern": 4 * model.GROUP_CACHE_SIZE,
         "_net_memo": model.NET_MEMO_SIZE,
-        "_struct_intern": model.NET_MEMO_SIZE,
     }
     tables = {
         name: table

@@ -382,6 +382,30 @@ class TestRL013MemoImpurity:
         assert len(found) == 1
         assert "self.scale" in found[0].message
 
+    def test_bug_stale_state_entries(self, project_factory):
+        """A state entry no class assigns is a finding, once per entry.
+
+        ``table`` was the memo's old name: the entry left behind would
+        silently exempt any future ``self.table`` read.
+        """
+        config = LintConfig(
+            flow_memo_functions=("Solver.solve",),
+            flow_memo_state_allowed=("memo", "table"),
+            flow_memo_derived_state=("scale", "token"),
+        )
+        found = findings_for(project_factory, _MEMO_CLEAN, "RL013", config)
+        assert {f.message.split(" is ")[0] for f in found} == {
+            "flow-memo-state-allowed entry 'table'",
+            "flow-memo-derived-state entry 'token'",
+        }
+        assert len(found) == 2
+        # A tree without the memoized solve stays silent.
+        config = LintConfig(
+            flow_memo_functions=("OtherSolver.solve",),
+            flow_memo_state_allowed=("table",),
+        )
+        assert findings_for(project_factory, _MEMO_CLEAN, "RL013", config) == []
+
     def test_clean_entry_for_absent_class(self, project_factory):
         # One config serves trees that lack some memoized class.
         config = LintConfig(

@@ -96,3 +96,24 @@ def test_read_jsonl_empty_file(tmp_path):
     empty.write_text("")
     times, series = read_jsonl(empty)
     assert times.size == 0 and series == {}
+
+
+#: damaged metric files → the line their error must name
+_DAMAGED = {
+    "torn.jsonl": ('{"time": 1.0, "m": 2.0}\n{"time": 2.0, "m"', 2),
+    "missing.jsonl": ('{"time": 1.0, "m": 2.0}\n{"time": 2.0}\n', 2),
+    "word.jsonl": ('{"time": 1.0, "m": 2.0}\n{"time": 2.0, "m": "x"}\n', 2),
+    "empty.csv": ("", 1),
+    "word.csv": ("time,m\n1.0,2.0\n2.0,x\n", 3),
+    "ragged.csv": ("time,m\n1.0,2.0\n2.0\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_DAMAGED))
+def test_damaged_file_is_typed_error(tmp_path, name):
+    text, line = _DAMAGED[name]
+    path = tmp_path / name
+    path.write_text(text)
+    reader = read_jsonl if name.endswith(".jsonl") else read_csv
+    with pytest.raises(ConfigError, match=f"{name}:{line}:"):
+        reader(path)
