@@ -13,7 +13,7 @@ lint:
 
 # Deliberately re-record the flow baseline (see docs/LINT.md).
 lint-baseline:
-	$(PYTHON) -m repro lint src/ tests/ --flow --no-cache \
+	$(PYTHON) -m repro lint src/ tests/ --flow \
 		--write-baseline LINT_baseline.json
 
 test:

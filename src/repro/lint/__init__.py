@@ -17,10 +17,9 @@ Public surface::
 
 Per-file rules are registered in :mod:`repro.lint.rules` (RL001–RL010);
 whole-program dataflow rules (RL011–RL016) live in
-:mod:`repro.lint.flow` and run via ``repro lint --flow``, which adds an
-incremental sha256-keyed cache, a SARIF 2.1.0 exporter
-(:mod:`repro.lint.sarif`) and baseline support
-(:mod:`repro.lint.baseline`).  The CLI entry point is
+:mod:`repro.lint.flow` and run via ``repro lint --flow``.  Both kinds
+share a SARIF 2.1.0 exporter (:mod:`repro.lint.sarif`) and baseline
+support (:mod:`repro.lint.baseline`).  The CLI entry point is
 ``python -m repro lint [paths]``.
 """
 

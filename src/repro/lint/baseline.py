@@ -55,14 +55,32 @@ def load_baseline(path: Path | str) -> dict[tuple[str, str, str], int]:
         raise ConfigError(f"cannot read baseline {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"baseline {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"baseline {path}: top level must be a JSON object")
     if data.get("version") != BASELINE_VERSION:
         raise ConfigError(
             f"baseline {path}: unsupported version {data.get('version')!r}"
         )
+    entries = data.get("findings", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"baseline {path}: 'findings' must be a list")
     counts: dict[tuple[str, str, str], int] = {}
-    for entry in data.get("findings", []):
-        key = (entry["path"], entry["rule_id"], entry["message"])
-        counts[key] = counts.get(key, 0) + int(entry.get("count", 1))
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"baseline {path}: entry {i} is not an object")
+        try:
+            key = (entry["path"], entry["rule_id"], entry["message"])
+            count = int(entry.get("count", 1))
+        except KeyError as exc:
+            raise ConfigError(f"baseline {path}: entry {i} lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"baseline {path}: entry {i}: bad count: {exc}") from exc
+        if not all(isinstance(part, str) for part in key):
+            raise ConfigError(
+                f"baseline {path}: entry {i}: path, rule_id and message "
+                "must be strings"
+            )
+        counts[key] = counts.get(key, 0) + count
     return counts
 
 

@@ -12,11 +12,11 @@ Examples::
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
 configuration errors — the convention CI gates expect.
 
-``--flow`` adds the whole-program dataflow rules (RL011–RL016) and an
-incremental cache: warm re-runs re-analyze only changed files and their
-reverse dependencies (``--stats`` prints the hit rate).  ``--baseline``
-filters out pre-existing findings recorded with ``--write-baseline``;
-``--sarif`` writes a SARIF 2.1.0 log for GitHub code scanning.
+``--flow`` adds the whole-program dataflow rules (RL011–RL016); every
+run analyzes the whole tree.  ``--stats`` prints files, findings and
+per-rule counts.  ``--baseline`` filters out pre-existing findings
+recorded with ``--write-baseline``; ``--sarif`` writes a SARIF 2.1.0 log
+for GitHub code scanning.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from repro.lint.findings import Finding
 from repro.lint.sarif import render_sarif
 from repro.output import OutputWriter
 
-JSON_SCHEMA_VERSION = 2
-
-DEFAULT_CACHE = ".repro_lint_cache.json"
+JSON_SCHEMA_VERSION = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,14 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flow",
         action="store_true",
-        help="run the whole-program dataflow rules (RL011+) with the "
-        "incremental cache",
+        help="also run the whole-program dataflow rules (RL011+)",
     )
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print a summary block (findings per rule, files analyzed, "
-        "cache hit rate); silenced by --quiet",
+        help="print a summary block (files, findings, findings per rule); "
+        "silenced by --quiet; JSON output always carries it as 'summary'",
     )
     parser.add_argument(
         "-q",
@@ -116,17 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="record the current findings as the new baseline and exit 0",
     )
-    parser.add_argument(
-        "--cache",
-        default=DEFAULT_CACHE,
-        metavar="FILE",
-        help=f"incremental cache file for --flow (default {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental cache",
-    )
     return parser
 
 
@@ -146,6 +132,13 @@ def _resolve_config(args: argparse.Namespace) -> LintConfig:
     return config
 
 
+def _by_rule(findings: list[Finding]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for finding in findings:
+        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def _render_text(
     findings: list[Finding], n_files: int, out: OutputWriter, quiet: bool
 ) -> None:
@@ -160,37 +153,24 @@ def _render_text(
         out.line(f"clean: 0 findings in {n_files} {noun}")
 
 
-def _render_json(
-    findings: list[Finding], n_files: int, out: OutputWriter, stats: dict | None
-) -> None:
-    by_rule: dict[str, int] = {}
-    for finding in findings:
-        by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
+def _render_json(findings: list[Finding], n_files: int, out: OutputWriter) -> None:
     payload = {
         "version": JSON_SCHEMA_VERSION,
         "findings": [f.to_dict() for f in findings],
         "summary": {
             "files": n_files,
             "findings": len(findings),
-            "by_rule": dict(sorted(by_rule.items())),
+            "by_rule": _by_rule(findings),
         },
     }
-    if stats is not None:
-        payload["stats"] = stats
     out.line(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _render_stats(
-    findings: list[Finding], report, out: OutputWriter
-) -> None:
-    by_rule: dict[str, int] = {}
-    for finding in findings:
-        by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
+def _render_stats(findings: list[Finding], n_files: int, out: OutputWriter) -> None:
     out.line("-- lint stats --")
-    out.line(f"files analyzed:  {len(report.analyzed)} of {len(report.files)}")
-    out.line(f"cache hits:      {len(report.cached)} ({report.cache_hit_rate:.0%})")
+    out.line(f"files:           {n_files}")
     out.line(f"findings:        {len(findings)}")
-    for rule_id, count in sorted(by_rule.items()):
+    for rule_id, count in _by_rule(findings).items():
         out.line(f"  {rule_id}: {count}")
 
 
@@ -217,14 +197,12 @@ def main(argv: list[str] | None = None) -> int:
         _render_rules(out)
         return 0
 
-    report = None
     try:
         config = _resolve_config(args)
         if args.flow:
             from repro.lint.flow.analyzer import analyze_paths
 
-            cache_path = None if args.no_cache else Path(args.cache)
-            report = analyze_paths(args.paths, config, cache_path=cache_path)
+            report = analyze_paths(args.paths, config)
             findings = report.findings
             n_files = len(report.files)
         else:
@@ -248,32 +226,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.sarif is not None:
         Path(args.sarif).write_text(render_sarif(findings), encoding="utf-8")
 
-    stats_payload = None
-    if report is not None:
-        stats_payload = {
-            "files": len(report.files),
-            "analyzed": len(report.analyzed),
-            "cached": len(report.cached),
-            "cache_hit_rate": round(report.cache_hit_rate, 4),
-        }
     if args.format == "json":
-        _render_json(
-            findings, n_files, out, stats_payload if args.stats else None
-        )
+        _render_json(findings, n_files, out)
     else:
         _render_text(findings, n_files, out, args.quiet)
         if args.stats and not args.quiet:
-            if report is not None:
-                _render_stats(findings, report, out)
-            else:
-                by_rule: dict[str, int] = {}
-                for finding in findings:
-                    by_rule[finding.rule_id] = by_rule.get(finding.rule_id, 0) + 1
-                out.line("-- lint stats --")
-                out.line(f"files analyzed:  {n_files} of {n_files}")
-                out.line(f"findings:        {len(findings)}")
-                for rule_id, count in sorted(by_rule.items()):
-                    out.line(f"  {rule_id}: {count}")
+            _render_stats(findings, n_files, out)
     return 1 if findings else 0
 
 

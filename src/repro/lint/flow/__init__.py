@@ -18,9 +18,8 @@ RL016     unit-flow          mixed-dimension arithmetic across function boundari
 ========  =================  ====================================================
 
 Entry point: :func:`repro.lint.flow.analyzer.analyze_paths`, surfaced on
-the CLI as ``repro lint --flow``.  Warm re-runs consult an incremental
-cache keyed on per-file sha256 (:mod:`repro.lint.flow.cache`) so only
-changed files and their reverse dependencies are re-analyzed.
+the CLI as ``repro lint --flow``.  Every run indexes the whole tree and
+runs every rule on every file.
 """
 
 from __future__ import annotations

@@ -1,22 +1,10 @@
-"""Orchestration: classic per-file rules + flow rules + incremental cache.
+"""Orchestration: classic per-file rules + flow rules over one index.
 
-``analyze_paths`` is the engine behind ``repro lint --flow``.  One run:
-
-1. index the tree (every file parsed exactly once — the classic rules
-   and the flow rules share the parse);
-2. consult the :class:`~repro.lint.flow.cache.AnalysisCache` to compute
-   the *dirty set*: changed/new files plus the reverse-dependency
-   closure of changed modules;
-3. run the classic per-file rules on dirty files only (clean files keep
-   their cached findings);
-4. when anything is dirty, run the whole-program flow rules over the
-   full index; findings land in per-file buckets, and clean files again
-   keep their cached findings (fresh and cached agree by construction —
-   the cold/warm byte-identity test in CI holds the analyzer to that);
-5. write the cache back.
-
-A fully-warm run (empty dirty set) skips rule execution entirely and
-serves every finding from the cache.
+``analyze_paths`` is the engine behind ``repro lint --flow``.  One run
+indexes the tree (every file parsed exactly once — the classic rules and
+the flow rules share the parse), runs the per-file rules on every file,
+runs the whole-program flow rules once over the full index, and reports
+files the index could not parse as RL000 findings.
 """
 
 from __future__ import annotations
@@ -26,99 +14,40 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.engine import RULE_REGISTRY, LintEngine
+from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
-from repro.lint.flow.base import FLOW_RULE_REGISTRY, run_flow_rules
-from repro.lint.flow.cache import AnalysisCache, config_key
+from repro.lint.flow.base import run_flow_rules
 from repro.lint.flow.index import ProjectIndex
 
 
 @dataclass
 class FlowReport:
-    """Findings plus the incrementality ledger for one analyzer run."""
+    """Findings of one analyzer run plus the files it covered."""
 
     findings: list[Finding]
     files: list[str] = field(default_factory=list)
-    analyzed: list[str] = field(default_factory=list)  # dirty: rules re-ran
-    cached: list[str] = field(default_factory=list)  # served from cache
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return len(self.cached) / len(self.files) if self.files else 0.0
-
-    def by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return dict(sorted(counts.items()))
 
 
 def analyze_paths(
-    paths: Sequence[Path | str],
-    config: LintConfig | None = None,
-    cache_path: Path | str | None = None,
+    paths: Sequence[Path | str], config: LintConfig | None = None
 ) -> FlowReport:
     """Run the combined (classic + flow) analysis; see module docstring."""
     config = config or LintConfig()
     index = ProjectIndex.build(paths)
-    rule_ids = tuple(sorted((*RULE_REGISTRY, *FLOW_RULE_REGISTRY)))
-    cache = AnalysisCache(
-        Path(cache_path) if cache_path is not None else None,
-        config_key(config, rule_ids),
-    )
-
-    hashes = {info.posix: info.sha256 for info in index.modules.values()}
-    changed = cache.dirty_files(hashes)
-    # Reverse-dependency closure: a module importing a changed module can
-    # see different whole-program findings, so it is dirty too.
-    changed_modules = {
-        info.module for info in index.modules.values() if info.posix in changed
-    }
-    dirty_modules = index.reverse_closure(changed_modules)
-    dirty = changed | {
-        index.modules[m].posix for m in dirty_modules if m in index.modules
-    }
-
     engine = LintEngine(config)
-    buckets: dict[str, list[Finding]] = {posix: [] for posix in hashes}
 
-    if dirty:
-        # Classic per-file rules: only dirty files re-run.
-        for posix in sorted(dirty):
-            info = index.by_path[posix]
-            buckets[posix].extend(engine.lint_source(info.source, info.path))
-        # Whole-program rules: one pass over the full index; only dirty
-        # files take the fresh results (clean files keep cached findings,
-        # which match by construction).
-        for finding in run_flow_rules(index, config):
-            posix = finding.path.replace("\\", "/")
-            if posix in buckets and posix in dirty:
-                buckets[posix].append(finding)
-
-    for posix in hashes:
-        if posix not in dirty:
-            cached = cache.findings_for(posix)
-            buckets[posix] = cached if cached is not None else buckets[posix]
-
+    findings: list[Finding] = []
+    for info in index.modules.values():
+        findings.extend(engine.lint_source(info.source, info.path))
+    findings.extend(run_flow_rules(index, config))
     # Files the index could not parse still surface as findings (RL000),
-    # via the classic engine's error path; they are never cached.
-    parse_findings: list[Finding] = []
+    # via the classic engine's error path.
     for path, _message in index.parse_errors:
-        parse_findings.extend(engine.lint_file(path))
+        findings.extend(engine.lint_file(path))
 
-    for posix, info in ((i.posix, i) for i in index.modules.values()):
-        cache.update(posix, info.sha256, sorted(info.deps), buckets[posix])
-    cache.prune(set(hashes))
-    cache.save()
-
-    findings = sorted(
-        [f for bucket in buckets.values() for f in bucket] + parse_findings
-    )
     return FlowReport(
-        findings=findings,
-        files=sorted(hashes),
-        analyzed=sorted(dirty),
-        cached=sorted(set(hashes) - dirty),
+        findings=sorted(findings),
+        files=sorted(info.posix for info in index.modules.values()),
         parse_errors=list(index.parse_errors),
     )

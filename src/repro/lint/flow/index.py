@@ -1,12 +1,11 @@
 """Project index: every file parsed once into a queryable symbol table.
 
 The index is the substrate every flow rule shares.  For each ``.py`` file
-it records the module name, a sha256 content hash (the incremental-cache
-key), the import table (local alias → qualified name), top-level
-functions, classes with their methods and inferred attribute types, and
-module-level globals.  :meth:`ProjectIndex.resolve` turns a dotted name
-as written in one module into a project-wide qualified name, which is
-what the call graph builds on.
+it records the module name, the import table (local alias → qualified
+name), top-level functions, classes with their methods and inferred
+attribute types, and module-level globals.  :meth:`ProjectIndex.resolve`
+turns a dotted name as written in one module into a project-wide
+qualified name, which is what the call graph builds on.
 
 Module naming mirrors the import system without ever importing anything:
 ``src/repro/sim/rng.py`` → ``repro.sim.rng`` (a leading ``src``
@@ -17,10 +16,9 @@ component is dropped), so fixtures in a temp directory shaped like
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint.engine import LintEngine, _parse_suppressions
 
@@ -98,7 +96,6 @@ class ModuleInfo:
     path: str
     posix: str
     module: str
-    sha256: str
     source: str
     tree: ast.Module
     imports: dict[str, str] = field(default_factory=dict)
@@ -108,8 +105,6 @@ class ModuleInfo:
     globals: dict[str, ast.AST] = field(default_factory=dict)
     #: subset of ``globals`` bound to mutable containers
     mutable_globals: set[str] = field(default_factory=set)
-    #: project modules this module imports (direct dependencies)
-    deps: set[str] = field(default_factory=set)
     #: suppression maps, same semantics as the per-file engine
     line_suppressions: dict[int, set[str]] = field(default_factory=dict)
     file_suppressions: set[str] = field(default_factory=set)
@@ -151,7 +146,6 @@ class ProjectIndex:
 
     def _add_file(self, path: Path, roots: Sequence[Path]) -> None:
         source = path.read_text(encoding="utf-8")
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
@@ -162,7 +156,6 @@ class ProjectIndex:
             path=str(path),
             posix=str(path).replace("\\", "/"),
             module=module,
-            sha256=digest,
             source=source,
             tree=tree,
         )
@@ -179,14 +172,10 @@ class ProjectIndex:
                     local = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     info.imports[local] = target
-                    # `import a.b.c` binds `a` but makes a.b.c importable;
-                    # record the full module as a dependency candidate.
-                    info.deps.add(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 base = self._resolve_from(node, package)
                 if base is None:
                     continue
-                info.deps.add(base)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -284,22 +273,6 @@ class ProjectIndex:
                 self.classes[cinfo.qualname] = cinfo
                 for fn in cinfo.methods.values():
                     self.functions[fn.qualname] = fn
-            # Keep only dependencies that resolve to indexed modules: a
-            # dep recorded as "repro.sim.rng.make_rng" trims to the module.
-            resolved: set[str] = set()
-            for dep in info.deps:
-                trimmed = self._trim_to_module(dep)
-                if trimmed is not None and trimmed != info.module:
-                    resolved.add(trimmed)
-            info.deps = resolved
-
-    def _trim_to_module(self, dotted: str) -> str | None:
-        parts = dotted.split(".")
-        for end in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:end])
-            if candidate in self.modules:
-                return candidate
-        return None
 
     # -- queries -------------------------------------------------------------
 
@@ -347,22 +320,6 @@ class ProjectIndex:
                 if resolved is not None:
                     queue.append(resolved)
         return None
-
-    def reverse_closure(self, changed: Iterable[str]) -> set[str]:
-        """Changed modules plus everything that (transitively) imports them."""
-        importers: dict[str, set[str]] = {}
-        for info in self.modules.values():
-            for dep in info.deps:
-                importers.setdefault(dep, set()).add(info.module)
-        result = set(changed) & set(self.modules)
-        queue = list(result)
-        while queue:
-            module = queue.pop()
-            for importer in importers.get(module, ()):
-                if importer not in result:
-                    result.add(importer)
-                    queue.append(importer)
-        return result
 
 
 def _dotted(node: ast.AST) -> str | None:

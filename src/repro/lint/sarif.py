@@ -3,8 +3,8 @@
 SARIF (Static Analysis Results Interchange Format) is what GitHub code
 scanning ingests to annotate pull requests.  The export is deterministic
 by construction — findings and rule metadata are sorted, no timestamps
-or absolute paths are emitted — so CI can assert that a warm-cache rerun
-produces a byte-identical file.
+or absolute paths are emitted — so CI can assert that two runs over the
+same tree produce byte-identical files.
 """
 
 from __future__ import annotations

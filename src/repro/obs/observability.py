@@ -45,8 +45,8 @@ class Observability:
     interval:
         Sampling interval for a service created by :meth:`attach`.
     collector:
-        An existing :class:`SpanCollector` to adopt (e.g. one configured
-        with ``wallclock=True``), or ``None`` for a fresh default one.
+        An existing :class:`SpanCollector` to adopt, or ``None`` for a
+        fresh one.
     """
 
     def __init__(

@@ -34,14 +34,12 @@ Spans carry:
     viewer — ``("node0", "p3:app")`` for process work,
     ``("cluster", "scheduler")`` for control-plane events.
 
-Host wall-time annotation is opt-in (``wallclock=True``): spans then carry
-a ``host_s`` arg with the host-clock emission offset.  It is off by
-default because it makes exported traces non-reproducible byte-for-byte.
+Spans and instants carry no host wall-clock time, so exported traces are
+byte-identical per seed; host timings live in the ``SimStats`` timers.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -100,30 +98,18 @@ class SpanCollector:
 
     Attach with :meth:`attach`; every instrumented subsystem then emits
     through ``sim.obs``.  Detach restores the simulator to its un-observed
-    (zero-overhead) state while keeping the recorded data.
-
-    Parameters
-    ----------
-    wallclock:
-        Annotate each span/instant with the host-clock offset (seconds
-        since the collector was created) under the ``host_s`` arg.  Off by
-        default: host timings make exports non-reproducible.
-    resolve_events:
-        Record one instant event per engine rate-resolve round.  On by
-        default; turn off for very long traces where only subsystem spans
-        matter.
+    (zero-overhead) state while keeping the recorded data.  One instant
+    event is recorded per engine rate-resolve round.
     """
 
-    def __init__(self, wallclock: bool = False, resolve_events: bool = True) -> None:
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
-        self.wallclock = wallclock
-        self.resolve_events = resolve_events
         self._sim: "Simulator | None" = None
         self._next_sid = 1
         #: completion sequence shared by spans and instants (record order)
         self._next_seq = 1
-        #: streaming sinks notified as records open/close (see obs.stream)
+        #: streaming sinks notified as records close (see obs.stream)
         self._sinks: list["ObsSink"] = []
         #: open per-pid spans maintained by the engine callbacks
         self._proc_spans: dict[int, Span] = {}
@@ -138,9 +124,6 @@ class SpanCollector:
         self._watch_remaining: dict[int, set[int]] = {}
         #: open keyed windows (e.g. per-filesystem busy spans)
         self._windows: dict[object, Span] = {}
-        # Host reference point for the opt-in wall-time annotations; this
-        # is observability output only and never feeds simulated state.
-        self._host_t0 = time.perf_counter() if wallclock else 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -173,7 +156,7 @@ class SpanCollector:
     # -- streaming sinks ----------------------------------------------------
 
     def add_sink(self, sink: "ObsSink") -> None:
-        """Register a streaming sink (notified as records open/close).
+        """Register a streaming sink (notified as records close).
 
         Sinks receive every subsequently *closed* span and every instant
         in completion (``seq``) order — the canonical record order of the
@@ -229,11 +212,6 @@ class SpanCollector:
 
     # -- emission -----------------------------------------------------------
 
-    def _annotate(self, args: dict[str, object]) -> dict[str, object]:
-        if self.wallclock:
-            args["host_s"] = time.perf_counter() - self._host_t0
-        return args
-
     def begin(
         self,
         cat: str,
@@ -251,12 +229,10 @@ class SpanCollector:
             track=track,
             start=self.now if start is None else start,
             parent=parent,
-            args=self._annotate(dict(args) if args else {}),
+            args=dict(args) if args else {},
         )
         self._next_sid += 1
         self.spans.append(span)
-        if self._sinks:
-            self._dispatch("on_span_open", span)
         return span
 
     def end(
@@ -304,7 +280,7 @@ class SpanCollector:
             name=name,
             track=track,
             time=self.now if t is None else t,
-            args=self._annotate(dict(args) if args else {}),
+            args=dict(args) if args else {},
             seq=self._next_seq,
         )
         self._next_seq += 1
@@ -412,8 +388,6 @@ class SpanCollector:
                     self.end(watched)
 
     def on_resolve(self, now: float, n_running: int, dirty: frozenset[int] | None) -> None:
-        if not self.resolve_events:
-            return
         self.instant(
             "engine",
             "resolve",

@@ -97,9 +97,6 @@ class ObsSink:
     the full contract.
     """
 
-    def on_span_open(self, span: Span) -> None:
-        """A span was opened (its content is *not* final yet)."""
-
     def on_span_close(self, span: Span, end: float | None = None) -> None:
         """A span closed; its ``seq``, ``end`` and args are final.
 

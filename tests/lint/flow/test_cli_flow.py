@@ -1,5 +1,5 @@
 """CLI surface of the flow analyzer: --flow, --stats, --quiet, --sarif,
---baseline/--write-baseline, cache flags, and cold/warm byte-identity."""
+--baseline/--write-baseline, and whole-program answers after an edit."""
 
 from __future__ import annotations
 
@@ -57,82 +57,65 @@ def run_cli(capsys, *argv):
 
 class TestExitCodesAndText:
     def test_clean_tree_exits_zero(self, clean_root, capsys):
-        code, out = run_cli(capsys, clean_root, "--flow", "--no-cache", "--no-config")
+        code, out = run_cli(capsys, clean_root, "--flow", "--no-config")
         assert code == 0
         assert "clean: 0 findings" in out
 
     def test_findings_exit_one(self, buggy_root, capsys):
-        code, out = run_cli(capsys, buggy_root, "--flow", "--no-cache", "--no-config")
+        code, out = run_cli(capsys, buggy_root, "--flow", "--no-config")
         assert code == 1
         assert "RL011" in out
 
     def test_missing_baseline_exits_two(self, clean_root, capsys):
         code, _ = run_cli(
-            capsys, clean_root, "--flow", "--no-cache", "--no-config",
+            capsys, clean_root, "--flow", "--no-config",
             "--baseline", clean_root / "absent.json",
         )
         assert code == 2
 
     def test_quiet_clean_prints_nothing(self, clean_root, capsys):
         code, out = run_cli(
-            capsys, clean_root, "--flow", "--no-cache", "--no-config", "--quiet"
+            capsys, clean_root, "--flow", "--no-config", "--quiet"
         )
         assert code == 0
         assert out == ""
 
     def test_quiet_still_prints_findings(self, buggy_root, capsys):
         _, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config", "--quiet"
+            capsys, buggy_root, "--flow", "--no-config", "--quiet"
         )
         assert "RL011" in out
         assert "finding(s) in" not in out  # summary suppressed
 
     def test_quiet_suppresses_stats(self, buggy_root, capsys):
         _, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--quiet", "--stats",
         )
         assert "-- lint stats --" not in out
 
 
 class TestStats:
-    def test_text_stats_block(self, buggy_root, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        _, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--cache", cache, "--stats",
-        )
+    def test_text_stats_block(self, buggy_root, capsys):
+        _, out = run_cli(capsys, buggy_root, "--flow", "--no-config", "--stats")
         assert "-- lint stats --" in out
-        assert "files analyzed:" in out
-        assert "cache hits:" in out
-        assert "RL011:" in out
+        assert "files:           5" in out
+        assert "findings:        2" in out
+        assert "RL001: 1" in out
+        assert "RL011: 1" in out
 
-    def test_stats_reflect_warm_cache(self, clean_root, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        run_cli(capsys, clean_root, "--flow", "--no-config", "--cache", cache)
+    def test_json_stats_payload(self, clean_root, capsys):
         _, out = run_cli(
-            capsys, clean_root, "--flow", "--no-config",
-            "--cache", cache, "--stats",
-        )
-        assert "files analyzed:  0 of 5" in out
-        assert "(100%)" in out
-
-    def test_json_stats_payload(self, clean_root, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        _, out = run_cli(
-            capsys, clean_root, "--flow", "--no-config",
-            "--cache", cache, "--format", "json", "--stats",
+            capsys, clean_root, "--flow", "--no-config", "--format", "json", "--stats"
         )
         payload = json.loads(out)
-        assert payload["version"] == 2
-        assert payload["stats"]["files"] == 5
-        assert payload["stats"]["analyzed"] == 5
-        assert payload["stats"]["cache_hit_rate"] == 0.0
+        assert payload["version"] == 3
+        assert payload["summary"] == {"files": 5, "findings": 0, "by_rule": {}}
+        assert "stats" not in payload
 
     def test_json_without_stats_flag_has_no_stats_key(self, clean_root, capsys):
         _, out = run_cli(
-            capsys, clean_root, "--flow", "--no-cache", "--no-config",
-            "--format", "json",
+            capsys, clean_root, "--flow", "--no-config", "--format", "json",
         )
         assert "stats" not in json.loads(out)
 
@@ -141,7 +124,7 @@ class TestBaselineWorkflow:
     def test_write_then_apply(self, buggy_root, tmp_path, capsys):
         baseline = tmp_path / "LINT_baseline.json"
         code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--write-baseline", baseline,
         )
         assert code == 0
@@ -149,7 +132,7 @@ class TestBaselineWorkflow:
         assert baseline.is_file()
         # Every current finding is baselined → the gate passes.
         code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--baseline", baseline,
         )
         assert code == 0
@@ -160,7 +143,7 @@ class TestBaselineWorkflow:
     ):
         baseline = tmp_path / "LINT_baseline.json"
         run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--write-baseline", baseline,
         )
         (buggy_root / "repro/late.py").write_text(
@@ -169,7 +152,7 @@ class TestBaselineWorkflow:
             encoding="utf-8",
         )
         code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--baseline", baseline,
         )
         assert code == 1
@@ -181,7 +164,7 @@ class TestSarifOutput:
     def test_sarif_file_written(self, buggy_root, tmp_path, capsys):
         sarif = tmp_path / "lint.sarif"
         run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--sarif", sarif,
         )
         log = json.loads(sarif.read_text(encoding="utf-8"))
@@ -190,46 +173,74 @@ class TestSarifOutput:
             r["ruleId"] == "RL011" for r in log["runs"][0]["results"]
         )
 
-    def test_cold_and_warm_sarif_byte_identical(
-        self, buggy_root, tmp_path, capsys
-    ):
-        cache = tmp_path / "cache.json"
-        cold, warm = tmp_path / "cold.sarif", tmp_path / "warm.sarif"
-        run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--cache", cache, "--sarif", cold,
-        )
-        run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--cache", cache, "--sarif", warm,
-        )
-        assert cold.read_bytes() == warm.read_bytes()
-
     def test_sarif_respects_baseline(self, buggy_root, tmp_path, capsys):
         baseline = tmp_path / "LINT_baseline.json"
         sarif = tmp_path / "lint.sarif"
         run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--write-baseline", baseline,
         )
         run_cli(
-            capsys, buggy_root, "--flow", "--no-cache", "--no-config",
+            capsys, buggy_root, "--flow", "--no-config",
             "--baseline", baseline, "--sarif", sarif,
         )
         log = json.loads(sarif.read_text(encoding="utf-8"))
         assert log["runs"][0]["results"] == []
 
 
-class TestCacheFlags:
-    def test_no_cache_leaves_no_file(self, clean_root, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)
-        run_cli(capsys, clean_root, "--flow", "--no-cache", "--no-config")
-        assert not (tmp_path / ".repro_lint_cache.json").exists()
+STALE_STATE_FILES = {
+    "pyproject.toml": """
+        [tool.repro-lint]
+        flow-memo-functions = ["A.solve"]
+        flow-memo-state-allowed = ["memo", "_shared"]
+    """,
+    "repro/__init__.py": "",
+    "repro/a.py": """
+        class A:
+            def __init__(self):
+                self.memo = {}
 
-    def test_default_cache_location(self, clean_root, capsys, monkeypatch, tmp_path):
+            def solve(self, demands):
+                key = tuple(demands)
+                if key in self.memo:
+                    return self.memo[key]
+                result = list(demands)
+                self.memo[key] = result
+                return result
+    """,
+    "repro/b.py": """
+        class B:
+            def __init__(self):
+                self._shared = {}
+    """,
+}
+
+
+class TestWholeProgramAnswers:
+    def test_edit_in_unimported_file_changes_finding_elsewhere(
+        self, tree_factory, capsys, monkeypatch, tmp_path
+    ):
+        # RL013's stale-entry check spans the tree: renaming the only
+        # self._shared in b.py leaves the allow-list entry stale, and the
+        # finding lands on a.py although a.py does not import b.py.
         monkeypatch.chdir(tmp_path)
-        run_cli(capsys, clean_root, "--flow", "--no-config")
-        assert (tmp_path / ".repro_lint_cache.json").is_file()
+        root = tree_factory(STALE_STATE_FILES)
+        code, out = run_cli(capsys, root, "--flow")
+        assert code == 0, out
+        b = root / "repro/b.py"
+        b.write_text(b.read_text(encoding="utf-8").replace("_shared", "_renamed"))
+        code, out = run_cli(capsys, root, "--flow")
+        assert code == 1
+        assert "repro/a.py" in out
+        assert "RL013" in out
+        assert "'_shared' is assigned as self._shared by no class" in out
+
+    def test_unparsable_file_reported(self, clean_root, capsys):
+        (clean_root / "repro/broken.py").write_text("def oops(:\n", encoding="utf-8")
+        code, out = run_cli(capsys, clean_root, "--flow", "--no-config")
+        assert code == 1
+        assert "broken.py" in out
+        assert "RL000" in out
 
 
 class TestListRules:

@@ -1,4 +1,4 @@
-"""Project index: module naming, imports, symbols, dependency closure."""
+"""Project index: module naming, imports, symbols, parse errors."""
 
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ class TestImports:
         )
         info = project.modules["repro.a"]
         assert info.imports["mk"] == "repro.sim.rng.make_rng"
-        assert info.deps == {"repro.sim.rng"}
 
     def test_relative_import(self, project_factory):
         project = project_factory(
@@ -58,18 +57,6 @@ class TestImports:
         )
         info = project.modules["repro.sim.engine"]
         assert info.imports["make_rng"] == "repro.sim.rng.make_rng"
-        assert info.deps == {"repro.sim.rng"}
-
-    def test_deps_trimmed_to_indexed_modules(self, project_factory):
-        project = project_factory(
-            {
-                "repro/__init__.py": "",
-                "repro/b.py": "X = 1\n",
-                "repro/a.py": "import os\nfrom repro.b import X\n",
-            }
-        )
-        # `os` is external and must not survive as a dependency.
-        assert project.modules["repro.a"].deps == {"repro.b"}
 
 
 class TestSymbols:
@@ -149,31 +136,6 @@ class TestResolve:
         project = project_factory({"repro/__init__.py": "", "repro/a.py": "X = 1\n"})
         info = project.modules["repro.a"]
         assert project.resolve(info, "len") is None
-
-
-class TestReverseClosure:
-    def test_transitive_importers_included(self, project_factory):
-        project = project_factory(
-            {
-                "repro/__init__.py": "",
-                "repro/a.py": "X = 1\n",
-                "repro/b.py": "from repro.a import X\n",
-                "repro/c.py": "from repro.b import X\n",
-                "repro/d.py": "Y = 2\n",
-            }
-        )
-        closure = project.reverse_closure({"repro.a"})
-        assert closure == {"repro.a", "repro.b", "repro.c"}
-
-    def test_unrelated_module_excluded(self, project_factory):
-        project = project_factory(
-            {
-                "repro/__init__.py": "",
-                "repro/a.py": "X = 1\n",
-                "repro/d.py": "Y = 2\n",
-            }
-        )
-        assert project.reverse_closure({"repro.d"}) == {"repro.d"}
 
 
 class TestParseErrors:

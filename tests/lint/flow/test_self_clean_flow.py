@@ -15,9 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[3]
 
 def test_flow_analysis_is_clean_against_baseline():
     config = load_config(REPO_ROOT)
-    report = analyze_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tests"], config, cache_path=None
-    )
+    report = analyze_paths([REPO_ROOT / "src", REPO_ROOT / "tests"], config)
     baseline_path = REPO_ROOT / "LINT_baseline.json"
     baseline = load_baseline(baseline_path) if baseline_path.is_file() else {}
     fresh = apply_baseline(report.findings, baseline)

@@ -103,11 +103,6 @@ class TestEngineSpans:
         assert resolves
         assert all(e.args["running"] >= 0 for e in resolves)
 
-    def test_resolve_instants_can_be_disabled(self):
-        collector = SpanCollector(resolve_events=False)
-        run_app(collector)
-        assert [e for e in collector.instants if e.name == "resolve"] == []
-
     def test_collection_does_not_perturb_simulated_time(self):
         plain = run_app(collector=None)
         observed = run_app(SpanCollector())
@@ -180,16 +175,6 @@ class TestEmission:
         collector.finalize(t=7.0)
         assert span.end == pytest.approx(7.0)
         assert span.args["unfinished"] is True
-
-    def test_wallclock_annotation_opt_in(self):
-        sim = Simulator()
-        collector = SpanCollector(wallclock=True)
-        collector.attach(sim)
-        span = collector.begin("x", "s", ("g", "l"))
-        assert "host_s" in span.args
-        plain = SpanCollector()
-        plain.attach(Simulator())
-        assert "host_s" not in plain.begin("x", "s", ("g", "l")).args
 
     def test_categories_summary(self):
         sim = Simulator()

@@ -33,13 +33,9 @@ HORIZON = 60.0
 
 class _CountingSink(ObsSink):
     def __init__(self):
-        self.opened = 0
         self.closed = 0
         self.instants = 0
         self.samples = 0
-
-    def on_span_open(self, span):
-        self.opened += 1
 
     def on_span_close(self, span):
         self.closed += 1
@@ -111,9 +107,6 @@ class TestByteIdentity:
         collector = run.obs.collector
         assert counter.closed == len(collector.spans)
         assert counter.instants == len(collector.instants)
-        # begin()ed spans open before they close; complete() skips the
-        # open callback, so opened <= closed.
-        assert 0 < counter.opened <= counter.closed
         nodes = len(run.obs.service.data)
         assert counter.samples == len(run.obs.service.times) * nodes
 
@@ -187,7 +180,6 @@ class TestWriterEdges:
 
     def test_base_sink_callbacks_are_noops(self):
         sink = ObsSink()
-        sink.on_span_open(None)
         sink.on_span_close(None)
         sink.on_instant(None)
         sink.on_metric_sample(0.0, "node0", {})

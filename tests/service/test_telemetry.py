@@ -22,14 +22,10 @@ class RecordingSink:
     """Minimal ObsSink capturing everything it is fed."""
 
     def __init__(self):
-        self.opened = []
         self.spans = []
         self.instants = []
         self.samples = []
         self.closed = False
-
-    def on_span_open(self, span):
-        self.opened.append(span)
 
     def on_span_close(self, span):
         self.spans.append(span)
