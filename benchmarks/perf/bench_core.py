@@ -47,7 +47,9 @@ baseline):
     vs **streaming** sinks writing to disk.  All four must simulate
     byte-identical results.  The detached state is gated hard at
     ``--max-obs-overhead`` (default 1%): a detach that leaves residual
-    hooks behind is a correctness bug, not drift.  The gate measures the
+    hooks behind is a correctness bug, not drift.  The streaming state
+    has a looser ceiling, ``MAX_STREAMING_OVERHEAD_PCT``, so the cost of
+    writing telemetry cannot quietly grow back.  The gate measures the
     telemetry layer's *own* timers (``monitoring``/``obs``) as a fraction
     of the detached runs' wall time — exactly zero after a correct
     detach, so host noise cannot trip it.
@@ -90,6 +92,11 @@ THROUGHPUT_METRICS = {
 
 #: hard ceiling on the detached-observability overhead (percent)
 MAX_OBS_OVERHEAD_PCT = 1.0
+
+#: ceiling on the streaming-observability overhead (percent): the paired
+#: wall-clock ratio of streaming vs never-attached runs, so it carries
+#: host noise and sits well above the measured value (docs/PERFORMANCE.md)
+MAX_STREAMING_OVERHEAD_PCT = 125.0
 
 SCHEMA = 1
 
@@ -566,6 +573,18 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"obs overhead gate passed (detached {overhead}% <= "
         f"{args.max_obs_overhead}%)"
+    )
+    streaming = results["benchmarks"]["obs_overhead"]["streaming_overhead_pct"]
+    if streaming > MAX_STREAMING_OVERHEAD_PCT:
+        print(
+            f"REGRESSION obs_overhead: streaming observability costs "
+            f"{streaming}% (> {MAX_STREAMING_OVERHEAD_PCT}% allowed)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"streaming overhead gate passed ({streaming}% <= "
+        f"{MAX_STREAMING_OVERHEAD_PCT}%)"
     )
 
     if baseline is not None:

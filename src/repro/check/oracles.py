@@ -18,6 +18,7 @@ exists to catch.
 from __future__ import annotations
 
 import io
+import json
 from dataclasses import dataclass
 
 from repro.apps.base import AppJob, CheckpointStore
@@ -191,6 +192,34 @@ def _first_byte_diff(a: str, b: str) -> int:
     return min(len(a), len(b))
 
 
+def _stdlib_rerender(label: str, text: str) -> str | None:
+    """Where ``text`` differs from the stdlib's rendering of its own parse.
+
+    The writers build their bytes without ``json.dumps(..., indent=1)``;
+    this is the independent reference for that layout: a Chrome trace
+    must equal ``json.dumps(parsed, sort_keys=True, indent=1)``, a trace
+    JSONL line its compact sorted dump, a metric JSONL line its sorted
+    dump with the default separators.
+    """
+    if label == "chrome":
+        expected = json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+        if text == expected:
+            return None
+        return (
+            "chrome layout differs from the stdlib at byte "
+            f"{_first_byte_diff(text, expected)}"
+        )
+    separators = (",", ":") if label == "jsonl" else (", ", ": ")
+    for number, line in enumerate(text.splitlines(), 1):
+        expected = json.dumps(json.loads(line), sort_keys=True, separators=separators)
+        if line != expected:
+            return (
+                f"{label} line {number} differs from the stdlib at byte "
+                f"{_first_byte_diff(line, expected)}"
+            )
+    return None
+
+
 def oracle_stream_export(
     seed: int, cases: int = 2, corpus: list | None = None
 ) -> OracleResult:
@@ -205,7 +234,10 @@ def oracle_stream_export(
     the bytes are compared.  Both sides share one serialiser, so any
     drift means a record was flushed before its content was final (span
     args mutated after close), or a sink was fed out of completion order
-    or fed values other than the ones the service stores.
+    or fed values other than the ones the service stores.  Because both
+    sides share the serialiser, every live stream is also compared with
+    the stdlib's rendering of its own parse (:func:`_stdlib_rerender`),
+    so a layout bug in a writer cannot pass.
     """
     from repro.check.generators import build_cluster, deploy_case
     from repro.monitoring.export import to_jsonl_text
@@ -235,7 +267,7 @@ def oracle_stream_export(
         for node in sorted(service.data):
             buf = io.StringIO()
             service.add_sink(
-                MetricJsonlStreamWriter(buf, node, service.metric_names)
+                MetricJsonlStreamWriter(buf, node, service.metric_names), node=node
             )
             metric_bufs[node] = buf
 
@@ -256,6 +288,9 @@ def oracle_stream_export(
                     f"{spec.case_id}: {label} drift at byte "
                     f"{_first_byte_diff(streamed, batch)}"
                 )
+            layout = _stdlib_rerender(label, streamed)
+            if layout is not None:
+                failures.append(f"{spec.case_id}: {layout}")
         if service.times:
             for node, buf in metric_bufs.items():
                 batch = to_jsonl_text(service, node)
@@ -264,12 +299,16 @@ def oracle_stream_export(
                         f"{spec.case_id}: metric stream {node} drift at byte "
                         f"{_first_byte_diff(buf.getvalue(), batch)}"
                     )
+                layout = _stdlib_rerender(f"metric stream {node}", buf.getvalue())
+                if layout is not None:
+                    failures.append(f"{spec.case_id}: {layout}")
     if not failures:
         return OracleResult("stream_export", True)
     return OracleResult(
         "stream_export",
         False,
-        f"live streams diverge from the post-run replay: {'; '.join(failures)}",
+        "live streams diverge from the post-run replay or the stdlib "
+        f"layout: {'; '.join(failures)}",
     )
 
 

@@ -22,7 +22,8 @@ from repro.lint.flow.index import ProjectIndex
 
 @dataclass
 class FlowReport:
-    """Findings of one analyzer run plus the files it covered."""
+    """Findings of one analyzer run plus the files it covered (the
+    unparsable ones included, so counts match the per-file path)."""
 
     findings: list[Finding]
     files: list[str] = field(default_factory=list)
@@ -46,8 +47,10 @@ def analyze_paths(
     for path, _message in index.parse_errors:
         findings.extend(engine.lint_file(path))
 
+    parsed = [info.posix for info in index.modules.values()]
+    unparsed = [path.replace("\\", "/") for path, _message in index.parse_errors]
     return FlowReport(
         findings=sorted(findings),
-        files=sorted(info.posix for info in index.modules.values()),
+        files=sorted(parsed + unparsed),
         parse_errors=list(index.parse_errors),
     )

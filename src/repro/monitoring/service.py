@@ -79,22 +79,39 @@ class MetricService:
             }
         self._last_time: float | None = None
         self._handle = None
-        self._sinks: list["ObsSink"] = []
+        #: sink -> the node it is registered for (``None``: every node)
+        self._sinks: dict["ObsSink", str | None] = {}
+        #: node -> the sinks its samples go to, rebuilt on (un)registering
+        self._routes: dict[str, list["ObsSink"]] = {name: [] for name in self.data}
 
     # -- streaming sinks -------------------------------------------------------
 
-    def add_sink(self, sink: "ObsSink") -> None:
-        """Register a streaming sink notified at every sampling tick."""
+    def add_sink(self, sink: "ObsSink", node: str | None = None) -> None:
+        """Register a streaming sink notified at every sampling tick.
+
+        With ``node`` the sink receives only that node's samples (a
+        per-node metric writer); without it, every node's.
+        """
         if sink in self._sinks:
             raise ConfigError("sink is already registered")
-        self._sinks.append(sink)
+        if node is not None and node not in self.data:
+            raise ConfigError(f"unknown node {node!r}")
+        self._sinks[sink] = node
+        self._reroute()
 
     def remove_sink(self, sink: "ObsSink") -> None:
         """Unregister a previously added sink."""
         try:
-            self._sinks.remove(sink)
-        except ValueError:
+            del self._sinks[sink]
+        except KeyError:
             raise ConfigError("sink is not registered") from None
+        self._reroute()
+
+    def _reroute(self) -> None:
+        self._routes = {
+            name: [sink for sink, node in self._sinks.items() if node in (None, name)]
+            for name in self.data
+        }
 
     @property
     def sinks(self) -> tuple["ObsSink", ...]:
@@ -132,7 +149,7 @@ class MetricService:
         self.cluster.model.accrue_background(dt)
         self.times.append(now)
         keys = self._delta_keys
-        sinks = self._sinks
+        routes = self._routes
         for name, node in self.cluster.nodes.items():
             last = self._last_counters[name]
             counters = node.counters
@@ -145,6 +162,7 @@ class MetricService:
             }
             self._last_counters[name] = current
             store = self.data[name]
+            sinks = routes[name]
             tick_values: dict[str, float] | None = {} if sinks else None
             for sampler in self.samplers:
                 values = sampler.sample(node, delta, dt)

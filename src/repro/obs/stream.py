@@ -8,14 +8,16 @@ is final, with bounded memory:
   ``seq`` and notifies every registered sink),
 * instants flush when they are recorded,
 * :class:`~repro.monitoring.service.MetricService` samples flush at every
-  sampling tick,
+  sampling tick, each routed only to its own node's writer,
 * :class:`~repro.sim.stats.SimStats` counters flush as periodic snapshot
   records alongside the samples (plus one final snapshot at close).
 
 The batch exporters in :mod:`repro.obs.export` and
 :mod:`repro.monitoring.export` are replays of a finished collector (or
 of a service's stored columns) through these same writers, so a streamed
-file and its batch export cannot drift apart.
+file and its batch export cannot drift apart.  The writers encode with
+the C encoder, never with ``indent`` (which selects the pure-Python
+one): Chrome's ``indent=1`` layout is spliced around its output.
 
 **The ObsSink contract.**  A sink receives records in canonical
 completion (``seq``) order — the order a batch replay feeds them in.
@@ -72,20 +74,67 @@ COUNTERS_JSON = "counters.json"
 #: simulated seconds -> Chrome trace microseconds
 _US = 1e6
 
+#: encoders built once; without ``indent`` they run the C encoder.  The
+#: Chrome pair lays out a flat ``args`` dict and an event's other keys.
+_SORTED = json.JSONEncoder(sort_keys=True).encode
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_CHROME_ARGS = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+_CHROME_KEYS = json.JSONEncoder(sort_keys=True, separators=(",\n   ", ": ")).encode
+_SCALAR = json.JSONEncoder().encode
+#: value types a strict dict may hold besides finite floats
+_STRICT = frozenset({str, int, bool, type(None)})
+
+#: ``json.dumps(trace, sort_keys=True, indent=1)`` up to the first event;
+#: the fixed header keys sort before ``traceEvents``
+_CHROME_HEAD = (
+    '{\n "displayTimeUnit": "ms",\n "otherData": {\n  "clock": "simulated",'
+    '\n  "time_unit": "us"\n },\n "traceEvents": ['
+)
+
 
 def _json_safe(value: object) -> object:
-    """Recursively convert a value into strict-JSON-safe primitives."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return value
+    """Recursively convert a value into strict-JSON-safe primitives.
+
+    A dict with ``str`` keys and only strict scalar values (``_STRICT``
+    or finite ``float``) is returned as it is; only one that needs
+    converting is rebuilt.
+    """
     if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
+    if value is None or isinstance(value, (str, int)):
+        return value
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        for key, item in value.items():
+            kind = type(item)
+            if type(key) is not str or not (
+                kind in _STRICT or (kind is float and math.isfinite(item))
+            ):
+                return {str(k): _json_safe(v) for k, v in value.items()}
+        return value
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(str(v) for v in value)
     return str(value)
+
+
+def _indent1(value: object, pad: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=1)`` lays it
+    out at indentation ``pad``; ``value`` is already strict JSON."""
+    inner = pad + " "
+    if isinstance(value, dict):
+        pairs = sorted(value.items())
+        items = [f"{_SCALAR(k)}: {_indent1(v, inner)}" for k, v in pairs]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_indent1(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return _SCALAR(value)
+    if not items:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 class ObsSink:
@@ -158,45 +207,37 @@ class JsonlStreamWriter(_FileSink):
     stringified, so the bytes are canonical.
     """
 
-    def _record(self, record: dict[str, object]) -> None:
-        self._write(
-            json.dumps(_json_safe(record), sort_keys=True, separators=(",", ":"))
-            + "\n"
-        )
-
     def on_span_close(self, span: Span, end: float | None = None) -> None:
         if end is None:
             end = span.end
         assert end is not None
-        self._record(
-            {
-                "type": "span",
-                "sid": span.sid,
-                "seq": span.seq,
-                "cat": span.cat,
-                "name": span.name,
-                "group": span.track[0],
-                "lane": span.track[1],
-                "start": span.start,
-                "end": end,
-                "parent": span.parent,
-                "args": dict(span.args),
-            }
-        )
+        record = {
+            "type": "span",
+            "sid": span.sid,
+            "seq": span.seq,
+            "cat": span.cat,
+            "name": span.name,
+            "group": span.track[0],
+            "lane": span.track[1],
+            "start": _json_safe(span.start),
+            "end": _json_safe(end),
+            "parent": span.parent,
+            "args": _json_safe(span.args),
+        }
+        self._write(_COMPACT(record) + "\n")
 
     def on_instant(self, event: InstantEvent) -> None:
-        self._record(
-            {
-                "type": "instant",
-                "seq": event.seq,
-                "cat": event.cat,
-                "name": event.name,
-                "group": event.track[0],
-                "lane": event.track[1],
-                "time": event.time,
-                "args": dict(event.args),
-            }
-        )
+        record = {
+            "type": "instant",
+            "seq": event.seq,
+            "cat": event.cat,
+            "name": event.name,
+            "group": event.track[0],
+            "lane": event.track[1],
+            "time": _json_safe(event.time),
+            "args": _json_safe(dict(event.args)),
+        }
+        self._write(_COMPACT(record) + "\n")
 
 
 class ChromeStreamWriter(_FileSink):
@@ -205,11 +246,12 @@ class ChromeStreamWriter(_FileSink):
     Writes ``json.dumps(trace, sort_keys=True, indent=1)`` of one
     ``{"displayTimeUnit", "otherData", "traceEvents"}`` object without
     ever holding more than one event: the fixed header keys sort before
-    ``traceEvents``, and each event is serialised independently and
-    re-indented into the array.  Spans become ``X`` events, instants ``i``
-    events, in microseconds.  Track ids (``pid`` per group, ``tid`` per
-    lane) are numbered by first appearance, and the ``M`` metadata events
-    naming a track are emitted immediately before its first event.
+    ``traceEvents``, and each event's ``indent=1`` layout is built from
+    its fixed shape with the C encoder (see :meth:`_emit`).  Spans become
+    ``X`` events, instants ``i`` events, in microseconds.  Track ids
+    (``pid`` per group, ``tid`` per lane) are numbered by first
+    appearance, and the ``M`` metadata events naming a track are emitted
+    immediately before its first event.
     """
 
     def __init__(self, target: str | Path | IO[str]) -> None:
@@ -217,20 +259,28 @@ class ChromeStreamWriter(_FileSink):
         self._group_ids: dict[str, int] = {}
         self._lane_ids: dict[tuple[str, str], int] = {}
         self._n_events = 0
-        header = {
-            "displayTimeUnit": "ms",
-            "otherData": {"clock": "simulated", "time_unit": "us"},
-        }
-        # Render the fixed keys exactly as json.dumps would, then re-open
-        # the object for the trailing "traceEvents" array.
-        body = json.dumps(header, sort_keys=True, indent=1)
-        self._write(body[: body.rfind("\n}")] + ',\n "traceEvents": [')
+        self._write(_CHROME_HEAD)
 
-    def _emit(self, event: dict[str, object]) -> None:
-        lead = "\n" if self._n_events == 0 else ",\n"
-        dumped = json.dumps(event, sort_keys=True, indent=1)
-        self._write(lead + "\n".join("  " + line for line in dumped.splitlines()))
+    def _emit(self, event: dict[str, object], args: dict[str, object]) -> None:
+        """Write one event, its ``args`` passed apart from its other keys.
+
+        ``"args"`` sorts first.  A dict :func:`_json_safe` returns as it
+        is holds only scalars and renders in one C-encoder call; a
+        converted one may nest, and :func:`_indent1` lays it out.
+        """
+        safe = _json_safe(args)
+        if safe is not args:
+            body = _indent1(safe, "   ")
+        else:
+            body = "{\n    " + _CHROME_ARGS(args)[1:-1] + "\n   }" if args else "{}"
+        lead = ",\n" if self._n_events else "\n"
+        keys = _CHROME_KEYS(event)[1:-1]
+        self._write(f'{lead}  {{\n   "args": {body},\n   {keys}\n  }}')
         self._n_events += 1
+
+    def _name_track(self, kind: str, pid: int, tid: int, name: str) -> None:
+        event = {"name": kind, "ph": "M", "pid": pid, "tid": tid, "ts": 0}
+        self._emit(event, {"name": name})
 
     def _ids(self, track: tuple[str, str]) -> tuple[int, int]:
         """``(pid, tid)`` of a track, naming it with ``M`` events at first use."""
@@ -238,29 +288,11 @@ class ChromeStreamWriter(_FileSink):
         pid = self._group_ids.get(group)
         if pid is None:
             pid = self._group_ids[group] = len(self._group_ids) + 1
-            self._emit(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": 0,
-                    "args": {"name": group},
-                }
-            )
+            self._name_track("process_name", pid, 0, group)
         tid = self._lane_ids.get(track)
         if tid is None:
             tid = self._lane_ids[track] = len(self._lane_ids) + 1
-            self._emit(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": track[1]},
-                }
-            )
+            self._name_track("thread_name", pid, tid, track[1])
         return pid, tid
 
     def on_span_close(self, span: Span, end: float | None = None) -> None:
@@ -281,8 +313,8 @@ class ChromeStreamWriter(_FileSink):
                 "dur": max(0.0, end - span.start) * _US,
                 "pid": pid,
                 "tid": tid,
-                "args": _json_safe(args),
-            }
+            },
+            args,
         )
 
     def on_instant(self, event: InstantEvent) -> None:
@@ -296,8 +328,8 @@ class ChromeStreamWriter(_FileSink):
                 "ts": event.time * _US,
                 "pid": pid,
                 "tid": tid,
-                "args": _json_safe(dict(event.args)),
-            }
+            },
+            dict(event.args),
         )
 
     def close(self) -> None:
@@ -333,7 +365,7 @@ class MetricJsonlStreamWriter(_FileSink):
         record: dict[str, object] = {"time": float(time), "node": node}
         for metric in self.metrics:
             record[metric] = float(values[metric])
-        self._write(json.dumps(record, sort_keys=True) + "\n")
+        self._write(_SORTED(record) + "\n")
 
 
 class CounterStreamWriter(_FileSink):
@@ -357,11 +389,8 @@ class CounterStreamWriter(_FileSink):
         if self._last_node is not None and node != self._last_node:
             return
         self._last_node = node
-        record = {
-            "time": float(time),
-            "counters": dict(sorted(self._stats.counters.items())),
-        }
-        self._write(json.dumps(record, sort_keys=True) + "\n")
+        record = {"time": float(time), "counters": self._stats.counters}
+        self._write(_SORTED(record) + "\n")
 
 
 def counters_snapshot_text(stats: "SimStats") -> str:
@@ -380,9 +409,9 @@ class RunStreamer:
     """Wire a full streamed run directory onto an Observability handle.
 
     Registers trace writers on the span collector and per-node metric
-    writers on the metric service; :meth:`close` finalizes the collector,
-    seals every file and writes the final counter snapshot.  Create via
-    :meth:`Observability.stream_to`.
+    writers on the metric service, each fed only its own node's samples;
+    :meth:`close` finalizes the collector, seals every file and writes
+    the final counter snapshot.  Create via :meth:`Observability.stream_to`.
     """
 
     def __init__(
@@ -411,16 +440,14 @@ class RunStreamer:
         if service is not None:
             metrics = service.metric_names
             for node in sorted(service.data):
-                self._metric_sinks.append(
-                    MetricJsonlStreamWriter(
-                        self.directory / METRICS_DIR / f"{node}.jsonl", node, metrics
-                    )
+                writer = MetricJsonlStreamWriter(
+                    self.directory / METRICS_DIR / f"{node}.jsonl", node, metrics
                 )
-            self._metric_sinks.append(
-                CounterStreamWriter(self.directory / COUNTERS_JSONL, obs.stats)
-            )
-            for sink in self._metric_sinks:
-                service.add_sink(sink)
+                service.add_sink(writer, node=node)
+                self._metric_sinks.append(writer)
+            counters = CounterStreamWriter(self.directory / COUNTERS_JSONL, obs.stats)
+            service.add_sink(counters)
+            self._metric_sinks.append(counters)
             self.sinks.extend(self._metric_sinks)
 
     @property

@@ -236,10 +236,25 @@ class TestStreamExportOracle:
                 skewed = {k: v * (1.0 + 1e-9) for k, v in values.items()}
                 self.inner.on_metric_sample(time, node, skewed)
 
-        def add_skewed(self, sink):
-            real_add(self, Skewed(sink))
+        def add_skewed(self, sink, node=None):
+            real_add(self, Skewed(sink), node)
 
         monkeypatch.setattr(MetricService, "add_sink", add_skewed)
         result = oracle_stream_export(seed=0, cases=2)
         assert not result.ok
         assert "metric stream" in result.detail
+
+    def test_catches_writer_layout_bug(self, monkeypatch):
+        # Planted bug: a Chrome args separator one space too deep.  Live
+        # stream and replay share the writer and agree; only the stdlib
+        # reference sees it.
+        import json
+
+        from repro.obs import stream
+
+        wrong = json.JSONEncoder(sort_keys=True, separators=(",\n     ", ": "))
+        monkeypatch.setattr(stream, "_CHROME_ARGS", wrong.encode)
+        result = oracle_stream_export(seed=0, cases=2)
+        assert not result.ok
+        assert "chrome layout differs from the stdlib" in result.detail
+        assert "drift" not in result.detail

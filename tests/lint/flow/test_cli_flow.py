@@ -242,6 +242,23 @@ class TestWholeProgramAnswers:
         assert "broken.py" in out
         assert "RL000" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unparsable_file_counted_like_per_file_path(
+        self, tree_factory, capsys, fmt
+    ):
+        root = tree_factory(
+            {"repro/good.py": "X = 1\n", "repro/broken.py": "def oops(:\n"}
+        )
+        _, flow = run_cli(capsys, root, "--flow", "--no-config", "--format", fmt)
+        _, per_file = run_cli(capsys, root, "--no-config", "--format", fmt)
+        if fmt == "json":
+            flow = json.loads(flow)["summary"]
+            per_file = json.loads(per_file)["summary"]
+            assert flow["files"] == per_file["files"] == 2
+        else:
+            assert "1 finding(s) in 2 files" in flow
+        assert flow == per_file
+
 
 class TestListRules:
     def test_flow_rules_listed_with_scope(self, capsys):

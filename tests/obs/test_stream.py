@@ -1,4 +1,5 @@
-"""Streaming sinks: byte-identity with the batch exporters.
+"""Streaming sinks: byte-identity with the batch exporters and with the
+stdlib's own rendering of hand-built records, and per-node sample routing.
 
 The contract under test (docs/OBSERVABILITY.md, "Streaming sinks"): a
 sink receives records in completion (``seq``) order and an incremental
@@ -8,13 +9,17 @@ exporters, while holding O(tracks) state instead of the record backlog.
 
 import io
 import json
+import math
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.errors import ConfigError, ObservabilityError
 from repro.monitoring.export import to_jsonl_text
+from repro.monitoring.service import MetricService
 from repro.obs import assert_valid_chrome_trace, run_scenario
 from repro.obs.export import chrome_trace, jsonl_lines, write_jsonl_trace
+from repro.obs.spans import InstantEvent, Span
 from repro.obs.stream import (
     COUNTERS_JSON,
     COUNTERS_JSONL,
@@ -25,6 +30,7 @@ from repro.obs.stream import (
     JsonlStreamWriter,
     MetricJsonlStreamWriter,
     ObsSink,
+    _json_safe,
     counters_snapshot_text,
 )
 
@@ -63,7 +69,7 @@ def streamed(tmp_path_factory):
         for node in sorted(service.data):
             buf = metric_buffers.setdefault(node, io.StringIO())
             service.add_sink(
-                MetricJsonlStreamWriter(buf, node, service.metric_names)
+                MetricJsonlStreamWriter(buf, node, service.metric_names), node=node
             )
         service.add_sink(counter)
         obs.stream_to(run_dir, chrome=True)
@@ -197,3 +203,179 @@ class TestServiceSinkRegistry:
         run, _, _, _, _ = streamed
         with pytest.raises(ConfigError):
             run.obs.service.remove_sink(ObsSink())
+
+
+# -- reference bytes: hand-built records against the stdlib ------------------
+
+NAN, INF = float("nan"), float("inf")
+
+#: spans and instants in completion order, covering every args shape the
+#: writers convert: empty, nested containers, tuples, sets, bools, None,
+#: non-finite floats, non-str keys, quotes, newlines and non-ASCII text
+RECORDS = [
+    Span(sid=1, cat="engine", name="app", track=("node0", "p1:app"),
+         start=0.5, end=1.25, seq=1),
+    Span(sid=2, cat="engine", name="seg", track=("node0", "p1:app"),
+         start=0.75, end=1.0, parent=1, seq=2,
+         args={"nested": {"b": [1, 2.5, {"c": None}], "a": {}},
+               "tuple": (1, "x"), "set": {3, 1, 2}, "flag": True,
+               "none": None, "empty": []}),
+    InstantEvent(cat="engine", name="resolve", track=("cluster", "engine"),
+                 time=1.0, seq=3),
+    Span(sid=3, cat="anomaly", name='say "hi"\n', track=("cluster", "nœud ✓"),
+         start=0.0, end=2.0, seq=4,
+         args={"nan": NAN, "inf": INF, "ninf": -INF, 1: "int key",
+               (2, 3): "tuple key", "quote": 'a "b"', "newline": "a\nb",
+               "unicode": "nœud ✓"}),
+    InstantEvent(cat="sched", name="place", track=("node0", "sched"),
+                 time=1.5, seq=5,
+                 args={"running": 3, "dirty": -1, "ratio": 0.1, "label": "ünï"}),
+    Span(sid=4, cat="anomaly", name="forever", track=("node1", "p2:membw"),
+         start=1.5, end=INF, seq=6, args={"work": 3.0}),
+]
+
+#: the same records as the logical Chrome trace, spelled out by hand
+CHROME_EVENTS = [
+    {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "ts": 0,
+     "args": {"name": "node0"}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "ts": 0,
+     "args": {"name": "p1:app"}},
+    {"name": "app", "cat": "engine", "ph": "X", "ts": 500000.0,
+     "dur": 750000.0, "pid": 1, "tid": 1, "args": {"sid": 1}},
+    {"name": "seg", "cat": "engine", "ph": "X", "ts": 750000.0,
+     "dur": 250000.0, "pid": 1, "tid": 1,
+     "args": {"nested": {"b": [1, 2.5, {"c": None}], "a": {}},
+              "tuple": [1, "x"], "set": ["1", "2", "3"], "flag": True,
+              "none": None, "empty": [], "sid": 2, "parent": 1}},
+    {"name": "process_name", "ph": "M", "pid": 2, "tid": 0, "ts": 0,
+     "args": {"name": "cluster"}},
+    {"name": "thread_name", "ph": "M", "pid": 2, "tid": 2, "ts": 0,
+     "args": {"name": "engine"}},
+    {"name": "resolve", "cat": "engine", "ph": "i", "s": "t", "ts": 1000000.0,
+     "pid": 2, "tid": 2, "args": {}},
+    {"name": "thread_name", "ph": "M", "pid": 2, "tid": 3, "ts": 0,
+     "args": {"name": "nœud ✓"}},
+    {"name": 'say "hi"\n', "cat": "anomaly", "ph": "X", "ts": 0.0,
+     "dur": 2000000.0, "pid": 2, "tid": 3,
+     "args": {"nan": "nan", "inf": "inf", "ninf": "-inf", "1": "int key",
+              "(2, 3)": "tuple key", "quote": 'a "b"', "newline": "a\nb",
+              "unicode": "nœud ✓", "sid": 3}},
+    {"name": "thread_name", "ph": "M", "pid": 1, "tid": 4, "ts": 0,
+     "args": {"name": "sched"}},
+    {"name": "place", "cat": "sched", "ph": "i", "s": "t", "ts": 1500000.0,
+     "pid": 1, "tid": 4,
+     "args": {"running": 3, "dirty": -1, "ratio": 0.1, "label": "ünï"}},
+    {"name": "process_name", "ph": "M", "pid": 3, "tid": 0, "ts": 0,
+     "args": {"name": "node1"}},
+    {"name": "thread_name", "ph": "M", "pid": 3, "tid": 5, "ts": 0,
+     "args": {"name": "p2:membw"}},
+    {"name": "forever", "cat": "anomaly", "ph": "X", "ts": 1500000.0,
+     "dur": INF, "pid": 3, "tid": 5, "args": {"work": 3.0, "sid": 4}},
+]
+
+
+def _jsonl_record(record):
+    """The logical JSONL record of a span or instant."""
+    common = {"seq": record.seq, "cat": record.cat, "name": record.name,
+              "group": record.track[0], "lane": record.track[1],
+              "args": dict(record.args)}
+    if isinstance(record, Span):
+        return {"type": "span", "sid": record.sid, "start": record.start,
+                "end": record.end, "parent": record.parent, **common}
+    return {"type": "instant", "time": record.time, **common}
+
+
+def _feed(sink):
+    for record in RECORDS:
+        if isinstance(record, Span):
+            sink.on_span_close(record)
+        else:
+            sink.on_instant(record)
+    sink.close()
+
+
+class TestReferenceBytes:
+    def test_chrome_equals_stdlib_indent1(self):
+        buf = io.StringIO()
+        _feed(ChromeStreamWriter(buf))
+        trace = {
+            "displayTimeUnit": "ms",
+            "otherData": {"clock": "simulated", "time_unit": "us"},
+            "traceEvents": CHROME_EVENTS,
+        }
+        assert buf.getvalue() == json.dumps(trace, sort_keys=True, indent=1) + "\n"
+
+    def test_jsonl_equals_stdlib_compact(self):
+        buf = io.StringIO()
+        _feed(JsonlStreamWriter(buf))
+        expected = [
+            json.dumps(
+                _json_safe(_jsonl_record(r)), sort_keys=True, separators=(",", ":")
+            )
+            for r in RECORDS
+        ]
+        assert buf.getvalue().splitlines() == expected
+
+    def test_non_finite_times_are_strings(self):
+        buf = io.StringIO()
+        writer = JsonlStreamWriter(buf)
+        writer.on_span_close(RECORDS[-1])
+        writer.on_instant(
+            InstantEvent(cat="c", name="n", track=("g", "l"), time=NAN, seq=7)
+        )
+        span, instant = map(json.loads, buf.getvalue().splitlines())
+        assert (span["start"], span["end"], instant["time"]) == (1.5, "inf", "nan")
+
+    def test_strict_dict_is_returned_as_is(self):
+        strict = {"a": 1, "b": 2.5, "c": "x", "d": None, "e": True}
+        assert _json_safe(strict) is strict
+
+    @pytest.mark.parametrize(
+        "args",
+        [{"a": NAN}, {1: "x"}, {"a": (1,)}, {"a": {"b": 1}}, {"a": {1}}],
+        ids=["nan", "int-key", "tuple", "nested", "set"],
+    )
+    def test_dict_needing_conversion_is_rebuilt(self, args):
+        safe = _json_safe(args)
+        assert safe is not args
+        assert json.loads(json.dumps(safe, allow_nan=False)) == safe
+        assert not any(isinstance(v, float) and not math.isfinite(v)
+                       for v in safe.values())
+
+
+class _NodeLog(ObsSink):
+    def __init__(self):
+        self.nodes = []
+
+    def on_metric_sample(self, time, node, values):
+        self.nodes.append(node)
+
+
+class TestMetricRouting:
+    def _service(self):
+        service = MetricService(Cluster.voltrino(num_nodes=3))
+        service.attach()
+        return service
+
+    def test_node_sink_receives_only_its_node(self):
+        service = self._service()
+        own, every = _NodeLog(), _NodeLog()
+        service.add_sink(own, node="node1")
+        service.add_sink(every)
+        service.cluster.sim.run(until=3.5)
+        ticks = len(service.times)
+        assert ticks > 0
+        assert own.nodes == ["node1"] * ticks
+        assert every.nodes == ["node0", "node1", "node2"] * ticks
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(ConfigError, match="unknown node"):
+            self._service().add_sink(ObsSink(), node="node9")
+
+    def test_removed_node_sink_gets_nothing(self):
+        service = self._service()
+        sink = _NodeLog()
+        service.add_sink(sink, node="node0")
+        service.remove_sink(sink)
+        service.cluster.sim.run(until=2.5)
+        assert sink.nodes == [] and service.sinks == ()
