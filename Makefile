@@ -5,10 +5,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: lint lint-baseline test fuzz check benchmarks bench-core
 
-# Per-file rules plus the whole-program flow analysis (RL011+), gated on
-# the committed baseline so only *new* findings fail.
+# One run: --flow applies every per-file rule and adds the whole-program
+# flow analysis (RL011+), gated on the committed baseline so only *new*
+# findings fail.
 lint:
-	$(PYTHON) -m repro lint src/ tests/
 	$(PYTHON) -m repro lint src/ tests/ --flow --baseline LINT_baseline.json
 
 # Deliberately re-record the flow baseline (see docs/LINT.md).

@@ -8,7 +8,6 @@ the concatenation over all metrics is the sample fed to the classifiers.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 
@@ -29,6 +28,10 @@ STAT_NAMES = (
 
 
 def _column_features(col: np.ndarray) -> list[float]:
+    # scipy is imported here, not at module level: importing it costs
+    # more than everything else ``import repro.api`` loads together.
+    from scipy import stats
+
     if col.size == 0:
         raise ConfigError("cannot extract features from an empty window")
     constant = bool(np.all(col == col[0]))

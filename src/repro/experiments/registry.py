@@ -20,6 +20,7 @@ written (text table + deterministic manifest).
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: override names that never change a result (proven by the parallel
 #: differential oracle) and therefore stay out of the cache fingerprint
 NONSEMANTIC_OVERRIDES = frozenset({"jobs"})
+
+
+@dataclass(frozen=True)
+class _Deferred:
+    """A function named by module and attribute, imported on first call.
+
+    Registry entries hold these instead of the functions themselves, so
+    building the registry imports no experiment module.
+    ``inspect.signature`` sees the target's signature, and an instance
+    pickles as its two names.
+    """
+
+    module: str
+    name: str
+
+    def resolve(self) -> Callable[..., object]:
+        return getattr(importlib.import_module(self.module), self.name)
+
+    def __call__(self, *args: object, **kwargs: object) -> object:
+        return self.resolve()(*args, **kwargs)
+
+    @property
+    def __signature__(self) -> inspect.Signature:
+        return inspect.signature(self.resolve())
 
 
 @dataclass(frozen=True)
@@ -104,8 +129,9 @@ class ExperimentSpec:
     description:
         One-line summary shown by ``repro experiment --list``.
     runner:
-        The module's ``run_*`` function; returns a result object with a
-        ``render()`` method.
+        The module's ``run_*`` function (registry entries hold a
+        :class:`_Deferred` reference to it); returns a result object with
+        a ``render()`` method.
     result_name:
         Basename of the persisted artefacts: ``results/<result_name>.txt``
         and ``results/<result_name>.manifest.json``.
@@ -328,154 +354,150 @@ def persist_result(result: object, directory: str | Path) -> Path:
 
 
 def _build_registry() -> dict[str, ExperimentSpec]:
-    from repro import experiments as exp
-    from repro.experiments.ext_faults import run_ext_faults
-    from repro.experiments.ext_trace_replay import (
-        _canonicalize_trace as _canonicalize_trace_override,
-    )
-
     specs = [
         ExperimentSpec(
             "table1",
             "anomaly inventory with induced per-metric deviations",
-            exp.run_table1,
+            _Deferred("repro.experiments", "run_table1"),
             "Table1Result",
         ),
         ExperimentSpec(
             "table2",
             "proxy-app resource characterisation (Table 2)",
-            exp.run_table2,
+            _Deferred("repro.experiments", "run_table2"),
             "Table2Result",
         ),
         ExperimentSpec(
             "fig2",
             "cpuoccupy utilisation sweep vs application slowdown",
-            exp.run_fig2,
+            _Deferred("repro.experiments", "run_fig2"),
             "Fig2Result",
         ),
         ExperimentSpec(
             "fig3",
             "cachecopy slowdown on both machine flavours",
-            exp.run_fig3,
+            _Deferred("repro.experiments", "run_fig3"),
             "Fig3Result",
         ),
         ExperimentSpec(
             "fig4",
             "membw instance-count sweep vs memory bandwidth",
-            exp.run_fig4,
+            _Deferred("repro.experiments", "run_fig4"),
             "Fig4Result",
         ),
         ExperimentSpec(
             "fig5",
             "memleak/memeater footprint growth and OOM behaviour",
-            exp.run_fig5,
+            _Deferred("repro.experiments", "run_fig5"),
             "Fig5Result",
         ),
         ExperimentSpec(
             "fig6",
             "netoccupy impact under static vs adaptive routing",
-            exp.run_fig6,
+            _Deferred("repro.experiments", "run_fig6"),
             "Fig6Result",
         ),
         ExperimentSpec(
             "fig7",
             "iobandwidth/iometadata impact on shared-filesystem clients",
-            exp.run_fig7,
+            _Deferred("repro.experiments", "run_fig7"),
             "Fig7Result",
         ),
         ExperimentSpec(
             "fig8",
             "runtime matrix: every app against every anomaly",
-            exp.run_fig8,
+            _Deferred("repro.experiments", "run_fig8"),
             "Fig8Result",
         ),
         ExperimentSpec(
             "fig9",
             "anomaly diagnosis F1 vs training-set size",
-            exp.run_fig9,
+            _Deferred("repro.experiments", "run_fig9"),
             "Fig9Result",
             seed=0,
         ),
         ExperimentSpec(
             "fig10",
             "anomaly diagnosis confusion matrix",
-            exp.run_fig10,
+            _Deferred("repro.experiments", "run_fig10"),
             "Fig10Result",
             seed=0,
         ),
         ExperimentSpec(
             "fig11_12",
             "RR vs WBAS allocation under anomalies",
-            exp.run_fig11_12,
+            _Deferred("repro.experiments", "run_fig11_12"),
             "Fig11_12Result",
         ),
         ExperimentSpec(
             "fig13",
             "load balancing away from a cpuoccupy-squatted core",
-            exp.run_fig13,
+            _Deferred("repro.experiments", "run_fig13"),
             "Fig13Result",
         ),
         ExperimentSpec(
             "ext_dragonfly",
             "netoccupy on a dragonfly topology (extension)",
-            exp.run_ext_dragonfly,
+            _Deferred("repro.experiments", "run_ext_dragonfly"),
             "DragonflyResult",
         ),
         ExperimentSpec(
             "ext_faults",
             "fault-injection sweep: success rate, goodput, makespan "
             "with/without checkpointing (extension)",
-            run_ext_faults,
+            _Deferred("repro.experiments", "run_ext_faults"),
             "FaultsResult",
             seed=1,
         ),
         ExperimentSpec(
             "ext_importance",
             "diagnosis feature-importance ranking (extension)",
-            exp.run_ext_importance,
+            _Deferred("repro.experiments", "run_ext_importance"),
             "ImportanceResult",
             seed=4,
         ),
         ExperimentSpec(
             "ext_jitter",
             "OS jitter scaling with node count (extension)",
-            exp.run_ext_jitter,
+            _Deferred("repro.experiments", "run_ext_jitter"),
             "JitterResult",
             seed=3,
         ),
         ExperimentSpec(
             "ext_jobstream",
             "job-stream scheduling under anomalies (extension)",
-            exp.run_ext_jobstream,
+            _Deferred("repro.experiments", "run_ext_jobstream"),
             "JobStreamResult",
         ),
         ExperimentSpec(
             "ext_lustre",
             "NFS vs Lustre-like metadata isolation (extension)",
-            exp.run_ext_lustre,
+            _Deferred("repro.experiments", "run_ext_lustre"),
             "LustreResult",
         ),
         ExperimentSpec(
             "ext_online",
             "online anomaly detection latency (extension)",
-            exp.run_ext_online,
+            _Deferred("repro.experiments", "run_ext_online"),
             "OnlineResult",
             seed=6,
         ),
         ExperimentSpec(
             "ext_variability",
             "induced run-to-run variability report (extension)",
-            exp.run_ext_variability,
+            _Deferred("repro.experiments", "run_ext_variability"),
             "VariabilityResult",
             seed=5,
         ),
         ExperimentSpec(
             "trace_replay",
             "replay a generated or recorded workload trace (extension)",
-            exp.run_trace_replay,
+            _Deferred("repro.experiments", "run_trace_replay"),
             "TraceReplayResult",
             seed=0,
-            canonicalize=_canonicalize_trace_override,
+            canonicalize=_Deferred(
+                "repro.experiments.ext_trace_replay", "_canonicalize_trace"
+            ),
         ),
     ]
     return {spec.name: spec for spec in specs}

@@ -70,7 +70,7 @@ class Journal:
                 yield json.loads(line)
             except json.JSONDecodeError as err:
                 raise ServiceError(
-                    f"journal {self.path} corrupt at line {i + 1}: {err}"
+                    f"{self.path}:line {i + 1}: journal line is not valid JSON: {err}"
                 ) from err
         if tail:
             try:

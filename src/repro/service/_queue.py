@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: journal filename inside a queue directory
 JOURNAL_NAME = "journal.jsonl"
 
+#: what converting a decoded-but-malformed journal value raises
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
 
 class JobState(enum.Enum):
     """Lifecycle of a job; see the transition table in docs/SERVICE.md."""
@@ -140,34 +143,11 @@ class JobQueue:
 
     def _replay(self) -> None:
         """Fold the journal back into queue state, then requeue orphans."""
-        for record in self.journal.replay():
-            event = record.get("event")
-            if event == "submit":
-                job = JobRecord.from_json(record["job"])  # type: ignore[arg-type]
-                self._jobs[job.job_id] = job
-                self._next_seq = max(self._next_seq, job.seq + 1)
-            else:
-                job = self._jobs.get(str(record.get("job_id", "")))
-                if job is None:
-                    raise ServiceError(
-                        f"journal references unknown job in record {record!r}"
-                    )
-                if event == "start":
-                    job.state = JobState.RUNNING
-                    job.attempt = int(record.get("attempt", job.attempt + 1))
-                elif event == "done":
-                    job.state = JobState.DONE
-                    job.cached = bool(record.get("cached", False))
-                elif event == "fail":
-                    job.state = JobState.FAILED
-                    job.reason = str(record.get("reason", ""))
-                elif event == "cancel":
-                    job.state = JobState.CANCELLED
-                elif event in ("requeue", "recover"):
-                    job.state = JobState.QUEUED
-                    job.reason = str(record.get("reason", ""))
-                else:
-                    raise ServiceError(f"unknown journal event {event!r}")
+        for line, record in enumerate(self.journal.replay(), 1):
+            try:
+                self._fold(record)
+            except ServiceError as err:
+                raise ServiceError(f"{self.journal.path}:line {line}: {err}") from err
         # Jobs still RUNNING at the end of the journal were in flight on a
         # worker that never reported back — requeue them durably.
         for job in self._in_order():
@@ -178,6 +158,48 @@ class JobQueue:
                     job, "recover", reason=job.reason
                 )
                 self._recovered.append(job.job_id)
+
+    def _fold(self, record: object) -> None:
+        """Apply one replayed journal record; a malformed one is a ServiceError."""
+        if not isinstance(record, dict):
+            raise ServiceError(
+                f"journal record is a {type(record).__name__}, not an object"
+            )
+        event = record.get("event")
+        if event == "submit":
+            try:
+                job = JobRecord.from_json(record["job"])
+            except _MALFORMED as err:
+                raise ServiceError(
+                    f"submit record without a well-formed job: {err!r}"
+                ) from err
+            self._jobs[job.job_id] = job
+            self._next_seq = max(self._next_seq, job.seq + 1)
+            return
+        job = self._jobs.get(str(record.get("job_id", "")))
+        if job is None:
+            raise ServiceError(f"{event!r} record references an unknown job")
+        if event == "start":
+            job.state = JobState.RUNNING
+            try:
+                job.attempt = int(record.get("attempt", job.attempt + 1))
+            except _MALFORMED as err:
+                raise ServiceError(
+                    f"start record with a malformed attempt: {err!r}"
+                ) from err
+        elif event == "done":
+            job.state = JobState.DONE
+            job.cached = bool(record.get("cached", False))
+        elif event == "fail":
+            job.state = JobState.FAILED
+            job.reason = str(record.get("reason", ""))
+        elif event == "cancel":
+            job.state = JobState.CANCELLED
+        elif event in ("requeue", "recover"):
+            job.state = JobState.QUEUED
+            job.reason = str(record.get("reason", ""))
+        else:
+            raise ServiceError(f"unknown journal event {event!r}")
 
     @property
     def recovered(self) -> tuple[str, ...]:

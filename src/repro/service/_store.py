@@ -72,9 +72,9 @@ class ResultStore:
         if not record_path.exists():
             self.misses += 1
             return None
-        record = json.loads(record_path.read_text())
+        record = _read_record(record_path)
         artifacts = ResultArtifacts(
-            result_name=str(record["result_name"]),
+            result_name=record["result_name"],
             text=(entry / RESULT_FILE).read_text(),
             manifest_text=(entry / MANIFEST_FILE).read_text(),
         )
@@ -134,3 +134,21 @@ class ResultStore:
                     path.unlink()
             removed += 1
         return removed
+
+
+def _read_record(path: Path) -> dict[str, object]:
+    """A committed ``record.json``; damage is a :class:`ServiceError`."""
+    try:
+        record = json.loads(path.read_text())
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise ServiceError(f"damaged store record {path}: {err}") from err
+    if not isinstance(record, dict):
+        raise ServiceError(
+            f"damaged store record {path}: not a JSON object "
+            f"({type(record).__name__})"
+        )
+    if not isinstance(record.get("result_name"), str):
+        raise ServiceError(
+            f"damaged store record {path}: missing or non-string result_name"
+        )
+    return record

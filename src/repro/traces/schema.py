@@ -31,6 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -407,14 +408,14 @@ class Trace:
                     raise TraceFormatError(f"record {rid}: dep {dep} names no record")
         return self
 
-    @property
+    @cached_property
     def sha256(self) -> str:
-        """Fingerprint over the canonical meta + record lines."""
-        digest = hashlib.sha256()
-        for line in self._body_lines():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        """Fingerprint over the canonical meta + record lines.
+
+        Computed once per trace (the trace is frozen); :func:`dumps`
+        fills it from the lines it renders anyway.
+        """
+        return _digest(self._body())
 
     def per_rank(self) -> list[list[TraceRecord]]:
         """Records grouped by rank, in program (ascending-id) order."""
@@ -423,10 +424,16 @@ class Trace:
             out[record.rank].append(record)
         return out
 
-    def _body_lines(self) -> Iterable[str]:
-        yield _canonical({"meta": self.meta.to_json()})
-        for record in self.records:
-            yield _canonical({"record": record.to_json()})
+    def _body(self) -> str:
+        """The canonical meta + record lines, each newline-terminated."""
+        lines = [_canonical({"meta": self.meta.to_json()})]
+        lines.extend(_canonical({"record": record.to_json()}) for record in self.records)
+        lines.append("")
+        return "\n".join(lines)
+
+
+def _digest(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def _canonical(payload: Mapping[str, object]) -> str:
@@ -440,9 +447,13 @@ def _canonical(payload: Mapping[str, object]) -> str:
 
 def dumps(trace: Trace) -> str:
     """Canonical JSONL text: meta line, record lines, sha256 trailer."""
-    lines = list(trace._body_lines())
-    trailer = _canonical({"records": len(trace.records), "sha256": trace.sha256})
-    return "\n".join([*lines, trailer]) + "\n"
+    body = trace._body()
+    # The lines just rendered are the ones the content address hashes:
+    # seal them here and cache the digest on the trace, so neither this
+    # call nor a later ``trace.sha256`` renders them again.
+    digest = trace.__dict__.setdefault("sha256", _digest(body))
+    trailer = _canonical({"records": len(trace.records), "sha256": digest})
+    return f"{body}{trailer}\n"
 
 
 def loads(text: str) -> Trace:

@@ -153,6 +153,63 @@ class TestCrashRecovery:
         assert reopened.recovered == (job.job_id,)
 
 
+def _journal_with(tmp_path, damaged_line):
+    """A two-job journal whose second line is replaced by ``damaged_line``."""
+    queue = JobQueue(tmp_path)
+    queue.submit(request("a"), fp("a"))
+    queue.submit(request("b"), fp("b"))
+    queue.claim_next()
+    journal = tmp_path / "journal.jsonl"
+    lines = journal.read_text().splitlines()
+    lines[1] = damaged_line
+    journal.write_text("\n".join(lines) + "\n")
+
+
+class TestDamagedJournal:
+    @pytest.mark.parametrize(
+        "damaged_line",
+        [
+            "[1, 2]",
+            '"submit"',
+            "null",
+            '{"event": "submit", "v": 1}',
+            '{"event": "submit", "job": "j000002", "v": 1}',
+            '{"event": "submit", "job": {"job_id": "j000002"}, "v": 1}',
+            '{"event": "submit", "job": {"job_id": "j000002", "fingerprint": "f",'
+            ' "request": [1]}, "v": 1}',
+            '{"event": "submit", "job": {"job_id": "j000002", "fingerprint": "f",'
+            ' "request": {"name": "b", "result_name": "R"}, "state": "lost"},'
+            ' "v": 1}',
+            '{"event": "start", "job_id": "j000009", "v": 1}',
+            '{"event": "explode", "job_id": "j000001", "v": 1}',
+            '{"event": "start", "job_id": "j000001", "attempt": "x", "v": 1}',
+            '{"event": "start", "job_id": "j000001", "attempt": Infinity, "v": 1}',
+        ],
+        ids=[
+            "list", "string", "null", "no-job", "job-not-object",
+            "job-missing-fields", "request-not-object", "unknown-state",
+            "unknown-job", "unknown-event", "non-int-attempt", "inf-attempt",
+        ],
+    )
+    def test_bad_line_is_a_typed_error_naming_it(self, tmp_path, damaged_line):
+        _journal_with(tmp_path, damaged_line)
+        with pytest.raises(ServiceError, match=r"journal\.jsonl:line 2: "):
+            JobQueue(tmp_path)
+
+    def test_undecodable_middle_line_is_a_typed_error(self, tmp_path):
+        _journal_with(tmp_path, '{"event": "sub')
+        with pytest.raises(ServiceError, match=r"journal\.jsonl:line 2: "):
+            JobQueue(tmp_path)
+
+    def test_torn_tail_is_still_tolerated(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job = queue.submit(request(), fp("a"))
+        journal = tmp_path / "journal.jsonl"
+        with journal.open("a") as handle:
+            handle.write('{"event": "start", "job_')
+        assert JobQueue(tmp_path).job(job.job_id).state is JobState.QUEUED
+
+
 class TestTransitionHook:
     def test_hook_sees_every_journalled_event(self, tmp_path):
         events = []

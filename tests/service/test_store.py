@@ -86,3 +86,22 @@ def test_clear_removes_committed_entries(tmp_path):
     assert store.clear() == 1
     assert store.get(FP) is None
     assert store.fingerprints() == ()
+
+
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        b'{"fingerprint": "ab", "result_na',  # torn: not JSON
+        b"\xff\xfe not utf-8",
+        b'["result_name", "ProbeResult"]',  # JSON, but not an object
+        b'{"fingerprint": "ab"}',  # no result_name
+        b'{"result_name": 7}',  # result_name not a string
+    ],
+    ids=["torn", "not-utf8", "not-object", "no-result-name", "int-result-name"],
+)
+def test_damaged_record_is_a_typed_error_naming_the_file(tmp_path, damaged):
+    store = ResultStore(tmp_path)
+    store.put(FP, ARTS)
+    (store.entry_dir(FP) / RECORD_FILE).write_bytes(damaged)
+    with pytest.raises(ServiceError, match=f"damaged store record .*{RECORD_FILE}"):
+        store.get(FP)

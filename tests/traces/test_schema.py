@@ -328,10 +328,8 @@ def test_corpus_round_trips_byte_for_byte(path):
     assert dumps(load_trace(path)) == path.read_text()
 
 
-def test_load_renders_nothing(tmp_path, monkeypatch):
-    # The seal is checked on the file's bytes, so loading a dump_trace
-    # file never re-renders a line canonically.
-    path = dump_trace(generate_trace("ai_training", seed=1, ranks=3, steps=2), tmp_path / "t.jsonl")
+def _count_renders(monkeypatch) -> list:
+    """Record every canonical line rendering from here on."""
     calls = []
     render = schema._canonical
 
@@ -340,8 +338,44 @@ def test_load_renders_nothing(tmp_path, monkeypatch):
         return render(payload)
 
     monkeypatch.setattr(schema, "_canonical", counted)
+    return calls
+
+
+def test_load_renders_nothing(tmp_path, monkeypatch):
+    # The seal is checked on the file's bytes, so loading a dump_trace
+    # file never re-renders a line canonically.
+    path = dump_trace(generate_trace("ai_training", seed=1, ranks=3, steps=2), tmp_path / "t.jsonl")
+    calls = _count_renders(monkeypatch)
     load_trace(path).validate()
     assert calls == []
+
+
+def test_dumps_renders_each_line_once(monkeypatch):
+    trace = generate_trace("ai_training", seed=1, ranks=3, steps=2)
+    calls = _count_renders(monkeypatch)
+    text = dumps(trace)
+    # meta + every record + the trailer, each rendered exactly once
+    assert len(calls) == len(trace.records) + 2
+    del calls[:]
+    # dumps sealed the lines it rendered, so the address costs nothing
+    assert trace.sha256 == loads(text).sha256
+    assert len(calls) == len(trace.records) + 1  # only the loaded copy's
+    del calls[:]
+    assert trace.sha256 == json.loads(text.splitlines()[-1])["sha256"]
+    assert calls == []
+
+
+def test_sha256_is_computed_once(monkeypatch):
+    trace = _tiny_trace()
+    calls = _count_renders(monkeypatch)
+    first = trace.sha256
+    assert len(calls) == len(trace.records) + 1
+    del calls[:]
+    assert trace.sha256 == first
+    assert calls == []
+    # the cached digest is the one over the canonical lines
+    body = "".join(line + "\n" for line in dumps(trace).splitlines()[:-1])
+    assert first == hashlib.sha256(body.encode()).hexdigest()
 
 
 def test_torn_middle_line_names_its_line():
