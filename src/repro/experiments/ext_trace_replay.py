@@ -21,11 +21,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.errors import TraceError
 from repro.experiments.common import format_table
 from repro.traces.generators import generate_trace
 from repro.traces.replay import TraceReplayApp, build_replay_cluster
-from repro.traces.schema import RECORD_KINDS, Trace, load_trace
+from repro.traces.schema import RECORD_KINDS, Trace, check_sha256, load_trace
 
 
 @dataclass
@@ -79,14 +78,8 @@ def _canonicalize_trace(semantic: dict) -> tuple[dict, dict]:
     moved: dict[str, object] = {}
     path = semantic.pop("trace", None)
     if path is not None:
-        sha = load_trace(str(path)).sha256
         claimed = semantic.get("trace_sha256")
-        if claimed is not None and claimed != sha:
-            raise TraceError(
-                f"trace_sha256 override {claimed!r} does not match "
-                f"{path!s} (sha256 {sha})"
-            )
-        semantic["trace_sha256"] = sha
+        semantic["trace_sha256"] = load_trace(str(path), claimed).sha256
         moved["trace"] = str(path)
     return semantic, moved
 
@@ -108,15 +101,12 @@ def run_trace_replay(
     :class:`~repro.errors.TraceError`, never a silently different run.
     """
     if trace is not None:
-        loaded = load_trace(trace)
+        loaded = load_trace(trace, trace_sha256)
     else:
         loaded = generate_trace(generator, seed=seed, ranks=ranks, steps=steps)
+        if trace_sha256 is not None:
+            check_sha256(loaded, trace_sha256)
     sha = loaded.sha256
-    if trace_sha256 is not None and trace_sha256 != sha:
-        raise TraceError(
-            f"trace_sha256 {trace_sha256!r} does not match the "
-            f"{'loaded' if trace is not None else 'generated'} trace (sha256 {sha})"
-        )
     cluster = build_replay_cluster(loaded)
     TraceReplayApp(loaded, cluster).run()
     from repro.check.harness import fingerprint_cluster

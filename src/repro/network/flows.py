@@ -124,10 +124,7 @@ class FlowSolver:
         #: makes netoccupy hurt the OSU benchmark on an adaptively-routed
         #: fabric whose links never fully saturate (paper Fig. 6).
         self.latency_alpha = latency_alpha
-        caps = {
-            _edge(u, v): float(cap)
-            for u, v, cap in topology.graph.edges(data="capacity")
-        }
+        caps = {_edge(u, v): float(cap) for u, v, cap in topology.edges()}
         #: every topology edge in sorted order; a column is an index into
         #: this list, so "smallest column" is "lexicographically smallest
         #: edge" — the water filling's bottleneck tie-break

@@ -35,7 +35,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.errors import TraceFormatError
+from repro.errors import TraceError, TraceFormatError
 from repro.sim.process import CACHE_LEVELS
 
 #: schema version written into every trace header
@@ -456,7 +456,7 @@ def dumps(trace: Trace) -> str:
     return f"{body}{trailer}\n"
 
 
-def loads(text: str) -> Trace:
+def loads(text: str, sha256: str | None = None) -> Trace:
     """Parse a JSONL trace; torn or tampered input is a typed error.
 
     The trailer seals the file's own bytes: its sha256 must be that of
@@ -464,6 +464,11 @@ def loads(text: str) -> Trace:
     :func:`dumps` wrote holds exactly the canonical lines, so its seal
     is :attr:`Trace.sha256`; a re-spaced or re-ordered copy is a
     mismatch even though it decodes to the same trace.
+
+    ``sha256``, when given, pins the trace's canonical digest (see
+    :func:`check_sha256`).  A pin equal to the seal just checked means
+    these bytes *are* the canonical lines the pin is the digest of, so
+    the trace takes the pin without rendering them.
     """
     cut = text.rfind("\n", 0, len(text.rstrip())) + 1
     # surrogatepass: a str that no UTF-8 file decodes to still hashes
@@ -497,7 +502,25 @@ def loads(text: str) -> Trace:
         f"trailer promises {count} records, found {len(records)} (torn tail?)",
     )
     _require(digest == sealed, "trace sha256 mismatch: file was modified or torn")
-    return Trace(meta=meta, records=tuple(records))
+    trace = Trace(meta=meta, records=tuple(records))
+    if sha256 is not None:
+        if sha256 == sealed:
+            trace.__dict__["sha256"] = sha256
+        check_sha256(trace, sha256)
+    return trace
+
+
+def check_sha256(trace: Trace, sha256: str) -> None:
+    """Require ``trace``'s canonical digest to be the pinned ``sha256``.
+
+    A mismatch is a :class:`~repro.errors.TraceError`, never a silently
+    different run.
+    """
+    if trace.sha256 != sha256:
+        raise TraceError(
+            f"trace_sha256 {sha256!r} does not match the trace "
+            f"(sha256 {trace.sha256})"
+        )
 
 
 def _decode(text: str) -> list[dict[str, object]]:
@@ -555,8 +578,8 @@ def dump_trace(trace: Trace, path: str | Path) -> Path:
     return path
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Read and parse a JSONL trace file.
+def load_trace(path: str | Path, sha256: str | None = None) -> Trace:
+    """Read and parse a JSONL trace file, optionally pinned to ``sha256``.
 
     The bytes are decoded as they are (no newline translation), so the
     seal :func:`loads` checks is over the file's own bytes.
@@ -567,7 +590,7 @@ def load_trace(path: str | Path) -> Trace:
         raise TraceFormatError(f"cannot read trace {path}: {err}") from err
     except UnicodeDecodeError as err:
         raise TraceFormatError(f"trace {path} is not UTF-8: {err}") from err
-    return loads(text)
+    return loads(text, sha256)
 
 
 def with_records(trace: Trace, records: Iterable[TraceRecord]) -> Trace:

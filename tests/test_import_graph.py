@@ -2,8 +2,10 @@
 
 ``import repro.api`` is paid by every CLI call, every service worker and
 every ``spawn`` worker of :func:`repro.parallel.run_trials`, so it must
-not drag in scipy (only the diagnosis features use it) or the figure and
-table modules (the registry imports each on first use).  These checks
+not drag in scipy (only the diagnosis features use it), networkx (the
+topologies are plain adjacency dicts; networkx is only the tests'
+path-order reference) or the figure and table modules (the registry
+imports each on first use).  These checks
 look at module sets in a fresh interpreter, never at timings.
 """
 
@@ -30,14 +32,19 @@ def _modules_after(imports: str) -> list[str]:
     return json.loads(proc.stdout)
 
 
+def _package(loaded: list[str], name: str) -> list[str]:
+    return [m for m in loaded if m == name or m.startswith(name + ".")]
+
+
 def _scipy(loaded: list[str]) -> list[str]:
-    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+    return _package(loaded, "scipy")
 
 
 def test_import_api_loads_no_scipy_and_no_experiment_module():
     loaded = _modules_after("import repro.api")
     assert "repro.api" in loaded
     assert _scipy(loaded) == []
+    assert _package(loaded, "networkx") == []
     experiments = [
         m
         for m in loaded

@@ -111,3 +111,77 @@ def test_two_submits_of_same_trace_simulate_once(trace_file, tmp_path):
     assert (s1.state, s2.state) == ("done", "done"), (s1.reason, s2.reason)
     assert len(calls) == 1
     assert not s1.cached and s2.cached
+
+
+def _count_renders(monkeypatch) -> list[object]:
+    """Every canonical line rendered from here on, by ``schema._canonical``."""
+    from repro.traces import schema
+
+    rendered: list[object] = []
+    real = schema._canonical
+
+    def counting(payload):
+        rendered.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(schema, "_canonical", counting)
+    return rendered
+
+
+def _respaced_copy(trace, path):
+    """The same trace in non-canonical spacing, sealed with its own digest."""
+    import hashlib
+    import json
+
+    from repro.traces import dumps
+
+    lines = dumps(trace).splitlines()[:-1]
+    body = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines)
+    seal = hashlib.sha256(body.encode()).hexdigest()
+    trailer = json.dumps({"records": len(trace.records), "sha256": seal})
+    path.write_text(f"{body}{trailer}\n", encoding="utf-8")
+    return seal
+
+
+def test_pinned_canonical_file_renders_once_per_job(trace_file, monkeypatch):
+    from repro.experiments.ext_trace_replay import run_trace_replay
+
+    trace, path = trace_file
+    rendered = _count_renders(monkeypatch)
+    # submit: no pin yet, so the canonical digest is rendered once
+    request = _spec().normalize(overrides={"trace": str(path)})
+    assert len(rendered) == len(trace.records) + 1
+    rendered.clear()
+    # run: the submit's pin equals the file's seal, so nothing is rendered
+    pin = dict(request.overrides)["trace_sha256"]
+    result = run_trace_replay(trace=str(path), trace_sha256=pin)
+    assert rendered == []
+    assert result.sha256 == trace.sha256
+    # a caller's correct pin at submit needs no render either
+    _spec().normalize(overrides={"trace": str(path), "trace_sha256": trace.sha256})
+    assert rendered == []
+
+
+def test_non_canonical_file_renders_and_keeps_the_canonical_pin(
+    trace_file, tmp_path, monkeypatch
+):
+    from repro.experiments.ext_trace_replay import run_trace_replay
+
+    trace, _path = trace_file
+    copy = tmp_path / "respaced.jsonl"
+    seal = _respaced_copy(trace, copy)
+    assert seal != trace.sha256
+    rendered = _count_renders(monkeypatch)
+    result = run_trace_replay(trace=str(copy), trace_sha256=trace.sha256)
+    assert len(rendered) == len(trace.records) + 1
+    assert result.sha256 == trace.sha256
+
+
+def test_wrong_pin_renders_and_raises(trace_file, monkeypatch):
+    from repro.experiments.ext_trace_replay import run_trace_replay
+
+    trace, path = trace_file
+    rendered = _count_renders(monkeypatch)
+    with pytest.raises(TraceError, match="does not match"):
+        run_trace_replay(trace=str(path), trace_sha256="0" * 64)
+    assert len(rendered) == len(trace.records) + 1
