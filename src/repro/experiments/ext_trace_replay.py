@@ -71,15 +71,21 @@ def _canonicalize_trace(semantic: dict) -> tuple[dict, dict]:
 
     The file's sha256 joins the semantic (fingerprinted) overrides and
     the path itself moves to extras, so the cache key names the trace
-    *bytes*, not where they happen to live on this machine.  A caller's
-    explicit ``trace_sha256`` is verified against the file, making a
-    stale pin a typed error at submit time rather than a wrong cache hit.
+    *bytes*, not where they happen to live on this machine.  The file
+    is rendered here, once, so the pin the job carries is always its
+    canonical digest and the run can load against it without rendering
+    again.  A caller's explicit ``trace_sha256`` is checked against
+    that digest, making a stale or non-canonical pin a typed error at
+    submit time rather than a wrong cache hit.
     """
     moved: dict[str, object] = {}
     path = semantic.pop("trace", None)
     if path is not None:
+        loaded = load_trace(str(path))
         claimed = semantic.get("trace_sha256")
-        semantic["trace_sha256"] = load_trace(str(path), claimed).sha256
+        if claimed is not None:
+            check_sha256(loaded, claimed)
+        semantic["trace_sha256"] = loaded.sha256
         moved["trace"] = str(path)
     return semantic, moved
 
@@ -99,6 +105,9 @@ def run_trace_replay(
     workload from ``(seed, ranks, steps)``.  ``trace_sha256``, when
     given, pins the trace content either way — a mismatch is a
     :class:`~repro.errors.TraceError`, never a silently different run.
+    With ``trace`` it must be a canonical digest (:attr:`Trace.sha256`),
+    as :meth:`ExperimentSpec.normalize` puts there after rendering the
+    file once: a file whose seal equals it is not rendered again.
     """
     if trace is not None:
         loaded = load_trace(trace, trace_sha256)

@@ -3,11 +3,10 @@
 Rolling a new rule out over a mature tree always surfaces historical
 findings.  Instead of blanket-disabling the rule (losing protection for
 new code) or suppressing every site (noisy diffs), a *baseline* records
-the current findings (``repro lint --write-baseline FILE``);
-``repro lint --baseline FILE`` then reports only findings **not** in the
-baseline, so a gate fails on regressions while the backlog is burned
-down deliberately.  The repository itself commits no baseline: its tree
-is lint-clean, so every finding fails CI.
+the current findings; ``repro lint --baseline LINT_baseline.json`` then
+reports only findings **not** in the baseline, so CI fails on
+regressions while the backlog is burned down deliberately
+(``make lint-baseline`` regenerates the file on purpose).
 
 Matching is by ``(path, rule_id, message)`` with multiplicity — line
 numbers are deliberately excluded so unrelated edits shifting code up or

@@ -5,7 +5,8 @@ Examples::
     python -m repro lint src/                  # text report, exit 1 on findings
     python -m repro lint src/ tests/ --format json
     python -m repro lint src/ --flow --stats   # + whole-program rules RL011+
-    python -m repro lint src/ --flow --sarif lint.sarif   # CI: SARIF out
+    python -m repro lint src/ --flow --sarif lint.sarif \
+        --baseline LINT_baseline.json          # CI: only new findings fail
     python -m repro lint --list-rules          # registry with rationales
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or

@@ -465,10 +465,14 @@ def loads(text: str, sha256: str | None = None) -> Trace:
     is :attr:`Trace.sha256`; a re-spaced or re-ordered copy is a
     mismatch even though it decodes to the same trace.
 
-    ``sha256``, when given, pins the trace's canonical digest (see
-    :func:`check_sha256`).  A pin equal to the seal just checked means
-    these bytes *are* the canonical lines the pin is the digest of, so
-    the trace takes the pin without rendering them.
+    ``sha256``, when given, is a canonical digest the caller has
+    already rendered (:attr:`Trace.sha256` of the trace it expects) and
+    pins the trace to it (see :func:`check_sha256`).  A pin equal to the
+    seal just checked means these bytes *are* the canonical lines the
+    pin is the digest of, so the trace takes the pin without rendering
+    them.  A digest that was never rendered is no such proof: the seal
+    of a hand-written, non-canonical file equals that file's digest, so
+    check an unrendered claim with :func:`check_sha256` instead.
     """
     cut = text.rfind("\n", 0, len(text.rstrip())) + 1
     # surrogatepass: a str that no UTF-8 file decodes to still hashes
@@ -580,6 +584,9 @@ def dump_trace(trace: Trace, path: str | Path) -> Path:
 
 def load_trace(path: str | Path, sha256: str | None = None) -> Trace:
     """Read and parse a JSONL trace file, optionally pinned to ``sha256``.
+
+    ``sha256`` must be a canonical digest already rendered; see
+    :func:`loads`.
 
     The bytes are decoded as they are (no newline translation), so the
     seal :func:`loads` checks is over the file's own bytes.

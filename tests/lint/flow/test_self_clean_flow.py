@@ -1,9 +1,8 @@
 """The whole-program rules hold on the tree itself.
 
 Mirror of ``tests/lint/test_self_clean.py`` for the flow analyzer: under
-the committed configuration (and a ``LINT_baseline.json``, were one
-committed), ``repro lint --flow`` over src/ and tests/ must report
-nothing new.
+the committed configuration and the committed ``LINT_baseline.json``,
+``repro lint --flow`` over src/ and tests/ must report nothing new.
 """
 
 from pathlib import Path

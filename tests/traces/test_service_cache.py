@@ -113,21 +113,6 @@ def test_two_submits_of_same_trace_simulate_once(trace_file, tmp_path):
     assert not s1.cached and s2.cached
 
 
-def _count_renders(monkeypatch) -> list[object]:
-    """Every canonical line rendered from here on, by ``schema._canonical``."""
-    from repro.traces import schema
-
-    rendered: list[object] = []
-    real = schema._canonical
-
-    def counting(payload):
-        rendered.append(payload)
-        return real(payload)
-
-    monkeypatch.setattr(schema, "_canonical", counting)
-    return rendered
-
-
 def _respaced_copy(trace, path):
     """The same trace in non-canonical spacing, sealed with its own digest."""
     import hashlib
@@ -143,27 +128,40 @@ def _respaced_copy(trace, path):
     return seal
 
 
-def test_pinned_canonical_file_renders_once_per_job(trace_file, monkeypatch):
+def test_pinned_canonical_file_renders_once_per_job(trace_file, renders):
     from repro.experiments.ext_trace_replay import run_trace_replay
 
     trace, path = trace_file
-    rendered = _count_renders(monkeypatch)
-    # submit: no pin yet, so the canonical digest is rendered once
+    # submit: the canonical digest is rendered once
     request = _spec().normalize(overrides={"trace": str(path)})
-    assert len(rendered) == len(trace.records) + 1
-    rendered.clear()
+    assert len(renders) == len(trace.records) + 1
+    del renders[:]
     # run: the submit's pin equals the file's seal, so nothing is rendered
     pin = dict(request.overrides)["trace_sha256"]
     result = run_trace_replay(trace=str(path), trace_sha256=pin)
-    assert rendered == []
+    assert renders == []
     assert result.sha256 == trace.sha256
-    # a caller's correct pin at submit needs no render either
+    # a caller's pin at submit is checked against one render
     _spec().normalize(overrides={"trace": str(path), "trace_sha256": trace.sha256})
-    assert rendered == []
+    assert len(renders) == len(trace.records) + 1
+
+
+def test_non_canonical_file_pinned_with_its_own_seal_is_refused_at_submit(
+    trace_file, tmp_path
+):
+    trace, _path = trace_file
+    copy = tmp_path / "respaced.jsonl"
+    seal = _respaced_copy(trace, copy)
+    assert seal != trace.sha256
+    with pytest.raises(TraceError, match="does not match"):
+        _spec().normalize(overrides={"trace": str(copy), "trace_sha256": seal})
+    # unpinned, the same file is addressed by its canonical digest
+    request = _spec().normalize(overrides={"trace": str(copy)})
+    assert dict(request.overrides) == {"trace_sha256": trace.sha256}
 
 
 def test_non_canonical_file_renders_and_keeps_the_canonical_pin(
-    trace_file, tmp_path, monkeypatch
+    trace_file, tmp_path, renders
 ):
     from repro.experiments.ext_trace_replay import run_trace_replay
 
@@ -171,17 +169,16 @@ def test_non_canonical_file_renders_and_keeps_the_canonical_pin(
     copy = tmp_path / "respaced.jsonl"
     seal = _respaced_copy(trace, copy)
     assert seal != trace.sha256
-    rendered = _count_renders(monkeypatch)
+    del renders[:]
     result = run_trace_replay(trace=str(copy), trace_sha256=trace.sha256)
-    assert len(rendered) == len(trace.records) + 1
+    assert len(renders) == len(trace.records) + 1
     assert result.sha256 == trace.sha256
 
 
-def test_wrong_pin_renders_and_raises(trace_file, monkeypatch):
+def test_wrong_pin_renders_and_raises(trace_file, renders):
     from repro.experiments.ext_trace_replay import run_trace_replay
 
     trace, path = trace_file
-    rendered = _count_renders(monkeypatch)
     with pytest.raises(TraceError, match="does not match"):
         run_trace_replay(trace=str(path), trace_sha256="0" * 64)
-    assert len(rendered) == len(trace.records) + 1
+    assert len(renders) == len(trace.records) + 1
