@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Iterable
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -47,17 +48,24 @@ def _atomic_write(path: str | Path, data: str | bytes, mode: str) -> Path:
     return path
 
 
-def append_line(path: str | Path, line: str) -> None:
-    """Append one ``\\n``-terminated line durably (single write + fsync).
+def append_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Append ``\\n``-terminated lines durably with one write + one fsync.
 
-    A single ``write`` of one line is atomic with respect to readers on
-    every platform we target (POSIX O_APPEND semantics); the fsync makes
-    the journal entry durable before the caller acts on the transition
-    it records.
+    A single ``write`` to an ``O_APPEND`` descriptor is atomic with
+    respect to readers on every platform we target; the fsync makes the
+    lines durable before the caller acts on what they record.  A crash
+    mid-write can still leave a torn *last* line, which journal replay
+    drops.  The parent directory must exist: callers create it once, not
+    per append.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        handle.write(line if line.endswith("\n") else line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    data = "".join(
+        line if line.endswith("\n") else line + "\n" for line in lines
+    ).encode()
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -20,6 +20,7 @@ written (text table + deterministic manifest).
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 from dataclasses import dataclass, field
@@ -59,6 +60,13 @@ class _Deferred:
     @property
     def __signature__(self) -> inspect.Signature:
         return inspect.signature(self.resolve())
+
+
+@functools.lru_cache(maxsize=256)
+def _runner_params(runner: Callable[..., object]) -> Mapping[str, inspect.Parameter]:
+    """The runner's parameters, computed once per runner (or per
+    :class:`_Deferred`) rather than on every submit."""
+    return inspect.signature(runner).parameters
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ class ExperimentSpec:
 
     @property
     def takes_seed(self) -> bool:
-        return "seed" in inspect.signature(self.runner).parameters
+        return "seed" in _runner_params(self.runner)
 
     def run(
         self,
@@ -174,7 +182,7 @@ class ExperimentSpec:
         parameter of that name (passing a seed to a seedless experiment is
         an error, not a silent no-op); ``overrides`` go through verbatim.
         """
-        params = inspect.signature(self.runner).parameters
+        params = _runner_params(self.runner)
         kwargs = dict(overrides)
         if seed is not None:
             if "seed" not in params:
@@ -211,7 +219,7 @@ class ExperimentSpec:
         """
         from repro.obs.stream import _json_safe
 
-        params = inspect.signature(self.runner).parameters
+        params = _runner_params(self.runner)
         if seed is not None and "seed" not in params:
             raise ConfigError(f"experiment {self.name!r} does not take a seed")
         resolved_seed = self.seed if seed is None else int(seed)

@@ -8,8 +8,11 @@ records, one canonical JSON object per line::
     {"event": "done", "cached": false, "job_id": "j000001", "v": 1}
 
 Writing a transition is one durable ``write`` + ``fsync`` of one line
-(:func:`repro._atomic.append_line`), so a transition is either fully
-journalled or not journalled at all.  Replay folds the records back into
+(:func:`repro._atomic.append_lines`), so a transition is either fully
+journalled or not journalled at all.  A cache hit's ``start`` and
+``done`` records go out together as two lines of one ``write`` +
+``fsync`` (:meth:`Journal.append_many`); the lines are exactly those of
+two separate appends.  Replay folds the records back into
 queue state; a trailing line truncated by a crash mid-append is detected
 (it fails to parse or lacks a newline) and dropped — the transition it
 described simply never happened, which is exactly the atomicity contract
@@ -23,9 +26,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from repro._atomic import append_line
+from repro._atomic import append_lines
 from repro.errors import ServiceError
 
 #: journal record schema version (bump on incompatible change)
@@ -47,9 +50,16 @@ class Journal:
 
     def append(self, record: Mapping[str, object]) -> None:
         """Durably append one transition record."""
-        if "event" not in record:
-            raise ServiceError("journal records must carry an 'event' field")
-        append_line(self.path, encode_record(record))
+        self.append_many((record,))
+
+    def append_many(self, records: Iterable[Mapping[str, object]]) -> None:
+        """Durably append transition records with one write + fsync."""
+        lines = []
+        for record in records:
+            if "event" not in record:
+                raise ServiceError("journal records must carry an 'event' field")
+            lines.append(encode_record(record))
+        append_lines(self.path, lines)
 
     def replay(self) -> Iterator[dict]:
         """Yield every complete record in append order.

@@ -6,10 +6,12 @@ a :class:`~repro.service.JobQueue` deterministically:
 * a job is **assigned to a shard by its fingerprint** (stable hash), so
   re-running a campaign lands every job on the same shard;
 * before dispatch the :class:`~repro.service.ResultStore` is consulted —
-  a committed entry completes the job as a **cache hit** without
-  touching a worker, and an in-flight twin (equal fingerprint) leaves
-  the duplicate queued until the first finishes, so the same (spec,
-  seed) figure costs exactly one simulation per store lifetime;
+  a committed entry (:meth:`~repro.service.ResultStore.committed`, which
+  reads ``record.json`` only) completes the job as a **cache hit** at
+  claim time without touching a worker, and an in-flight twin (equal
+  fingerprint) leaves the duplicate queued until the first finishes,
+  so the same (spec, seed) figure costs exactly one simulation per
+  store lifetime;
 * a payload that **raises** fails the job (deterministic simulations
   fail deterministically — retrying would burn a core to learn nothing);
 * a **dead worker** (crash, OOM-kill, SIGKILL) requeues its job up to
@@ -129,13 +131,12 @@ class WorkerPool:
             stop = False
             while not stop:
                 job = queue.claim_next(
-                    exclude_fingerprints=self._blocked_fingerprints(queue)
+                    exclude_fingerprints=self._blocked_fingerprints(queue),
+                    cached=None if store is None else store.committed,
                 )
                 if job is None:
                     break
-                hit = store.get(job.fingerprint) if store is not None else None
-                if hit is not None:
-                    queue.complete(job.job_id, cached=True)
+                if job.state.terminal:  # served from the cache at claim
                     stop = done(job)
                     continue
                 if self.inline:
@@ -163,15 +164,10 @@ class WorkerPool:
         simulation) or while its home shard is busy (per-shard FIFO:
         the job stays queued, never claim-and-bounced).
         """
-        from repro.service._queue import JobState
-
         blocked = {job.fingerprint for job, _ in self._running.values()}
         if not self.inline and self._running:
-            for job in queue.jobs():
-                if (
-                    job.state is JobState.QUEUED
-                    and self.shard_for(job.fingerprint) in self._running
-                ):
+            for job in queue.queued_jobs():
+                if self.shard_for(job.fingerprint) in self._running:
                     blocked.add(job.fingerprint)
         return blocked
 

@@ -13,6 +13,11 @@ the highest-priority job, ties broken by submission sequence (FIFO).
 Per-client quotas bound how many jobs one client may have active
 (queued + running) at once.
 
+Bookkeeping does not grow with the journal: the queue keeps per-state
+counts, the set of queued jobs and per-client active counts up to date
+on every state change (live or replayed), so the counts, the quota
+check and ``has_pending`` are O(1) and a claim scans only queued jobs.
+
 A state directory has a single queue owner at a time (the serving
 process); concurrent readers are fine, concurrent writers are not.
 """
@@ -135,6 +140,10 @@ class JobQueue:
         self.on_transition = on_transition
         self.journal = Journal(self.directory / JOURNAL_NAME)
         self._jobs: dict[str, JobRecord] = {}
+        # Indices over ``_jobs``, kept current by ``_index``/``_set_state``.
+        self._counts = {state.value: 0 for state in JobState}
+        self._queued: dict[str, JobRecord] = {}
+        self._active: dict[str, int] = {}
         self._next_seq = 1
         self._recovered: list[str] = []
         self._replay()
@@ -152,7 +161,7 @@ class JobQueue:
         # worker that never reported back — requeue them durably.
         for job in self._in_order():
             if job.state is JobState.RUNNING:
-                job.state = JobState.QUEUED
+                self._set_state(job, JobState.QUEUED)
                 job.reason = "recovered: worker died mid-job"
                 self._journal_event(
                     job, "recover", reason=job.reason
@@ -173,14 +182,14 @@ class JobQueue:
                 raise ServiceError(
                     f"submit record without a well-formed job: {err!r}"
                 ) from err
-            self._jobs[job.job_id] = job
+            self._add(job)
             self._next_seq = max(self._next_seq, job.seq + 1)
             return
         job = self._jobs.get(str(record.get("job_id", "")))
         if job is None:
             raise ServiceError(f"{event!r} record references an unknown job")
         if event == "start":
-            job.state = JobState.RUNNING
+            self._set_state(job, JobState.RUNNING)
             try:
                 job.attempt = int(record.get("attempt", job.attempt + 1))
             except _MALFORMED as err:
@@ -188,18 +197,46 @@ class JobQueue:
                     f"start record with a malformed attempt: {err!r}"
                 ) from err
         elif event == "done":
-            job.state = JobState.DONE
+            self._set_state(job, JobState.DONE)
             job.cached = bool(record.get("cached", False))
         elif event == "fail":
-            job.state = JobState.FAILED
+            self._set_state(job, JobState.FAILED)
             job.reason = str(record.get("reason", ""))
         elif event == "cancel":
-            job.state = JobState.CANCELLED
+            self._set_state(job, JobState.CANCELLED)
         elif event in ("requeue", "recover"):
-            job.state = JobState.QUEUED
+            self._set_state(job, JobState.QUEUED)
             job.reason = str(record.get("reason", ""))
         else:
             raise ServiceError(f"unknown journal event {event!r}")
+
+    # -- indices -------------------------------------------------------------
+
+    def _add(self, job: JobRecord) -> None:
+        """Track a new job (a replayed duplicate id replaces the old one)."""
+        old = self._jobs.get(job.job_id)
+        if old is not None:
+            self._index(old, -1)
+        self._jobs[job.job_id] = job
+        self._index(job, +1)
+
+    def _set_state(self, job: JobRecord, state: JobState) -> None:
+        """The one way a tracked job changes state."""
+        self._index(job, -1)
+        job.state = state
+        self._index(job, +1)
+
+    def _index(self, job: JobRecord, sign: int) -> None:
+        """Count ``job`` in (``+1``) or out of (``-1``) its state's indices."""
+        state = job.state
+        self._counts[state.value] += sign
+        if state is JobState.QUEUED:
+            if sign > 0:
+                self._queued[job.job_id] = job
+            else:
+                del self._queued[job.job_id]
+        if state.active:
+            self._active[job.client] = self._active.get(job.client, 0) + sign
 
     @property
     def recovered(self) -> tuple[str, ...]:
@@ -209,7 +246,7 @@ class JobQueue:
     # -- journalling ---------------------------------------------------------
 
     def _journal_event(self, job: JobRecord, event: str, **fields: object) -> None:
-        self.journal.append({"event": event, "job_id": job.job_id, **fields})
+        self.journal.append(_event(job, event, **fields))
         self._notify(job, event)
 
     def _notify(self, job: JobRecord, event: str) -> None:
@@ -233,21 +270,18 @@ class JobQueue:
 
     def counts(self) -> dict[str, int]:
         """Job counts per state (every state present, zero or not)."""
-        counts = {state.value: 0 for state in JobState}
-        for job in self._jobs.values():
-            counts[job.state.value] += 1
-        return counts
+        return dict(self._counts)
 
     def active_for(self, client: str) -> int:
-        return sum(
-            1
-            for job in self._jobs.values()
-            if job.client == client and job.state.active
-        )
+        return self._active.get(client, 0)
 
     @property
     def has_pending(self) -> bool:
-        return any(j.state is JobState.QUEUED for j in self._jobs.values())
+        return bool(self._queued)
+
+    def queued_jobs(self) -> tuple[JobRecord, ...]:
+        """The queued jobs, in no particular order."""
+        return tuple(self._queued.values())
 
     # -- transitions ---------------------------------------------------------
 
@@ -274,33 +308,54 @@ class JobQueue:
             client=client,
             seq=seq,
         )
-        self._jobs[job.job_id] = job
+        self._add(job)
         self.journal.append({"event": "submit", "job": job.to_json()})
         self._notify(job, "submit")
         return job
 
     def claim_next(
-        self, exclude_fingerprints: Iterable[str] = ()
+        self,
+        exclude_fingerprints: Iterable[str] = (),
+        cached: Callable[[str], bool] | None = None,
     ) -> JobRecord | None:
         """Claim the next runnable job (highest priority, FIFO ties).
 
         ``exclude_fingerprints`` leaves jobs whose result is already being
         computed unclaimed, so a duplicate submission waits for its twin
         and is then served from the cache instead of simulating twice.
+
+        ``cached`` is a predicate on fingerprints (the result store's
+        :meth:`~repro.service.ResultStore.committed`).  When it holds for
+        the claimed job, the job is settled as a cache hit on the spot:
+        its ``start`` and ``done`` records share one durable append, the
+        hook still sees both transitions in order, and the job comes back
+        ``DONE`` (``cached=True``) instead of ``RUNNING``.
         """
         excluded = frozenset(exclude_fingerprints)
         candidates = [
-            job
-            for job in self._jobs.values()
-            if job.state is JobState.QUEUED and job.fingerprint not in excluded
+            job for job in self._queued.values() if job.fingerprint not in excluded
         ]
         if not candidates:
             return None
         job = min(candidates, key=lambda j: (-j.priority, j.seq))
-        self._transition(job, JobState.QUEUED, JobState.RUNNING)
-        job.attempt += 1
-        self._journal_event(job, "start", attempt=job.attempt)
+        attempt = job.attempt + 1
+        start = _event(job, "start", attempt=attempt)
+        if cached is None or not cached(job.fingerprint):
+            self.journal.append(start)
+            self._claim(job, attempt)
+            return job
+        self.journal.append_many((start, _event(job, "done", cached=True)))
+        self._claim(job, attempt)
+        self._set_state(job, JobState.DONE)
+        job.cached = True
+        self._notify(job, "done")
         return job
+
+    def _claim(self, job: JobRecord, attempt: int) -> None:
+        """Apply an already-journalled ``start`` and announce it."""
+        self._transition(job, JobState.QUEUED, JobState.RUNNING)
+        job.attempt = attempt
+        self._notify(job, "start")
 
     def complete(self, job_id: str, cached: bool = False) -> JobRecord:
         job = self.job(job_id)
@@ -337,4 +392,9 @@ class JobQueue:
                 f"job {job.job_id} is {job.state.value}, cannot move "
                 f"{expect.value} -> {to.value}"
             )
-        job.state = to
+        self._set_state(job, to)
+
+
+def _event(job: JobRecord, event: str, **fields: object) -> dict[str, object]:
+    """The journal record of one transition of ``job``."""
+    return {"event": event, "job_id": job.job_id, **fields}

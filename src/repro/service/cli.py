@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServiceError
 from repro.output import OutputWriter
 
 #: shown after a job id for a result served from the content store
@@ -152,7 +153,11 @@ def submit_main(argv: list[str]) -> int:
                 + (f": {status.reason}" if status.reason else "")
             )
             return 1
-        result = client.result(handle.job_id)
+        try:
+            result = client.result(handle.job_id)
+        except ServiceError as err:  # e.g. a store entry edited after commit
+            sys.stderr.write(f"repro submit: error: {err}\n")
+            return 1
         if not args.quiet:
             out.line(
                 f"job {status.job_id} done"

@@ -183,15 +183,12 @@ class TestResultCacheOracle:
         assert "differs" in result.detail
 
     def test_catches_double_execution(self, monkeypatch):
-        # Planted bug: a store that never reports a hit, so the duplicate
-        # submission simulates again instead of being served from cache.
+        # Planted bug: a store that never reports a committed entry (the
+        # pool's hit check), so the duplicate submission simulates again
+        # instead of being served from cache.
         from repro.service import ResultStore
 
-        def always_miss(self, fingerprint):
-            self.misses += 1
-            return None
-
-        monkeypatch.setattr(ResultStore, "get", always_miss)
+        monkeypatch.setattr(ResultStore, "committed", lambda self, fp: False)
         result = oracle_result_cache(seed=0)
         assert not result.ok
         assert "2 times" in result.detail

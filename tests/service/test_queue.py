@@ -224,3 +224,254 @@ class TestTransitionHook:
         queue.complete(job.job_id)
         assert [e[1] for e in events] == ["submit", "start", "done"]
         assert events[0][2] == 1 and events[-1][2] == 0
+
+
+CLIENTS = ("alice", "bob")
+QUOTA = 4
+
+
+def _recount(queue):
+    """Counts, pending flag, per-client active counts and the next claim,
+    recounted by brute force over every job."""
+    jobs = queue.jobs()
+    counts = {state.value: 0 for state in JobState}
+    for job in jobs:
+        counts[job.state.value] += 1
+    active = {c: sum(j.client == c and j.state.active for j in jobs) for c in CLIENTS}
+    queued = [j for j in jobs if j.state is JobState.QUEUED]
+    following = min(queued, key=lambda j: (-j.priority, j.seq)) if queued else None
+    return counts, bool(queued), active, following and following.job_id
+
+
+def _indexed(queue):
+    return (
+        queue.counts(),
+        queue.has_pending,
+        {c: queue.active_for(c) for c in CLIENTS},
+    )
+
+
+class TestIndices:
+    """The queue's O(1) indices always equal a recount over ``jobs()``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_transitions_match_a_recount(self, tmp_path, seed):
+        import shutil
+
+        from repro.sim.rng import make_rng
+
+        rng = make_rng(seed)
+
+        def pick(options):
+            return options[int(rng.integers(len(options)))]
+
+        live = JobQueue(tmp_path / "live", quota=QUOTA)
+        for step in range(150):
+            counts, pending, active, following = _recount(live)
+            assert _indexed(live) == (counts, pending, active)
+            jobs = live.jobs()
+            by_state = {
+                state: [j for j in jobs if j.state is state] for state in JobState
+            }
+            op = pick(
+                ("submit", "submit", "claim", "hit", "complete", "fail",
+                 "requeue", "cancel")
+            )
+            if op == "submit":
+                client = pick(CLIENTS)
+                tag = int(rng.integers(6))
+                args = (request(f"r{tag}"), fp(tag))
+                kwargs = dict(priority=int(rng.integers(3)), client=client)
+                if active[client] >= QUOTA:
+                    with pytest.raises(QuotaError):
+                        live.submit(*args, **kwargs)
+                else:
+                    live.submit(*args, **kwargs)
+            elif op in ("claim", "hit"):
+                claimed = live.claim_next(
+                    cached=(lambda f: True) if op == "hit" else None
+                )
+                assert (claimed and claimed.job_id) == following
+                if claimed is not None:
+                    want = JobState.DONE if op == "hit" else JobState.RUNNING
+                    assert claimed.state is want
+                    assert claimed.cached is (op == "hit")
+            elif op == "cancel" and by_state[JobState.QUEUED]:
+                live.cancel(pick(by_state[JobState.QUEUED]).job_id)
+            elif op in ("complete", "fail", "requeue") and by_state[JobState.RUNNING]:
+                job_id = pick(by_state[JobState.RUNNING]).job_id
+                if op == "complete":
+                    live.complete(job_id)
+                elif op == "fail":
+                    live.fail(job_id, "boom")
+                else:
+                    live.requeue(job_id, "worker died")
+            # Replay a copy of the journal: the fold must rebuild the same
+            # indices (running jobs come back requeued, nothing else moves).
+            replica = tmp_path / f"replica-{step}"
+            replica.mkdir()
+            if live.journal.path.exists():
+                shutil.copy(live.journal.path, replica)
+            reopened = JobQueue(replica, quota=QUOTA)
+            assert _indexed(reopened) == _recount(reopened)[:3]
+            for before, after in zip(live.jobs(), reopened.jobs()):
+                assert before.job_id == after.job_id
+                assert after.state is before.state or (
+                    before.state is JobState.RUNNING
+                    and after.state is JobState.QUEUED
+                )
+            shutil.rmtree(replica)
+        # Drain the reopened queue: every claim follows the recount.
+        reopened = JobQueue(tmp_path / "live", quota=QUOTA)
+        while True:
+            following = _recount(reopened)[3]
+            claimed = reopened.claim_next()
+            assert (claimed and claimed.job_id) == following
+            assert _indexed(reopened) == _recount(reopened)[:3]
+            if claimed is None:
+                break
+
+    def test_hit_claim_needs_no_complete(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job = queue.submit(request(), fp("a"))
+        claimed = queue.claim_next(cached=lambda f: f == fp("a"))
+        assert claimed is job
+        assert (job.state, job.cached, job.attempt) == (JobState.DONE, True, 1)
+        with pytest.raises(ServiceError):
+            queue.complete(job.job_id)
+        assert not queue.has_pending and queue.active_for("local") == 0
+
+
+class TestGroupedAppend:
+    """A cache hit's start and done records share one write + fsync."""
+
+    def test_hit_lines_equal_the_three_append_form(self, tmp_path):
+        grouped = JobQueue(tmp_path / "grouped")
+        grouped.submit(request(), fp("a"))
+        grouped.claim_next(cached=lambda f: True)
+        separate = JobQueue(tmp_path / "separate")
+        job = separate.submit(request(), fp("a"))
+        separate.claim_next()
+        separate.complete(job.job_id, cached=True)
+        journal = "journal.jsonl"
+        lines = (tmp_path / "grouped" / journal).read_bytes()
+        assert lines == (tmp_path / "separate" / journal).read_bytes()
+        assert len(lines.splitlines()) == 3
+
+    def test_hook_sees_start_then_done_with_their_counts(self, tmp_path):
+        events = []
+        queue = JobQueue(
+            tmp_path,
+            on_transition=lambda job, event, counts: events.append(
+                (event, job.state.value, dict(counts))
+            ),
+        )
+        queue.submit(request(), fp("a"))
+        queue.claim_next(cached=lambda f: True)
+        assert [(e, s, c["queued"], c["running"], c["done"]) for e, s, c in events] == [
+            ("submit", "queued", 1, 0, 0),
+            ("start", "running", 0, 1, 0),
+            ("done", "done", 0, 0, 1),
+        ]
+
+
+class _TinyResult:
+    def __init__(self, seed):
+        self.seed = seed
+
+    def render(self):
+        return f"tiny table for seed {self.seed}"
+
+
+def _run_tiny(seed: int = 0) -> _TinyResult:
+    return _TinyResult(seed)
+
+
+@pytest.fixture
+def tiny_client(tmp_path, monkeypatch):
+    """A Client over ``tmp_path/state`` with a cheap registered experiment."""
+    from repro.api import Client
+    from repro.experiments.registry import EXPERIMENT_REGISTRY, ExperimentSpec
+
+    spec = ExperimentSpec("tiny", "queue-test probe", _run_tiny, "TinyResult", seed=0)
+    monkeypatch.setitem(EXPERIMENT_REGISTRY, "tiny", spec)
+    with Client(state_dir=tmp_path / "state") as client:
+        yield client
+
+
+def _submit_wait_result(client, seed=0):
+    handle = client.submit("tiny", seed=seed)
+    status = client.wait(handle.job_id)
+    return status, client.result(handle.job_id)
+
+
+class _CountingDict(dict):
+    """A dict that counts whole-collection iterations."""
+
+    scans = 0
+
+    def _scan(self):
+        type(self).scans += 1
+
+    def __iter__(self):
+        self._scan()
+        return super().__iter__()
+
+    def values(self):
+        self._scan()
+        return super().values()
+
+    def items(self):
+        self._scan()
+        return super().items()
+
+    def keys(self):
+        self._scan()
+        return super().keys()
+
+
+class TestCacheHitCost:
+    def test_fsyncs_per_job(self, tiny_client, monkeypatch):
+        import os
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
+        status, _ = _submit_wait_result(tiny_client)
+        # submit, start, result.txt, manifest.json, record.json, done
+        assert (status.cached, len(calls)) == (False, 6)
+        calls.clear()
+        status, _ = _submit_wait_result(tiny_client)
+        # submit, then start + done in one append
+        assert (status.cached, status.attempt, len(calls)) == (True, 1, 2)
+
+    def test_cached_job_does_not_scan_every_job(self, tiny_client):
+        _submit_wait_result(tiny_client)
+        for _ in range(499):
+            tiny_client.submit("tiny")
+        tiny_client.wait()
+        queue = tiny_client.queue
+        assert queue.counts()["done"] == 500
+        queue._jobs = _CountingDict(queue._jobs)
+        _CountingDict.scans = 0
+        status, result = _submit_wait_result(tiny_client)
+        assert status.cached and result.text == "tiny table for seed 0\n"
+        assert _CountingDict.scans == 0
+
+    def test_torn_grouped_append_recovers_then_hits(self, tiny_client, tmp_path):
+        from repro.api import Client
+
+        _, fresh = _submit_wait_result(tiny_client)
+        status, _ = _submit_wait_result(tiny_client)
+        tiny_client.close()
+        journal = tmp_path / "state" / "queue" / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        assert '"event":"start"' in lines[-2] and '"event":"done"' in lines[-1]
+        # start line complete, done line torn mid-write
+        journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        with Client(state_dir=tmp_path / "state") as client:
+            assert client.queue.recovered == (status.job_id,)
+            assert client.status(status.job_id).state == "queued"
+            again = client.wait(status.job_id)
+            assert (again.state, again.cached) == ("done", True)
+            assert client.result(status.job_id).text == fresh.text

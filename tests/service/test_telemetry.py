@@ -109,3 +109,23 @@ def test_unsubscribed_sink_stops_receiving(tmp_path):
     telemetry.unsubscribe(sink)
     queue.submit(request("other"), "cd" + "0" * 62)
     assert len(sink.instants) == 1
+
+
+def test_hit_claim_streams_the_same_bytes_as_three_transitions(tmp_path):
+    def stream(root, grouped):
+        telemetry = ServiceTelemetry()
+        telemetry.stream_to(root / "obs")
+        queue = JobQueue(root / "q", on_transition=telemetry.on_transition)
+        job = queue.submit(request(), FP)
+        if grouped:
+            queue.claim_next(cached=lambda fingerprint: True)
+        else:
+            queue.claim_next()
+            queue.complete(job.job_id, cached=True)
+        telemetry.close()
+        return [
+            (root / "obs" / name).read_bytes()
+            for name in ("trace.jsonl", f"metrics/{SERVICE_NODE}.jsonl")
+        ]
+
+    assert stream(tmp_path / "grouped", True) == stream(tmp_path / "separate", False)

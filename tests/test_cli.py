@@ -164,6 +164,37 @@ class TestExperimentSubcommand:
         assert (tmp_path / "StubResult.txt").exists()
 
 
+class TestSubmitSubcommand:
+    def test_resubmission_is_served_from_the_cache(self, capsys, tmp_path, monkeypatch):
+        _register_stub(monkeypatch, lambda: _StubResult())
+        state = str(tmp_path / "state")
+        assert main(["submit", "stub_exp", "--state-dir", state]) == 0
+        assert "(cached)" not in capsys.readouterr().out
+        assert main(["submit", "stub_exp", "--state-dir", state]) == 0
+        out = capsys.readouterr().out
+        assert "done (cached)" in out and "stub table" in out
+
+    def test_edited_store_entry_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        _register_stub(monkeypatch, lambda: _StubResult())
+        state = tmp_path / "state"
+        assert main(["submit", "stub_exp", "--state-dir", str(state)]) == 0
+        capsys.readouterr()
+        (result,) = state.glob("store/*/*/result.txt")
+        with result.open("a") as handle:
+            handle.write("x")
+        out_dir = tmp_path / "out"
+        rc = main(
+            ["submit", "stub_exp", "--state-dir", str(state), "--out", str(out_dir)]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro submit: error: damaged store entry")
+        assert "result.txt" in line
+        assert "stub table" not in captured.out
+        assert not out_dir.exists()
+
+
 class TestTrace:
     def test_list_enumerates_scenarios(self, capsys):
         rc = main(["trace", "--list"])
