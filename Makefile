@@ -1,20 +1,16 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs `make lint test`.
+# Developer entry points. CI (.github/workflows/ci.yml) runs `make test`,
+# `make fuzz`, `make benchmarks` and `make bench-core`; its lint job runs
+# the `make lint` command itself, with --sarif, as the gate.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: lint lint-baseline test fuzz check benchmarks bench-core
+.PHONY: lint test fuzz check benchmarks bench-core
 
 # One run: --flow applies every per-file rule and adds the whole-program
-# flow analysis (RL011+), gated on the committed baseline so only *new*
-# findings fail.
+# flow analysis (RL011+); any finding fails.
 lint:
-	$(PYTHON) -m repro lint src/ tests/ --flow --baseline LINT_baseline.json
-
-# Deliberately re-record the flow baseline (see docs/LINT.md).
-lint-baseline:
-	$(PYTHON) -m repro lint src/ tests/ --flow \
-		--write-baseline LINT_baseline.json
+	$(PYTHON) -m repro lint src/ tests/ --flow
 
 test:
 	$(PYTHON) -m pytest -x -q

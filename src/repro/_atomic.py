@@ -43,7 +43,7 @@ def _atomic_write(path: str | Path, data: str | bytes, mode: str) -> Path:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
-        if tmp.exists():  # pragma: no cover - only on a failed replace
+        if tmp.exists():  # only when the write or the replace failed
             tmp.unlink()
     return path
 

@@ -3,8 +3,6 @@
 The paper argues standardized scenarios make research comparable.  This
 module provides named, parameterised campaigns built on the injector:
 
-``paper_fig8``
-    The exact placements used by the Fig. 8 runtime matrix.
 ``random_campaign``
     A seeded random schedule of anomalies across a cluster — the kind of
     labelled chaos used to train/evaluate diagnosis pipelines at scale.
@@ -31,27 +29,6 @@ CAMPAIGN_ANOMALIES = (
     "memeater",
     "memleak",
 )
-
-
-def paper_fig8(cluster: Cluster, anomaly: str) -> AnomalyInjector:
-    """The Fig. 8 placement for one anomaly type on node0."""
-    injector = AnomalyInjector(cluster)
-    spec = cluster.spec
-    if anomaly == "cachecopy":
-        sibling = spec.sibling_of(0)
-        assert sibling is not None
-        injector.add(Injection(make_anomaly("cachecopy", cache="L3"), node=0, core=sibling))
-    elif anomaly == "cpuoccupy":
-        injector.add(Injection(make_anomaly("cpuoccupy"), node=0, core=0))
-    elif anomaly == "membw":
-        for core in (4, 5, 6):
-            injector.add(Injection(make_anomaly("membw"), node=0, core=core))
-    elif anomaly in ("memeater", "memleak"):
-        injector.add(Injection(make_anomaly(anomaly), node=0, core=8))
-    elif anomaly != "none":
-        raise AnomalyError(f"no fig8 placement for {anomaly!r}")
-    injector.deploy()
-    return injector
 
 
 def random_campaign(

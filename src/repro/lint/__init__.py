@@ -18,14 +18,13 @@ Public surface::
 Per-file rules are registered in :mod:`repro.lint.rules` (RL001–RL010);
 whole-program dataflow rules (RL011–RL016) live in
 :mod:`repro.lint.flow` and run via ``repro lint --flow``.  Both kinds
-share a SARIF 2.1.0 exporter (:mod:`repro.lint.sarif`) and baseline
-support (:mod:`repro.lint.baseline`).  The CLI entry point is
-``python -m repro lint [paths]``.
+share a SARIF 2.1.0 exporter (:mod:`repro.lint.sarif`); a finding is
+silenced only inline, with ``# repro-lint: disable=RLxxx`` at its site.
+The CLI entry point is ``python -m repro lint [paths]``.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import apply_baseline, load_baseline, save_baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.sarif import render_sarif, to_sarif
 from repro.lint.engine import (
@@ -56,7 +55,4 @@ __all__ = [
     "lint_paths",
     "to_sarif",
     "render_sarif",
-    "load_baseline",
-    "save_baseline",
-    "apply_baseline",
 ]

@@ -5,8 +5,7 @@ Examples::
     python -m repro lint src/                  # text report, exit 1 on findings
     python -m repro lint src/ tests/ --format json
     python -m repro lint src/ --flow --stats   # + whole-program rules RL011+
-    python -m repro lint src/ --flow --sarif lint.sarif \
-        --baseline LINT_baseline.json          # CI: only new findings fail
+    python -m repro lint src/ tests/ --flow --sarif lint.sarif   # CI gate
     python -m repro lint --list-rules          # registry with rationales
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
@@ -14,9 +13,8 @@ configuration errors — the convention CI gates expect.
 
 ``--flow`` adds the whole-program dataflow rules (RL011–RL016); every
 run analyzes the whole tree.  ``--stats`` prints files, findings and
-per-rule counts.  ``--baseline`` filters out pre-existing findings
-recorded with ``--write-baseline``; ``--sarif`` writes a SARIF 2.1.0 log
-for GitHub code scanning.
+per-rule counts.  ``--sarif`` writes a SARIF 2.1.0 log for GitHub code
+scanning.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import sys
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.lint.baseline import apply_baseline, load_baseline, save_baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import RULE_REGISTRY, LintEngine
 from repro.lint.findings import Finding
@@ -98,20 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif",
         default=None,
         metavar="FILE",
-        help="also write a SARIF 2.1.0 log (post-baseline findings)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file; only new "
-        "findings are reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings as the new baseline and exit 0",
+        help="also write a SARIF 2.1.0 log of the findings",
     )
     return parser
 
@@ -210,15 +194,6 @@ def main(argv: list[str] | None = None) -> int:
             files = engine.iter_files(args.paths)
             findings = sorted(engine.lint_paths(files))
             n_files = len(files)
-
-        if args.write_baseline is not None:
-            path = save_baseline(findings, args.write_baseline)
-            if not args.quiet:
-                out.line(f"baseline written: {path} ({len(findings)} finding(s))")
-            return 0
-
-        if args.baseline is not None:
-            findings = apply_baseline(findings, load_baseline(args.baseline))
     except ConfigError as exc:
         sys.stderr.write(f"repro lint: error: {exc}\n")
         return 2

@@ -64,10 +64,6 @@ class ResultStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: in-memory counters (this process's hits/misses/puts)
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
 
     def entry_dir(self, fingerprint: str) -> Path:
         if len(fingerprint) < 3:
@@ -86,7 +82,7 @@ class ResultStore:
         return self._record(fingerprint) is not None
 
     def get(self, fingerprint: str) -> StoredResult | None:
-        """Return the committed entry, or ``None`` (counts a miss).
+        """Return the committed entry, or ``None`` when there is none.
 
         Both artefacts are checked against the digests in
         ``record.json``; a mismatch raises :class:`ServiceError` naming
@@ -94,7 +90,6 @@ class ResultStore:
         """
         record = self._record(fingerprint)
         if record is None:
-            self.misses += 1
             return None
         entry = self.entry_dir(fingerprint)
         digests = record["sha256"]
@@ -102,7 +97,6 @@ class ResultStore:
             _read_verified(entry / name, digests[name]) for name in DIGESTED_FILES
         )
         artifacts = ResultArtifacts(record["result_name"], text, manifest_text)
-        self.hits += 1
         return StoredResult(fingerprint, artifacts, record)
 
     def _record(self, fingerprint: str) -> dict[str, object] | None:
@@ -144,7 +138,6 @@ class ResultStore:
             entry / RECORD_FILE,
             json.dumps(full_record, sort_keys=True, indent=2) + "\n",
         )
-        self.puts += 1
         return StoredResult(fingerprint, artifacts, full_record)
 
     def persist_to(self, fingerprint: str, directory: str | Path) -> Path:

@@ -5,39 +5,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.scenarios import (
     CAMPAIGN_ANOMALIES,
-    paper_fig8,
     periodic,
     random_campaign,
     total_injected_time,
 )
 from repro.errors import AnomalyError
 from repro.sim.process import ProcessState
-
-
-class TestPaperFig8:
-    @pytest.mark.parametrize("anomaly", ["cachecopy", "cpuoccupy", "membw", "memleak"])
-    def test_placements_deploy(self, anomaly):
-        cluster = Cluster(num_nodes=2)
-        injector = paper_fig8(cluster, anomaly)
-        assert all(inj.process is not None for inj in injector.injections)
-        cluster.sim.run(until=5)
-        # still alive (RUNNING or sleeping between iterations)
-        assert all(
-            not inj.process.state.terminal for inj in injector.injections
-        )
-
-    def test_none_is_empty(self):
-        cluster = Cluster(num_nodes=1)
-        assert paper_fig8(cluster, "none").injections == []
-
-    def test_membw_uses_three_instances(self):
-        cluster = Cluster(num_nodes=1)
-        injector = paper_fig8(cluster, "membw")
-        assert len(injector.injections) == 3
-
-    def test_unknown_rejected(self):
-        with pytest.raises(AnomalyError):
-            paper_fig8(Cluster(num_nodes=1), "netstorm")
 
 
 class TestRandomCampaign:

@@ -1,5 +1,5 @@
 """CLI surface of the flow analyzer: --flow, --stats, --quiet, --sarif,
---baseline/--write-baseline, and whole-program answers after an edit."""
+and whole-program answers after an edit."""
 
 from __future__ import annotations
 
@@ -66,13 +66,6 @@ class TestExitCodesAndText:
         assert code == 1
         assert "RL011" in out
 
-    def test_missing_baseline_exits_two(self, clean_root, capsys):
-        code, _ = run_cli(
-            capsys, clean_root, "--flow", "--no-config",
-            "--baseline", clean_root / "absent.json",
-        )
-        assert code == 2
-
     def test_quiet_clean_prints_nothing(self, clean_root, capsys):
         code, out = run_cli(
             capsys, clean_root, "--flow", "--no-config", "--quiet"
@@ -120,46 +113,6 @@ class TestStats:
         assert "stats" not in json.loads(out)
 
 
-class TestBaselineWorkflow:
-    def test_write_then_apply(self, buggy_root, tmp_path, capsys):
-        baseline = tmp_path / "LINT_baseline.json"
-        code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--write-baseline", baseline,
-        )
-        assert code == 0
-        assert "baseline written" in out
-        assert baseline.is_file()
-        # Every current finding is baselined → the gate passes.
-        code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--baseline", baseline,
-        )
-        assert code == 0
-        assert "clean: 0 findings" in out
-
-    def test_new_finding_not_covered_by_baseline(
-        self, buggy_root, tmp_path, capsys
-    ):
-        baseline = tmp_path / "LINT_baseline.json"
-        run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--write-baseline", baseline,
-        )
-        (buggy_root / "repro/late.py").write_text(
-            "import time\n\nfrom repro.sim.engine import advance\n\n"
-            "def run():\n    return advance(time.time(), 1)\n",
-            encoding="utf-8",
-        )
-        code, out = run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--baseline", baseline,
-        )
-        assert code == 1
-        assert "RL012" in out
-        assert "RL011" not in out  # the baselined finding stays silent
-
-
 class TestSarifOutput:
     def test_sarif_file_written(self, buggy_root, tmp_path, capsys):
         sarif = tmp_path / "lint.sarif"
@@ -172,20 +125,6 @@ class TestSarifOutput:
         assert any(
             r["ruleId"] == "RL011" for r in log["runs"][0]["results"]
         )
-
-    def test_sarif_respects_baseline(self, buggy_root, tmp_path, capsys):
-        baseline = tmp_path / "LINT_baseline.json"
-        sarif = tmp_path / "lint.sarif"
-        run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--write-baseline", baseline,
-        )
-        run_cli(
-            capsys, buggy_root, "--flow", "--no-config",
-            "--baseline", baseline, "--sarif", sarif,
-        )
-        log = json.loads(sarif.read_text(encoding="utf-8"))
-        assert log["runs"][0]["results"] == []
 
 
 STALE_STATE_FILES = {

@@ -1,14 +1,10 @@
-"""SARIF 2.1.0 export and baseline filtering."""
+"""SARIF 2.1.0 export."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.lint.findings import Finding, Severity
-from repro.lint.baseline import apply_baseline, load_baseline, save_baseline
 from repro.lint.sarif import render_sarif, to_sarif
 
 
@@ -70,57 +66,3 @@ class TestSarif:
         log = to_sarif([])
         assert log["runs"][0]["results"] == []
         assert log["runs"][0]["tool"]["driver"]["rules"] == []
-
-
-class TestBaseline:
-    def test_roundtrip_filters_known_findings(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        old = make_finding(msg="known issue")
-        save_baseline([old], path)
-        baseline = load_baseline(path)
-        new = make_finding(msg="fresh issue")
-        assert apply_baseline([old, new], baseline) == [new]
-
-    def test_line_numbers_do_not_matter(self, tmp_path):
-        # Shifting a finding up or down must not resurrect it.
-        path = tmp_path / "baseline.json"
-        save_baseline([make_finding(line=10)], path)
-        moved = make_finding(line=200)
-        assert apply_baseline([moved], load_baseline(path)) == []
-
-    def test_multiplicity_respected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline([make_finding(line=1)], path)
-        dup_a, dup_b = make_finding(line=1), make_finding(line=2)
-        # Two findings with the same key, baseline count 1 → one survives.
-        survivors = apply_baseline([dup_a, dup_b], load_baseline(path))
-        assert len(survivors) == 1
-
-    def test_different_rule_not_matched(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline([make_finding(rule="RL011")], path)
-        other = make_finding(rule="RL012")
-        assert apply_baseline([other], load_baseline(path)) == [other]
-
-    def test_missing_baseline_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_invalid_json_is_config_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_baseline(path)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}), encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_baseline(path)
-
-    def test_baseline_file_deterministic(self, tmp_path):
-        findings = [make_finding(line=1), make_finding(rule="RL014", line=2)]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_baseline(findings, a)
-        save_baseline(list(reversed(findings)), b)
-        assert a.read_bytes() == b.read_bytes()

@@ -93,28 +93,3 @@ class TestOptions:
         out = capsys.readouterr().out
         for rule_id in [f"RL00{i}" for i in range(1, 9)]:
             assert rule_id in out
-
-
-_ENTRY = {"path": "src/x.py", "rule_id": "RL001", "message": "m", "count": 1}
-
-
-class TestDamagedBaseline:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            [],
-            {"version": 1, "findings": [{"rule_id": "RL001", "message": "m"}]},
-            {"version": 1, "findings": [{**_ENTRY, "count": "many"}]},
-            {"version": 1, "findings": 5},
-            {"version": 1, "findings": [_ENTRY, "not-an-entry"]},
-        ],
-        ids=["top-level-list", "no-path", "bad-count", "findings-int", "non-object"],
-    )
-    def test_damaged_baseline_exits_two(self, violating_tree, payload, capsys):
-        baseline = violating_tree / "baseline.json"
-        baseline.write_text(json.dumps(payload))
-        rc = lint_main(
-            [str(violating_tree), "--no-config", "--baseline", str(baseline)]
-        )
-        assert rc == 2
-        assert "repro lint: error:" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Content-addressed store: commit marker, byte fidelity, crash safety."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
 
+from repro import _atomic
 from repro.errors import ServiceError
 from repro.experiments.registry import ResultArtifacts
 from repro.service import ResultStore
@@ -26,10 +28,6 @@ def test_round_trip_preserves_bytes(tmp_path):
 def test_miss_returns_none_and_counts(tmp_path):
     store = ResultStore(tmp_path)
     assert store.get("ff" * 32) is None
-    assert (store.hits, store.misses) == (0, 1)
-    store.put(FP, ARTS)
-    store.get(FP)
-    assert (store.hits, store.misses, store.puts) == (1, 1, 1)
 
 
 def test_entries_are_sharded_by_prefix(tmp_path):
@@ -88,19 +86,75 @@ def test_missing_artefact_raises_naming_it(tmp_path):
         store.get(FP)
 
 
-def test_record_without_digests_is_not_committed(tmp_path):
-    # An entry written before record.json carried digests misses once.
-    store = ResultStore(tmp_path)
-    store.put(FP, ARTS)
+def _strip_digests(store):
+    """Turn the committed ``FP`` entry into one written before digests."""
     record_path = store.entry_dir(FP) / RECORD_FILE
     record = json.loads(record_path.read_text())
     del record["sha256"]
     record_path.write_text(json.dumps(record))
+
+
+def test_record_without_digests_is_not_committed(tmp_path):
+    # An entry written before record.json carried digests misses once.
+    store = ResultStore(tmp_path)
+    store.put(FP, ARTS)
+    _strip_digests(store)
     assert not store.committed(FP)
     assert FP not in store
     assert store.get(FP) is None
     store.put(FP, ARTS)
     assert store.get(FP).artifacts == ARTS
+
+
+class _Killed(Exception):
+    """Stands in for the worker being killed mid-commit."""
+
+
+#: the six steps of a ``put``, each file's temp-file write (ended by its
+#: fsync) and its ``os.replace``, as (``os`` function, its call number)
+COMMIT_STEPS = {
+    f"{name}-{step}": (call, number)
+    for number, name in enumerate((RESULT_FILE, MANIFEST_FILE, RECORD_FILE), 1)
+    for step, call in (("write", "fsync"), ("replace", "replace"))
+}
+
+
+def _kill_at(patch, call, number):
+    """Make ``repro._atomic``'s ``os.<call>`` raise on its ``number``-th call."""
+    real = getattr(_atomic.os, call)
+    calls = itertools.count(1)
+
+    def dying(*args):
+        if next(calls) == number:
+            raise _Killed(f"killed at os.{call} call {number}")
+        return real(*args)
+
+    patch.setattr(_atomic.os, call, dying)
+
+
+@pytest.mark.parametrize("prior", ["empty", "pre-digest"])
+@pytest.mark.parametrize("step", list(COMMIT_STEPS))
+def test_worker_killed_mid_commit_never_serves_a_torn_entry(
+    tmp_path, monkeypatch, step, prior
+):
+    if prior == "pre-digest":
+        store = ResultStore(tmp_path)
+        store.put(FP, ResultArtifacts("ProbeResult", "stale row\n", '{"k": 0}\n'))
+        _strip_digests(store)
+    with monkeypatch.context() as patch:
+        _kill_at(patch, *COMMIT_STEPS[step])
+        with pytest.raises(_Killed):
+            ResultStore(tmp_path).put(FP, ARTS)
+    # Recovery is a fresh store on the same directory: nothing before
+    # the record.json replace counts as a commit.
+    recovered = ResultStore(tmp_path)
+    assert not recovered.committed(FP)
+    assert recovered.get(FP) is None
+    recovered.put(FP, ARTS)
+    assert ResultStore(tmp_path).get(FP).artifacts == ARTS
+    entry = recovered.entry_dir(FP)
+    assert (entry / RESULT_FILE).read_bytes() == ARTS.text.encode()
+    assert (entry / MANIFEST_FILE).read_bytes() == ARTS.manifest_text.encode()
 
 
 def test_entry_without_digests_is_simulated_again(tmp_path, monkeypatch):
