@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiments.registry import get_experiment, persist_result
+from repro.experiments.registry import persist_result
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -25,15 +25,10 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 def emit(result) -> None:
     """Print an experiment's table and archive it under ``results/``.
 
-    Persistence goes through :func:`repro.experiments.registry.persist_result`
-    — the same path the ``repro experiment`` CLI uses — so both front ends
-    produce byte-identical artefacts.
+    Persistence goes through :func:`repro.experiments.registry.persist_result`,
+    which writes the same bytes ``repro submit NAME --out DIR`` archives.
     """
     print()
     print(result.render())
     persist_result(result, RESULTS_DIR)
 
-
-def run_registered(name: str, **overrides):
-    """Run a registry experiment with this bench's overrides applied."""
-    return get_experiment(name).run(**overrides)

@@ -1,9 +1,8 @@
 """The unified client façade over the job service (internal).
 
 :class:`Client` is the one front door for running experiments — the
-``repro experiment`` / ``repro varbench`` / ``repro faults`` CLIs, the
-new ``repro submit`` / ``repro serve`` commands, and in-process callers
-all go through it.  It composes the :mod:`repro.service` pieces (queue,
+``repro submit`` / ``repro serve`` commands and in-process callers all
+go through it.  It composes the :mod:`repro.service` pieces (queue,
 store, pool, telemetry) behind six verbs::
 
     with Client() as client:                  # ephemeral state
@@ -30,7 +29,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import ServiceError
-from repro.experiments.registry import ExperimentSpec, ResultArtifacts, persist_artifacts
+from repro.experiments.registry import (
+    ResultArtifacts,
+    get_experiment,
+    persist_artifacts,
+)
 from repro.service import (
     JobQueue,
     JobRecord,
@@ -100,7 +103,8 @@ class JobResult:
         return self.artifacts.text[:-1]
 
     def persist(self, directory: str | Path) -> Path:
-        """Archive into ``directory`` exactly as ``repro experiment`` does."""
+        """Archive into ``directory``: ``<result_name>.txt`` plus its
+        manifest, the bytes the benchmark harness writes."""
         return persist_artifacts(self.artifacts, directory)
 
 
@@ -182,7 +186,7 @@ class Client:
         raise :class:`~repro.errors.ConfigError` immediately); execution
         happens in :meth:`wait`.
         """
-        request = ExperimentSpec.from_args(name, seed=seed, overrides=overrides)
+        request = get_experiment(name).normalize(seed=seed, overrides=overrides)
         fingerprint = fingerprint_request(request)
         record = self.queue.submit(
             request, fingerprint, priority=priority, client=client

@@ -460,7 +460,7 @@ def oracle_trace_replay(seed: int) -> OracleResult:
 
     from repro.api import Client
     from repro.check.harness import fingerprint_cluster
-    from repro.experiments.registry import render_artifacts, resolve_job_spec
+    from repro.experiments.registry import get_experiment, render_artifacts
     from repro.monitoring import MetricService
     from repro.obs.manifest import build_manifest, manifest_text
     from repro.traces import (
@@ -484,7 +484,7 @@ def oracle_trace_replay(seed: int) -> OracleResult:
         ("fig7", {"anomaly_nodes": 1, "instances_per_node": 1, "horizon": 250.0}),
     )
     for exp_name, overrides in experiments:
-        spec = resolve_job_spec(exp_name)
+        spec = get_experiment(exp_name)
         request = spec.normalize(overrides=overrides)
         plain = render_artifacts(spec.run_request(request))
         recorded = record_experiment(exp_name, overrides=overrides)

@@ -5,44 +5,38 @@ module provides the same surface against the simulated substrate::
 
     python -m repro cpuoccupy -u 80 -d 60 --node node0 --core 0
     python -m repro cachecopy -c L3 --with-app miniGhost --report --profile
-    python -m repro varbench miniGhost --anomaly cachecopy --jobs 4
     python -m repro lint src/ tests/
     python -m repro trace mixed --out trace.json --manifest manifest.json
     python -m repro trace faults --stream runs/a
     python -m repro trace-gen ai_training --seed 0 --out ai.jsonl
     python -m repro diff runs/a runs/b
     python -m repro report mixed --no-wallclock --md report.md
-    python -m repro experiment --list
-    python -m repro experiment fig8
-    python -m repro faults --seed 1
     python -m repro check --cases 50 --seed 0
-    python -m repro submit fig8 --state-dir state
+    python -m repro submit --list
+    python -m repro submit fig8 --out results
+    python -m repro submit ext_faults --seed 1 --state-dir state
+    python -m repro submit varbench --set app=miniGhost --set anomaly=cachecopy
     python -m repro serve --state-dir state --shards 2
 
 It builds a Voltrino-like cluster, optionally co-runs a benchmark
 application, injects the requested anomaly, and prints a monitoring
 summary — a one-command demonstration of the suite.  The ``lint``
 subcommand runs the determinism analyzer (see :mod:`repro.lint`); the
-``varbench`` subcommand measures induced run-to-run variability with
-repetitions optionally fanned out over ``--jobs`` worker processes; the
 ``trace`` subcommand runs a multi-subsystem scenario with span tracing
 attached and writes a Chrome trace-event file plus an optional run
 manifest — or, with ``--stream DIR``, streams the run incrementally
 (see :mod:`repro.obs` and docs/OBSERVABILITY.md); ``diff`` compares two
 run directories and localizes the first divergence down to the sample
 index and enclosing span; ``report`` summarizes a run with per-subsystem
-wall-clock attribution; the
-``experiment`` subcommand runs any table/figure experiment from the
-registry (:mod:`repro.experiments.registry`) and archives its results
-exactly as the benchmark harness does; ``faults`` runs the
-fault-injection resilience sweep (see docs/FAULTS.md); ``check`` fuzzes
-the simulator with runtime invariants and differential oracles attached
-(see :mod:`repro.check` and docs/TESTING.md); ``submit`` and ``serve``
-expose the async job service with its content-addressed result cache
-(see docs/SERVICE.md).  The ``experiment`` / ``varbench`` / ``faults``
-subcommands are thin adapters over :class:`repro.api.Client` — same
-flags, byte-identical output, but repeated runs against a persistent
-``--state-dir`` are served from the cache.
+wall-clock attribution; ``check`` fuzzes the simulator with runtime
+invariants and differential oracles attached (see :mod:`repro.check`
+and docs/TESTING.md).  ``submit`` is the one command that runs a
+registered job — any table/figure experiment, the fault-injection
+sweep ``ext_faults`` (docs/FAULTS.md) or the ``varbench`` variability
+measurement (:mod:`repro.experiments.registry`) — with ``--out DIR``
+archiving its results exactly as the benchmark harness does; it and
+``serve`` expose the job service with its content-addressed result
+cache (see docs/SERVICE.md).
 
 ``--profile`` prints the engine's :class:`~repro.sim.stats.SimStats`
 counters (resolves, node reuse, network memo hits, subsystem wall
@@ -113,74 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record spans during the run and write a Chrome trace JSON",
     )
     return parser
-
-
-def build_varbench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro varbench",
-        description="Measure induced run-to-run variability (Varbench-style).",
-    )
-    parser.add_argument("app", help="benchmark application (e.g. miniGhost)")
-    parser.add_argument(
-        "--anomaly",
-        default=None,
-        choices=sorted(ANOMALY_REGISTRY),
-        help="anomaly injected at a random phase of each repetition",
-    )
-    parser.add_argument("--reps", type=int, default=10, help="repetitions (default 10)")
-    parser.add_argument(
-        "--iterations", type=int, default=20, help="app iterations per repetition"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the repetitions (results are identical "
-        "for every value; default 1 = serial)",
-    )
-    return parser
-
-
-def _run_job(client, name, seed=None, overrides=None):
-    """Submit one job on ``client``, drive it to completion, return its result.
-
-    The shared body of every legacy subcommand adapter: a failed job
-    surfaces as a :class:`~repro.errors.ServiceError` carrying the
-    worker-side exception text, mirroring how the old direct call would
-    have raised.
-    """
-    from repro.errors import ServiceError
-
-    handle = client.submit(name, seed=seed, overrides=overrides)
-    status = client.wait(handle.job_id)
-    if status.state != "done":
-        raise ServiceError(
-            f"job {status.job_id} ({status.name}) {status.state}"
-            + (f": {status.reason}" if status.reason else "")
-        )
-    return client.result(handle.job_id)
-
-
-def varbench_main(argv: list[str]) -> int:
-    from repro.api import Client
-
-    args = build_varbench_parser().parse_args(argv)
-    with Client() as client:
-        result = _run_job(
-            client,
-            "varbench",
-            seed=args.seed,
-            overrides={
-                "app": args.app,
-                "anomaly": args.anomaly,
-                "reps": args.reps,
-                "iterations": args.iterations,
-                "jobs": args.jobs,
-            },
-        )
-    OutputWriter().line(result.render())
-    return 0
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
@@ -362,133 +288,6 @@ def report_main(argv: list[str]) -> int:
     return 0
 
 
-def build_experiment_parser() -> argparse.ArgumentParser:
-    from repro.experiments.registry import EXPERIMENT_REGISTRY
-
-    parser = argparse.ArgumentParser(
-        prog="repro experiment",
-        description="Run a registered table/figure experiment.",
-    )
-    parser.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(EXPERIMENT_REGISTRY),
-        help="experiment to run (omit with --list to enumerate)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list registered experiments"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the experiment's default seed (seeded experiments only)",
-    )
-    parser.add_argument(
-        "--out",
-        default="results",
-        help="directory for the archived table + manifest (default results/)",
-    )
-    parser.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="print the table without writing the results archive",
-    )
-    parser.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="print only the result table (no archive chatter)",
-    )
-    return parser
-
-
-def experiment_main(argv: list[str]) -> int:
-    from repro.api import Client
-    from repro.experiments.registry import EXPERIMENT_REGISTRY
-
-    args = build_experiment_parser().parse_args(argv)
-    out = OutputWriter()
-    if args.list or args.name is None:
-        width = max(len(name) for name in EXPERIMENT_REGISTRY)
-        for name in sorted(EXPERIMENT_REGISTRY):
-            spec = EXPERIMENT_REGISTRY[name]
-            seed = "-" if spec.seed is None else str(spec.seed)
-            out.line(f"{name.ljust(width)}  seed={seed:4s} {spec.description}")
-        return 0
-    with Client() as client:
-        result = _run_job(client, args.name, seed=args.seed)
-    out.line(result.render())
-    if not args.no_persist:
-        path = result.persist(args.out)
-        if not args.quiet:
-            out.line(f"archived {path}")
-    return 0
-
-
-def build_faults_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro faults",
-        description="Fault-injection resilience sweep: job success rate, "
-        "goodput and makespan inflation vs. fault rate, with and without "
-        "checkpoint/restart (see docs/FAULTS.md).",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="sweep seed (default 1)")
-    parser.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=None,
-        metavar="R",
-        help="fault rates in faults per 1000 simulated seconds "
-        "(a fault-free baseline is always prepended)",
-    )
-    parser.add_argument(
-        "--n-jobs", type=int, default=6, help="jobs per stream (default 6)"
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=40, help="app iterations per job"
-    )
-    parser.add_argument(
-        "--horizon",
-        type=float,
-        default=600.0,
-        help="fault-schedule horizon in simulated seconds (default 600)",
-    )
-    parser.add_argument(
-        "--out",
-        default="results",
-        help="directory for the archived table + manifest (default results/)",
-    )
-    parser.add_argument(
-        "--no-persist",
-        action="store_true",
-        help="print the table without writing the results archive",
-    )
-    return parser
-
-
-def faults_main(argv: list[str]) -> int:
-    from repro.api import Client
-
-    args = build_faults_parser().parse_args(argv)
-    overrides: dict[str, object] = {
-        "n_jobs": args.n_jobs,
-        "iterations": args.iterations,
-        "horizon": args.horizon,
-    }
-    if args.rates is not None:
-        overrides["rates"] = tuple(args.rates)
-    with Client() as client:
-        result = _run_job(client, "ext_faults", seed=args.seed, overrides=overrides)
-    out = OutputWriter()
-    out.line(result.render())
-    if not args.no_persist:
-        path = result.persist(args.out)
-        out.line(f"archived {path}")
-    return 0
-
-
 def _lint_main(argv: list[str]) -> int:
     from repro.lint.cli import main as lint_main
 
@@ -522,13 +321,10 @@ def _serve_main(argv: list[str]) -> int:
 #: first-class subcommands; anything else is an anomaly name
 SUBCOMMANDS = {
     "lint": _lint_main,
-    "varbench": varbench_main,
     "trace": trace_main,
     "trace-gen": _trace_gen_main,
     "diff": diff_main,
     "report": report_main,
-    "experiment": experiment_main,
-    "faults": faults_main,
     "check": _check_main,
     "submit": _submit_main,
     "serve": _serve_main,

@@ -61,7 +61,7 @@ class FaultsRow:
 
 @dataclass
 class FaultsResult:
-    """Rendered by ``repro faults`` / the ``ext_faults`` experiment."""
+    """Rendered by ``repro submit ext_faults``."""
 
     seed: int
     rows: list[FaultsRow]

@@ -1,6 +1,6 @@
 """Extension: trace-driven workload replay as a registry experiment.
 
-``repro experiment trace_replay`` runs a :mod:`repro.traces` workload —
+``repro submit trace_replay`` runs a :mod:`repro.traces` workload —
 a seeded synthetic generator pattern by default, or any trace file via
 ``--set trace=path/to.jsonl`` — through :class:`TraceReplayApp` and
 reports the replayed workload shape plus the replay fingerprint digest.

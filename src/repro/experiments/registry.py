@@ -1,21 +1,23 @@
-"""Experiment registry: one :class:`ExperimentSpec` per table/figure.
+"""Experiment registry: one :class:`ExperimentSpec` per runnable job.
 
 Mirrors :mod:`repro.apps.registry`: every ``fig*``/``table*``/``ext_*``
 module registers here under a short name (``fig8``, ``table1``,
-``ext_faults``), and all front ends — the ``repro experiment`` CLI, the
-pytest benchmark harness, and :func:`repro.parallel.run_trials` sweeps —
-drive experiments through the same normalized interface::
+``ext_faults``), as does the ``varbench`` measurement, and every front
+end — ``repro submit``, :class:`repro.api.Client`, the job service's
+workers and the :mod:`repro.check` oracles — drives a job through the
+same two steps::
 
     spec = get_experiment("fig8")
-    result = run(spec)            # or run(spec, obs=...) / spec(seed=...)
+    request = spec.normalize(overrides={"iterations": 5})  # validated
+    result = spec.run_request(request)
     persist_result(result, "results/")
 
-:func:`run` is a plain importable function of ``(spec, obs)``, so a list
-of specs can be handed straight to ``run_trials(run, specs, jobs=N)``.
-Runners keep their historical keyword signatures; the spec layer adapts:
-``seed``/``obs`` are forwarded only to runners that accept them, and
-results persist byte-identically to what the benchmark harness has always
-written (text table + deterministic manifest).
+:meth:`ExperimentSpec.normalize` is where seeds and knobs are checked
+against the runner's signature and canonicalized for the cache
+fingerprint; :meth:`ExperimentSpec.run_request` calls the runner with
+exactly the request's arguments.  Results persist byte-identically to
+what the benchmark harness has always written (text table +
+deterministic manifest).
 """
 
 from __future__ import annotations
@@ -23,15 +25,13 @@ from __future__ import annotations
 import functools
 import importlib
 import inspect
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from repro._atomic import atomic_write_text
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observability import Observability
 
 #: override names that never change a result (proven by the parallel
 #: differential oracle) and therefore stay out of the cache fingerprint
@@ -69,16 +69,32 @@ def _runner_params(runner: Callable[..., object]) -> Mapping[str, inspect.Parame
     return inspect.signature(runner).parameters
 
 
+def _canonical_json(value: object) -> str:
+    """The JSON text a value fingerprints as (tuples become lists)."""
+    from repro.obs.stream import _json_safe
+
+    return json.dumps(_json_safe(value), sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_defaults(runner: Callable[..., object]) -> Mapping[str, str]:
+    """Canonical JSON of each defaulted runner parameter, computed once per
+    runner; :meth:`ExperimentSpec.normalize` drops an override equal to it."""
+    return {
+        name: _canonical_json(param.default)
+        for name, param in _runner_params(runner).items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """A normalized, picklable experiment invocation.
 
-    The single request shape shared by every front end — the ``repro
-    experiment`` / ``repro faults`` / ``repro varbench`` CLIs, the
-    :class:`repro.api.Client`, and the job service — produced only by
-    :meth:`ExperimentSpec.normalize` (or its :meth:`ExperimentSpec.from_args`
-    convenience), so validation and canonicalization happen in exactly one
-    place.
+    The single request shape shared by every front end — ``repro
+    submit``, :class:`repro.api.Client` and the job service — produced
+    only by :meth:`ExperimentSpec.normalize`, so validation and
+    canonicalization happen in exactly one place.
 
     ``overrides`` are the runner keyword arguments that select *what* is
     computed (canonical JSON values, sorted by name); ``extras`` are
@@ -135,7 +151,7 @@ class ExperimentSpec:
     name:
         Registry key (``fig8``, ``ext_faults``, ...).
     description:
-        One-line summary shown by ``repro experiment --list``.
+        One-line summary shown by ``repro submit --list``.
     runner:
         The module's ``run_*`` function (registry entries hold a
         :class:`_Deferred` reference to it); returns a result object with
@@ -170,30 +186,6 @@ class ExperimentSpec:
     def takes_seed(self) -> bool:
         return "seed" in _runner_params(self.runner)
 
-    def run(
-        self,
-        seed: int | None = None,
-        obs: "Observability | None" = None,
-        **overrides: object,
-    ) -> object:
-        """Run with normalized arguments.
-
-        ``seed`` and ``obs`` are forwarded only when the runner accepts a
-        parameter of that name (passing a seed to a seedless experiment is
-        an error, not a silent no-op); ``overrides`` go through verbatim.
-        """
-        params = _runner_params(self.runner)
-        kwargs = dict(overrides)
-        if seed is not None:
-            if "seed" not in params:
-                raise ConfigError(
-                    f"experiment {self.name!r} does not take a seed"
-                )
-            kwargs["seed"] = seed
-        if obs is not None and "obs" in params:
-            kwargs["obs"] = obs
-        return self.runner(**kwargs)
-
     # -- normalized requests -------------------------------------------------
 
     def normalize(
@@ -203,8 +195,8 @@ class ExperimentSpec:
     ) -> JobRequest:
         """Fold an invocation into the one canonical :class:`JobRequest`.
 
-        This is the single spec-construction path shared by the CLI
-        subcommands, the registry and :class:`repro.api.Client`:
+        This is the single spec-construction path shared by ``repro
+        submit``, :class:`repro.api.Client` and the oracles:
 
         * ``seed`` is validated against the runner signature and resolved
           to its effective value (the spec default when not given);
@@ -214,28 +206,34 @@ class ExperimentSpec:
         * override values are canonicalized to JSON types (tuples become
           lists) so equal requests fingerprint equally regardless of how
           the caller spelled them;
+        * an override whose canonical JSON equals the runner's default is
+          dropped, so spelling a default out keys the same cache entry as
+          omitting it (``600`` and ``600.0`` stay distinct);
         * non-semantic knobs (:data:`NONSEMANTIC_OVERRIDES`) are split
           out of the fingerprint-relevant set.
         """
         from repro.obs.stream import _json_safe
 
         params = _runner_params(self.runner)
+        defaults = _canonical_defaults(self.runner)
         if seed is not None and "seed" not in params:
             raise ConfigError(f"experiment {self.name!r} does not take a seed")
         resolved_seed = self.seed if seed is None else int(seed)
         semantic: dict[str, object] = {}
         extras: dict[str, object] = {}
         for key, value in dict(overrides or {}).items():
-            if key in ("seed", "obs"):
+            if key == "seed":
                 raise ConfigError(
-                    f"pass {key!r} as its own argument, not as an override"
+                    "pass 'seed' as its own argument, not as an override"
                 )
             if key not in params:
-                known = ", ".join(k for k in params if k not in ("obs",))
+                known = ", ".join(params)
                 raise ConfigError(
                     f"experiment {self.name!r} has no knob {key!r} "
                     f"(known: {known})"
                 )
+            if key in defaults and _canonical_json(value) == defaults[key]:
+                continue
             target = extras if key in NONSEMANTIC_OVERRIDES else semantic
             target[key] = _json_safe(value)
         if self.canonicalize is not None:
@@ -249,37 +247,13 @@ class ExperimentSpec:
             extras=tuple(sorted(extras.items())),
         )
 
-    @staticmethod
-    def from_args(
-        name: str,
-        seed: int | None = None,
-        overrides: Mapping[str, object] | None = None,
-    ) -> JobRequest:
-        """Resolve ``name`` in the job registry and normalize in one step.
-
-        The convenience the CLI front ends use: ``repro experiment``,
-        ``repro faults``, ``repro varbench`` and ``repro submit`` all
-        build their requests through this path (there is no per-subcommand
-        parsing of experiment knobs any more).
-        """
-        return resolve_job_spec(name).normalize(seed=seed, overrides=overrides)
-
     def run_request(self, request: JobRequest) -> object:
-        """Execute a normalized request exactly as :meth:`run` would."""
+        """Call the runner with exactly the request's arguments."""
         if request.name != self.name:
             raise ConfigError(
                 f"request for {request.name!r} handed to spec {self.name!r}"
             )
         return self.runner(**request.kwargs())
-
-
-def run(spec: ExperimentSpec, obs: "Observability | None" = None) -> object:
-    """Normalized entry point: run ``spec`` with its default arguments.
-
-    A module-level pure function so ``run_trials(run, specs, jobs=N)``
-    can fan a list of specs out over worker processes.
-    """
-    return spec.run(obs=obs)
 
 
 @dataclass(frozen=True)
@@ -366,146 +340,153 @@ def _build_registry() -> dict[str, ExperimentSpec]:
         ExperimentSpec(
             "table1",
             "anomaly inventory with induced per-metric deviations",
-            _Deferred("repro.experiments", "run_table1"),
+            _Deferred("repro.experiments.table1_anomalies", "run_table1"),
             "Table1Result",
         ),
         ExperimentSpec(
             "table2",
             "proxy-app resource characterisation (Table 2)",
-            _Deferred("repro.experiments", "run_table2"),
+            _Deferred("repro.experiments.table2_characteristics", "run_table2"),
             "Table2Result",
         ),
         ExperimentSpec(
             "fig2",
             "cpuoccupy utilisation sweep vs application slowdown",
-            _Deferred("repro.experiments", "run_fig2"),
+            _Deferred("repro.experiments.fig2_cpuoccupy", "run_fig2"),
             "Fig2Result",
         ),
         ExperimentSpec(
             "fig3",
             "cachecopy slowdown on both machine flavours",
-            _Deferred("repro.experiments", "run_fig3"),
+            _Deferred("repro.experiments.fig3_cachecopy", "run_fig3"),
             "Fig3Result",
         ),
         ExperimentSpec(
             "fig4",
             "membw instance-count sweep vs memory bandwidth",
-            _Deferred("repro.experiments", "run_fig4"),
+            _Deferred("repro.experiments.fig4_membw", "run_fig4"),
             "Fig4Result",
         ),
         ExperimentSpec(
             "fig5",
             "memleak/memeater footprint growth and OOM behaviour",
-            _Deferred("repro.experiments", "run_fig5"),
+            _Deferred("repro.experiments.fig5_memory", "run_fig5"),
             "Fig5Result",
         ),
         ExperimentSpec(
             "fig6",
             "netoccupy impact under static vs adaptive routing",
-            _Deferred("repro.experiments", "run_fig6"),
+            _Deferred("repro.experiments.fig6_netoccupy", "run_fig6"),
             "Fig6Result",
         ),
         ExperimentSpec(
             "fig7",
             "iobandwidth/iometadata impact on shared-filesystem clients",
-            _Deferred("repro.experiments", "run_fig7"),
+            _Deferred("repro.experiments.fig7_io", "run_fig7"),
             "Fig7Result",
         ),
         ExperimentSpec(
             "fig8",
             "runtime matrix: every app against every anomaly",
-            _Deferred("repro.experiments", "run_fig8"),
+            _Deferred("repro.experiments.fig8_matrix", "run_fig8"),
             "Fig8Result",
         ),
         ExperimentSpec(
             "fig9",
             "anomaly diagnosis F1 vs training-set size",
-            _Deferred("repro.experiments", "run_fig9"),
+            _Deferred("repro.experiments.fig9_f1", "run_fig9"),
             "Fig9Result",
             seed=0,
         ),
         ExperimentSpec(
             "fig10",
             "anomaly diagnosis confusion matrix",
-            _Deferred("repro.experiments", "run_fig10"),
+            _Deferred("repro.experiments.fig10_confusion", "run_fig10"),
             "Fig10Result",
             seed=0,
         ),
         ExperimentSpec(
             "fig11_12",
             "RR vs WBAS allocation under anomalies",
-            _Deferred("repro.experiments", "run_fig11_12"),
+            _Deferred("repro.experiments.fig11_12_allocation", "run_fig11_12"),
             "Fig11_12Result",
         ),
         ExperimentSpec(
             "fig13",
             "load balancing away from a cpuoccupy-squatted core",
-            _Deferred("repro.experiments", "run_fig13"),
+            _Deferred("repro.experiments.fig13_loadbalance", "run_fig13"),
             "Fig13Result",
         ),
         ExperimentSpec(
             "ext_dragonfly",
             "netoccupy on a dragonfly topology (extension)",
-            _Deferred("repro.experiments", "run_ext_dragonfly"),
+            _Deferred("repro.experiments.ext_dragonfly", "run_ext_dragonfly"),
             "DragonflyResult",
         ),
         ExperimentSpec(
             "ext_faults",
             "fault-injection sweep: success rate, goodput, makespan "
             "with/without checkpointing (extension)",
-            _Deferred("repro.experiments", "run_ext_faults"),
+            _Deferred("repro.experiments.ext_faults", "run_ext_faults"),
             "FaultsResult",
             seed=1,
         ),
         ExperimentSpec(
             "ext_importance",
             "diagnosis feature-importance ranking (extension)",
-            _Deferred("repro.experiments", "run_ext_importance"),
+            _Deferred("repro.experiments.ext_importance", "run_ext_importance"),
             "ImportanceResult",
             seed=4,
         ),
         ExperimentSpec(
             "ext_jitter",
             "OS jitter scaling with node count (extension)",
-            _Deferred("repro.experiments", "run_ext_jitter"),
+            _Deferred("repro.experiments.ext_jitter", "run_ext_jitter"),
             "JitterResult",
             seed=3,
         ),
         ExperimentSpec(
             "ext_jobstream",
             "job-stream scheduling under anomalies (extension)",
-            _Deferred("repro.experiments", "run_ext_jobstream"),
+            _Deferred("repro.experiments.ext_jobstream", "run_ext_jobstream"),
             "JobStreamResult",
         ),
         ExperimentSpec(
             "ext_lustre",
             "NFS vs Lustre-like metadata isolation (extension)",
-            _Deferred("repro.experiments", "run_ext_lustre"),
+            _Deferred("repro.experiments.ext_lustre", "run_ext_lustre"),
             "LustreResult",
         ),
         ExperimentSpec(
             "ext_online",
             "online anomaly detection latency (extension)",
-            _Deferred("repro.experiments", "run_ext_online"),
+            _Deferred("repro.experiments.ext_online", "run_ext_online"),
             "OnlineResult",
             seed=6,
         ),
         ExperimentSpec(
             "ext_variability",
             "induced run-to-run variability report (extension)",
-            _Deferred("repro.experiments", "run_ext_variability"),
+            _Deferred("repro.experiments.ext_variability", "run_ext_variability"),
             "VariabilityResult",
             seed=5,
         ),
         ExperimentSpec(
             "trace_replay",
             "replay a generated or recorded workload trace (extension)",
-            _Deferred("repro.experiments", "run_trace_replay"),
+            _Deferred("repro.experiments.ext_trace_replay", "run_trace_replay"),
             "TraceReplayResult",
             seed=0,
             canonicalize=_Deferred(
                 "repro.experiments.ext_trace_replay", "_canonicalize_trace"
             ),
+        ),
+        ExperimentSpec(
+            "varbench",
+            "Varbench-style induced run-to-run variability measurement",
+            _Deferred("repro.varbench", "run_varbench"),
+            "VarbenchResult",
+            seed=0,
         ),
     ]
     return {spec.name: spec for spec in specs}
@@ -521,45 +502,3 @@ def get_experiment(name: str) -> ExperimentSpec:
             return spec
     known = ", ".join(sorted(EXPERIMENT_REGISTRY))
     raise ConfigError(f"unknown experiment {name!r} (known: {known})")
-
-
-def _build_service_jobs() -> dict[str, ExperimentSpec]:
-    """Job specs the service accepts beyond the figure/table registry.
-
-    ``repro experiment --list`` deliberately keeps showing only the
-    paper's figures and tables; these extra specs are reachable through
-    :func:`resolve_job_spec` (the Client / ``repro submit`` namespace).
-    """
-    from repro.varbench import run_varbench
-
-    specs = [
-        ExperimentSpec(
-            "varbench",
-            "Varbench-style induced run-to-run variability measurement",
-            run_varbench,
-            "VarbenchResult",
-            seed=0,
-        ),
-    ]
-    return {spec.name: spec for spec in specs}
-
-
-#: extra service-only job specs (lazy: built on first resolve)
-_SERVICE_JOBS: dict[str, ExperimentSpec] = {}
-
-
-def job_registry() -> dict[str, ExperimentSpec]:
-    """Every spec the job service accepts, keyed by name."""
-    if not _SERVICE_JOBS:
-        _SERVICE_JOBS.update(_build_service_jobs())
-    return {**EXPERIMENT_REGISTRY, **_SERVICE_JOBS}
-
-
-def resolve_job_spec(name: str) -> ExperimentSpec:
-    """Look up a job spec by name across the full service namespace."""
-    registry = job_registry()
-    for key, spec in registry.items():
-        if key.lower() == name.lower():
-            return spec
-    known = ", ".join(sorted(registry))
-    raise ConfigError(f"unknown job {name!r} (known: {known})")

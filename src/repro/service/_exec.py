@@ -5,10 +5,10 @@ module-level (hence picklable) function of the normalized
 :class:`~repro.experiments.registry.JobRequest`, so it can be handed to
 :class:`repro.parallel.ShardWorker` processes exactly like
 :func:`repro.parallel.run_trials` payloads.  It resolves the spec from
-the job registry *inside* the worker (spawn workers start from a fresh
-interpreter; only the request crosses the process boundary) and returns
-the rendered :class:`~repro.experiments.registry.ResultArtifacts` —
-plain strings, byte-identical to what a front-end run would persist.
+the experiment registry *inside* the worker (spawn workers start from a
+fresh interpreter; only the request crosses the process boundary) and
+returns the rendered :class:`~repro.experiments.registry.ResultArtifacts`
+— plain strings, byte-identical to what a front-end run would persist.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 from repro.experiments.registry import (
     JobRequest,
     ResultArtifacts,
+    get_experiment,
     render_artifacts,
-    resolve_job_spec,
 )
 
 
 def execute_request(request: JobRequest) -> ResultArtifacts:
     """Run one normalized request and render its artefacts."""
-    spec = resolve_job_spec(request.name)
+    spec = get_experiment(request.name)
     return render_artifacts(spec.run_request(request))

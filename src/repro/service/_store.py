@@ -38,7 +38,7 @@ from typing import Mapping
 
 from repro._atomic import atomic_write_bytes, atomic_write_text
 from repro.errors import ServiceError
-from repro.experiments.registry import ResultArtifacts, persist_artifacts
+from repro.experiments.registry import ResultArtifacts
 
 #: filenames inside one store entry
 RESULT_FILE = "result.txt"
@@ -140,37 +140,13 @@ class ResultStore:
         )
         return StoredResult(fingerprint, artifacts, full_record)
 
-    def persist_to(self, fingerprint: str, directory: str | Path) -> Path:
-        """Write an entry's artefacts into ``directory`` (cache-hit path).
-
-        Byte-identical to persisting the fresh result: both go through
-        :func:`repro.experiments.registry.persist_artifacts` on the same
-        strings.
-        """
-        stored = self.get(fingerprint)
-        if stored is None:
-            raise ServiceError(f"no committed entry for {fingerprint!r}")
-        return persist_artifacts(stored.artifacts, directory)
-
     def fingerprints(self) -> tuple[str, ...]:
         """Every fingerprint with a ``record.json``, sorted (entries
-        without digests included, so :meth:`clear` drops them too)."""
+        without digests included)."""
         out = []
         for record_path in sorted(self.directory.glob(f"??/*/{RECORD_FILE}")):
             out.append(record_path.parent.name)
         return tuple(sorted(out))
-
-    def clear(self) -> int:
-        """Drop every committed entry; returns how many were removed."""
-        removed = 0
-        for fingerprint in self.fingerprints():
-            entry = self.entry_dir(fingerprint)
-            for name in (RECORD_FILE, RESULT_FILE, MANIFEST_FILE):
-                path = entry / name
-                if path.exists():
-                    path.unlink()
-            removed += 1
-        return removed
 
 
 def _read_verified(path: Path, digest: str) -> str:

@@ -1,7 +1,8 @@
 """``repro submit`` and ``repro serve`` — the service on the command line.
 
-``submit`` enqueues one job against a state directory and (by default)
-drives it to completion in-process::
+``submit`` is the one command that runs a registered job: it enqueues
+the job against a state directory and (by default) drives it to
+completion in-process::
 
     python -m repro submit fig8 --state-dir state --out results
     python -m repro submit varbench --set app=miniGhost --set reps=3
@@ -12,7 +13,9 @@ drives it to completion in-process::
 ``--set iterations=5`` is the integer 5 and ``--set app=miniGhost`` the
 string.  Resubmitting the same job against the same state directory is
 a cache hit: the stored artefacts are returned byte-identically and no
-simulation runs.
+simulation runs.  Bad input — an unknown job or knob, a seed for a
+seedless job, a malformed ``--set``, a stale ``trace_sha256`` — is one
+``repro submit: error: ...`` line on stderr and exit status 2.
 
 ``serve`` drains a state directory's queue through a worker pool —
 the daemon half of a ``submit --no-wait`` producer::
@@ -29,7 +32,7 @@ import argparse
 import json
 import sys
 
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.output import OutputWriter
 
 #: shown after a job id for a result served from the content store
@@ -57,8 +60,8 @@ def build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "name",
         nargs="?",
-        help="job to run (any experiment name, plus service-only jobs "
-        "like 'varbench'; omit with --list to enumerate)",
+        help="job to run (any registered name, e.g. fig8, ext_faults or "
+        "varbench; omit with --list to enumerate)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list every submittable job"
@@ -114,31 +117,34 @@ def build_submit_parser() -> argparse.ArgumentParser:
 
 def submit_main(argv: list[str]) -> int:
     from repro.api import Client
-    from repro.experiments.registry import job_registry
+    from repro.experiments.registry import EXPERIMENT_REGISTRY
 
     parser = build_submit_parser()
     args = parser.parse_args(argv)
     out = OutputWriter()
     if args.list or args.name is None:
-        registry = job_registry()
-        width = max(len(name) for name in registry)
-        for name in sorted(registry):
-            spec = registry[name]
+        width = max(len(name) for name in EXPERIMENT_REGISTRY)
+        for name in sorted(EXPERIMENT_REGISTRY):
+            spec = EXPERIMENT_REGISTRY[name]
             seed = "-" if spec.seed is None else str(spec.seed)
             out.line(f"{name.ljust(width)}  seed={seed:4s} {spec.description}")
         return 0
     if args.no_wait and args.state_dir is None:
         parser.error("--no-wait needs --state-dir (an ephemeral queue "
                      "would be discarded before any worker sees it)")
-    overrides = dict(parse_override(item) for item in args.overrides)
     with Client(state_dir=args.state_dir) as client:
-        handle = client.submit(
-            args.name,
-            seed=args.seed,
-            overrides=overrides or None,
-            priority=args.priority,
-            client=args.client,
-        )
+        try:
+            overrides = dict(parse_override(item) for item in args.overrides)
+            handle = client.submit(
+                args.name,
+                seed=args.seed,
+                overrides=overrides or None,
+                priority=args.priority,
+                client=args.client,
+            )
+        except ReproError as err:  # bad input: unknown job/knob, stale pin
+            sys.stderr.write(f"repro submit: error: {err}\n")
+            return 2
         if not args.quiet:
             out.line(
                 f"submitted {handle.job_id} {args.name} "

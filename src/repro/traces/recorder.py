@@ -443,9 +443,9 @@ def record_experiment(
     cluster; anomaly-bearing clusters come back tainted (anomalies run
     unbounded segments), while their clean baselines replay byte-for-byte.
     """
-    from repro.experiments.registry import resolve_job_spec
+    from repro.experiments.registry import get_experiment
 
-    spec = resolve_job_spec(name)
+    spec = get_experiment(name)
     request = spec.normalize(seed=seed, overrides=overrides)
     with recording_session(name=name) as session:
         result = spec.run_request(request)

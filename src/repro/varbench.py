@@ -166,7 +166,7 @@ class VarbenchResult:
     """Registry-shaped wrapper: a variability report with ``render()``.
 
     ``render()`` returns exactly the lines ``VariabilityReport.write``
-    prints, so the ``repro varbench`` CLI, which routes through the job
+    prints, so ``repro submit varbench``, which routes through the job
     service, prints what a direct ``VariabilityReport.write`` call
     would.  ``seed``/``config`` feed the persisted manifest.
     """
@@ -196,10 +196,9 @@ def run_varbench(
 ) -> VarbenchResult:
     """Run a variability measurement as a registry job.
 
-    The importable runner behind the ``varbench`` entry of the job
-    registry (:func:`repro.experiments.registry.resolve_job_spec`); the
-    ``repro varbench`` CLI is a thin adapter over this via
-    :class:`repro.api.Client`.
+    The importable runner behind the ``varbench`` entry of the
+    experiment registry (:data:`repro.experiments.registry.EXPERIMENT_REGISTRY`),
+    run as ``repro submit varbench --set app=miniGhost ...``.
     """
     from repro.core import make_anomaly
 

@@ -97,7 +97,7 @@ class TestRoundTrip:
 class TestValidation:
     def test_unknown_experiment_rejected_at_submit(self, tmp_path):
         with Client(state_dir=tmp_path) as client:
-            with pytest.raises(ConfigError, match="unknown job"):
+            with pytest.raises(ConfigError, match="unknown experiment"):
                 client.submit("not_an_experiment")
 
     def test_unknown_knob_rejected_at_submit(self, tmp_path):

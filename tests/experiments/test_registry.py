@@ -10,9 +10,7 @@ from repro.experiments.registry import (
     ExperimentSpec,
     get_experiment,
     persist_result,
-    run,
 )
-from repro.parallel import run_trials
 
 
 class FakeResult:
@@ -38,7 +36,7 @@ class TestRegistry:
             "fig7", "fig8", "fig9", "fig10", "fig11_12", "fig13",
             "ext_dragonfly", "ext_faults", "ext_importance", "ext_jitter",
             "ext_jobstream", "ext_lustre", "ext_online", "ext_variability",
-            "trace_replay",
+            "trace_replay", "varbench",
         }
         assert set(EXPERIMENT_REGISTRY) == expected
 
@@ -65,39 +63,22 @@ class TestRegistry:
 
 
 class TestNormalizedRun:
+    """``normalize`` then ``run_request``: the one way a spec runs."""
+
     def test_seed_forwarded_when_accepted(self):
         spec = fake_spec(lambda seed=0: FakeResult(f"seed={seed}"))
-        assert spec.run(seed=9).render() == "seed=9"
+        request = spec.normalize(seed=9)
+        assert spec.run_request(request).render() == "seed=9"
 
     def test_seed_rejected_by_seedless_runner(self):
         spec = fake_spec(lambda: FakeResult("x"))
         with pytest.raises(ConfigError, match="does not take a seed"):
-            spec.run(seed=9)
-
-    def test_obs_forwarded_only_when_accepted(self):
-        sentinel = object()
-        seen = {}
-
-        def with_obs(obs=None):
-            seen["obs"] = obs
-            return FakeResult("x")
-
-        fake_spec(with_obs).run(obs=sentinel)
-        assert seen["obs"] is sentinel
-        # a runner without an obs parameter is driven without error
-        assert fake_spec(lambda: FakeResult("y")).run(obs=sentinel).render() == "y"
+            spec.normalize(seed=9)
 
     def test_overrides_pass_through(self):
         spec = fake_spec(lambda n_jobs=6: FakeResult(str(n_jobs)))
-        assert spec.run(n_jobs=2).render() == "2"
-
-    def test_module_level_run_drives_run_trials(self):
-        specs = [
-            fake_spec(lambda: FakeResult("a"), name="a"),
-            fake_spec(lambda: FakeResult("b"), name="b"),
-        ]
-        results = run_trials(run, specs, jobs=1)
-        assert [r.render() for r in results] == ["a", "b"]
+        request = spec.normalize(overrides={"n_jobs": 2})
+        assert spec.run_request(request).render() == "2"
 
 
 class TestPersistResult:

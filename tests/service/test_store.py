@@ -190,31 +190,9 @@ def test_entry_without_digests_is_simulated_again(tmp_path, monkeypatch):
         assert len(calls) == 2
 
 
-def test_persist_to_writes_harness_layout(tmp_path):
-    store = ResultStore(tmp_path / "store")
-    store.put(FP, ARTS)
-    path = store.persist_to(FP, tmp_path / "archive")
-    assert path.read_text() == ARTS.text
-    manifest = tmp_path / "archive" / "ProbeResult.manifest.json"
-    assert manifest.read_text() == ARTS.manifest_text
-
-
-def test_persist_to_missing_entry_raises(tmp_path):
-    with pytest.raises(ServiceError):
-        ResultStore(tmp_path).persist_to("ee" * 32, tmp_path / "out")
-
-
 def test_malformed_fingerprint_rejected(tmp_path):
     with pytest.raises(ServiceError):
         ResultStore(tmp_path).entry_dir("ab")
-
-
-def test_clear_removes_committed_entries(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put(FP, ARTS)
-    assert store.clear() == 1
-    assert store.get(FP) is None
-    assert store.fingerprints() == ()
 
 
 @pytest.mark.parametrize(

@@ -60,31 +60,34 @@ class TestMain:
 
 
 class TestVarbenchSubcommand:
+    """``varbench`` is a registry job, run through ``repro submit``."""
+
+    ARGV = [
+        "submit", "varbench", "-q",
+        "--set", "app=miniMD",
+        "--set", "reps=3",
+        "--set", "iterations=6",
+    ]
+
     def test_varbench_runs_and_reports(self, capsys):
-        rc = main(
-            [
-                "varbench", "miniMD",
-                "--anomaly", "membw",
-                "--reps", "3",
-                "--iterations", "6",
-            ]
-        )
+        rc = main(self.ARGV + ["--set", "anomaly=membw"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "miniMD" in out
         assert "membw" in out
 
     def test_varbench_jobs_flag_matches_serial(self, capsys):
-        argv = ["varbench", "miniMD", "--reps", "3", "--iterations", "6"]
-        assert main(argv + ["--jobs", "1"]) == 0
+        assert main(self.ARGV + ["--set", "jobs=1"]) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "3"]) == 0
+        assert main(self.ARGV + ["--set", "jobs=3"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
 
-    def test_varbench_rejects_unknown_anomaly(self):
-        with pytest.raises(SystemExit):
-            main(["varbench", "miniMD", "--anomaly", "fanspin"])
+    def test_varbench_rejects_unknown_anomaly(self, capsys):
+        rc = main(self.ARGV + ["--set", "anomaly=fanspin"])
+        assert rc == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert " failed: " in line and "fanspin" in line
 
 
 class _StubResult:
@@ -101,18 +104,21 @@ def _register_stub(monkeypatch, runner):
 
 
 class TestExperimentSubcommand:
+    """Running a registered experiment: ``repro submit NAME``."""
+
     def test_list_enumerates_registry(self, capsys):
         from repro.experiments.registry import EXPERIMENT_REGISTRY
 
-        rc = main(["experiment", "--list"])
+        rc = main(["submit", "--list"])
         assert rc == 0
         out = capsys.readouterr().out
+        assert "varbench" in EXPERIMENT_REGISTRY
         for name in EXPERIMENT_REGISTRY:
             assert name in out
 
     def test_run_renders_and_archives(self, capsys, tmp_path, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(["experiment", "stub_exp", "--out", str(tmp_path)])
+        rc = main(["submit", "stub_exp", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "stub table" in out
@@ -120,32 +126,36 @@ class TestExperimentSubcommand:
         assert (tmp_path / "StubResult.manifest.json").exists()
 
     def test_no_persist_skips_archiving(self, capsys, tmp_path, monkeypatch):
+        # without --out nothing is archived, not even into a default dir
         _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(
-            ["experiment", "stub_exp", "--out", str(tmp_path), "--no-persist"]
-        )
+        monkeypatch.chdir(tmp_path)
+        rc = main(["submit", "stub_exp"])
         assert rc == 0
-        assert not (tmp_path / "StubResult.txt").exists()
+        assert "stub table" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
-    def test_seed_rejected_for_seedless_experiment(self, monkeypatch):
-        from repro.errors import ConfigError
-
+    def test_seed_rejected_for_seedless_experiment(self, capsys, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
-        with pytest.raises(ConfigError, match="does not take a seed"):
-            main(["experiment", "stub_exp", "--seed", "3", "--no-persist"])
+        rc = main(["submit", "stub_exp", "--seed", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro submit: error: experiment 'stub_exp' does not take a seed\n"
+        )
+        assert captured.out == ""
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "fig99"])
+    def test_unknown_experiment_rejected(self, capsys):
+        assert main(["submit", "fig99"]) == 2
+        assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
     def test_bare_experiment_name_is_not_a_subcommand(self, capsys, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
         with pytest.raises(SystemExit) as exc:
-            main(["stub_exp", "--no-persist"])
+            main(["stub_exp"])
         assert exc.value.code == 2
         assert "invalid choice: 'stub_exp'" in capsys.readouterr().err
-        # the one spelling that runs an experiment is unchanged
-        rc = main(["experiment", "stub_exp", "--no-persist"])
+        # the one spelling that runs an experiment
+        rc = main(["submit", "stub_exp", "-q"])
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out == "stub table\n"
@@ -153,13 +163,9 @@ class TestExperimentSubcommand:
 
     def test_quiet_suppresses_archive_line(self, capsys, tmp_path, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())
-        rc = main(
-            ["experiment", "stub_exp", "--out", str(tmp_path), "--quiet"]
-        )
+        rc = main(["submit", "stub_exp", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "stub table" in out
-        assert "archived" not in out
+        assert capsys.readouterr().out == "stub table\n"
         # quiet silences the narration, not the archiving itself
         assert (tmp_path / "StubResult.txt").exists()
 
@@ -173,6 +179,38 @@ class TestSubmitSubcommand:
         assert main(["submit", "stub_exp", "--state-dir", state]) == 0
         out = capsys.readouterr().out
         assert "done (cached)" in out and "stub table" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig99"], "unknown experiment 'fig99'"),
+            (["fig8", "--set", "bogus=1"], "has no knob 'bogus'"),
+            (["table1", "--seed", "3"], "does not take a seed"),
+            (["fig8", "--set", "iterations"], "--set expects key=value"),
+            (
+                ["trace_replay", "--set", "trace={trace}",
+                 "--set", "trace_sha256=" + "ab" * 32],
+                "does not match the trace",
+            ),
+        ],
+        ids=["unknown-job", "unknown-knob", "seedless-seed", "malformed-set",
+             "stale-trace-pin"],
+    )
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, argv, message):
+        from repro.traces import dump_trace, generate_trace
+
+        trace = tmp_path / "ai.jsonl"
+        dump_trace(generate_trace("ai_training", seed=0, ranks=3, steps=2), trace)
+        out_dir = tmp_path / "out"
+        argv = [arg.format(trace=trace) for arg in argv]
+        rc = main(["submit", *argv, "--out", str(out_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro submit: error: ")
+        assert message in line
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_edited_store_entry_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         _register_stub(monkeypatch, lambda: _StubResult())

@@ -17,7 +17,7 @@ import subprocess
 import sys
 
 import repro.experiments
-from repro.experiments.registry import EXPERIMENT_REGISTRY, job_registry
+from repro.experiments.registry import EXPERIMENT_REGISTRY
 
 def _modules_after(imports: str) -> list[str]:
     """Every module a fresh interpreter holds after running ``imports``."""
@@ -79,7 +79,7 @@ def test_from_import_of_a_runner_still_works():
 
 
 def test_every_registry_entry_reports_its_seed_parameter():
-    for name, spec in job_registry().items():
+    for name, spec in EXPERIMENT_REGISTRY.items():
         assert isinstance(spec.takes_seed, bool), name
         if spec.seed is not None:
             assert spec.takes_seed, name
