@@ -48,6 +48,34 @@ def _atomic_write(path: str | Path, data: str | bytes, mode: str) -> Path:
     return path
 
 
+def sweep_dead_temps(directory: str | Path) -> None:
+    """Remove temp files that killed writers left behind in ``directory``.
+
+    A write killed before its ``os.replace`` leaves ``.<name>.<pid>.tmp``
+    for good: a retry runs under another pid and writes its own temp
+    name.  Only files whose pid is no live process are removed, since a
+    live pid may be another process sharing the directory mid-write.
+    """
+    for tmp in Path(directory).glob(".*.tmp"):
+        pid = tmp.name.rsplit(".", 2)[-2]
+        if pid.isdigit() and not _alive(int(pid)):
+            tmp.unlink(missing_ok=True)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (always assumed off POSIX,
+    where signal 0 is no existence probe)."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
 def append_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Append ``\\n``-terminated lines durably with one write + one fsync.
 

@@ -7,7 +7,7 @@ module provides the same surface against the simulated substrate::
     python -m repro cachecopy -c L3 --with-app miniGhost --report --profile
     python -m repro lint src/ tests/
     python -m repro trace mixed --out trace.json --manifest manifest.json
-    python -m repro trace faults --stream runs/a
+    python -m repro trace fault_recovery --set horizon=600 --stream runs/a
     python -m repro trace-gen ai_training --seed 0 --out ai.jsonl
     python -m repro diff runs/a runs/b
     python -m repro report mixed --no-wallclock --md report.md
@@ -22,12 +22,14 @@ It builds a Voltrino-like cluster, optionally co-runs a benchmark
 application, injects the requested anomaly, and prints a monitoring
 summary — a one-command demonstration of the suite.  The ``lint``
 subcommand runs the determinism analyzer (see :mod:`repro.lint`); the
-``trace`` subcommand runs a multi-subsystem scenario with span tracing
-attached and writes a Chrome trace-event file plus an optional run
-manifest — or, with ``--stream DIR``, streams the run incrementally
-(see :mod:`repro.obs` and docs/OBSERVABILITY.md); ``diff`` compares two
-run directories and localizes the first divergence down to the sample
-index and enclosing span; ``report`` summarizes a run with per-subsystem
+``trace`` subcommand runs a traceable registered job (``mixed``,
+``fault_recovery``, ``trace_replay``; ``--seed``/``--set`` as for
+``submit``) with span tracing attached and writes a Chrome trace-event
+file plus an optional run manifest — or, with ``--stream DIR``, streams
+the run incrementally (see :mod:`repro.obs` and docs/OBSERVABILITY.md);
+``diff`` compares two run directories and localizes the first
+divergence down to the sample index and enclosing span; ``report``
+summarizes a traced job or a streamed run directory with per-subsystem
 wall-clock attribution; ``check`` fuzzes the simulator with runtime
 invariants and differential oracles attached (see :mod:`repro.check`
 and docs/TESTING.md).  ``submit`` is the one command that runs a
@@ -109,24 +111,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--seed``/``--set`` exactly as ``repro submit`` takes them."""
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the job's default seed"
+    )
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a job knob, e.g. horizon=60 (JSON value, string "
+        "fallback; repeatable)",
+    )
+
+
 def build_trace_parser() -> argparse.ArgumentParser:
     from repro.obs import TRACE_FORMATS
-    from repro.obs.scenarios import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="repro trace",
-        description="Trace a multi-subsystem scenario end to end.",
+        description="Run a registered job with span tracing attached. "
+        "Only jobs whose description says 'traceable' in `repro submit "
+        "--list` can be traced; any other is one error line, exit 2.",
     )
-    parser.add_argument(
-        "scenario",
-        nargs="?",
-        choices=sorted(SCENARIOS),
-        help="scenario to run with span tracing attached "
-        "(omit with --list to enumerate)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list registered trace scenarios"
-    )
+    parser.add_argument("name", help="registered job to trace, e.g. mixed")
     parser.add_argument(
         "--out", default="trace.json", help="trace output path (default trace.json)"
     )
@@ -150,45 +160,47 @@ def build_trace_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write a deterministic run manifest",
     )
-    parser.add_argument(
-        "--horizon", type=float, default=120.0, help="simulated seconds (default 120)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="scenario seed")
+    _add_job_arguments(parser)
     return parser
 
 
-def trace_main(argv: list[str]) -> int:
-    from repro.obs.scenarios import SCENARIOS, run_scenario
+def _overrides(args: argparse.Namespace) -> dict[str, object]:
+    from repro.service.cli import parse_override
 
-    parser = build_trace_parser()
-    args = parser.parse_args(argv)
+    return dict(parse_override(item) for item in args.overrides)
+
+
+def trace_main(argv: list[str]) -> int:
+    from repro.errors import ConfigError, TraceError
+    from repro.experiments.registry import render_artifacts
+    from repro.obs.observability import trace_job
+
+    args = build_trace_parser().parse_args(argv)
     out = OutputWriter()
-    if args.list or args.scenario is None:
-        width = max(len(name) for name in SCENARIOS)
-        for name in sorted(SCENARIOS):
-            out.line(f"{name.ljust(width)}  {SCENARIOS[name].description}")
-        return 0
     on_obs = None
     if args.stream is not None:
         on_obs = lambda obs: obs.stream_to(args.stream, chrome=True)  # noqa: E731
-    run = run_scenario(
-        args.scenario, seed=args.seed, horizon=args.horizon, on_obs=on_obs
-    )
-    if args.stream is not None:
-        for directory in run.obs.close_streams():
-            out.line(f"streamed scenario {args.scenario!r} into {directory}/")
-    path = run.obs.write_trace(args.out, fmt=args.format)
-    counts = run.obs.collector.categories()
+    try:
+        result, obs = trace_job(
+            args.name, seed=args.seed, overrides=_overrides(args), on_obs=on_obs
+        )
+    except (ConfigError, TraceError) as err:  # bad input: job, knob or trace
+        sys.stderr.write(f"repro trace: error: {err}\n")
+        return 2
+    for directory in obs.close_streams():
+        out.line(f"streamed job {args.name!r} into {directory}/")
+    path = obs.write_trace(args.out, fmt=args.format)
+    counts = obs.collector.categories()
     summary = "  ".join(f"{cat}={n}" for cat, n in counts.items())
-    out.line(f"traced scenario {args.scenario!r} to {path}")
-    out.line(f"spans: {summary or 'none'}  instants: {len(run.obs.collector.instants)}")
+    out.line(f"traced job {args.name!r} to {path}")
+    out.line(f"spans: {summary or 'none'}  instants: {len(obs.collector.instants)}")
     if args.manifest is not None:
-        manifest_path = run.obs.write_manifest(
+        manifest_path = obs.write_manifest(
             args.manifest,
-            name=f"trace-{args.scenario}",
-            seed=run.seed,
-            config=run.config,
-            injector=run.injector,
+            name=f"trace-{args.name}",
+            seed=getattr(result, "seed", None),
+            config=getattr(result, "config", None),
+            results_text=render_artifacts(result).text,
         )
         out.line(f"manifest: {manifest_path}")
     return 0
@@ -224,24 +236,21 @@ def diff_main(argv: list[str]) -> int:
 
 
 def build_report_parser() -> argparse.ArgumentParser:
-    from repro.obs.scenarios import SCENARIOS
-
     parser = argparse.ArgumentParser(
         prog="repro report",
         description="Summarize a run: span counts, utilization, critical "
         "path, counters and per-subsystem wall-clock attribution.",
     )
     parser.add_argument(
-        "scenario",
+        "name",
         nargs="?",
-        choices=sorted(SCENARIOS),
-        help="scenario to run and report on (or use --run-dir)",
+        help="traceable registered job to run and report on (or use --run-dir)",
     )
     parser.add_argument(
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="report on a streamed run directory instead of running a scenario",
+        help="report on a streamed run directory instead of running a job",
     )
     parser.add_argument(
         "--no-wallclock",
@@ -255,29 +264,33 @@ def build_report_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the report as markdown",
     )
-    parser.add_argument(
-        "--horizon", type=float, default=120.0, help="simulated seconds (default 120)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="scenario seed")
+    _add_job_arguments(parser)
     return parser
 
 
 def report_main(argv: list[str]) -> int:
-    from repro.obs.report import report_run_dir, report_scenario
+    from repro.errors import ConfigError, TraceError
+    from repro.obs.report import report_job, report_run_dir
 
     parser = build_report_parser()
     args = parser.parse_args(argv)
-    if (args.scenario is None) == (args.run_dir is None):
-        parser.error("give exactly one of: a scenario name, or --run-dir DIR")
+    if (args.name is None) == (args.run_dir is None):
+        parser.error("give exactly one of: a job name, or --run-dir DIR")
+    if args.run_dir is not None and (args.seed is not None or args.overrides):
+        parser.error("--seed and --set choose a job's run, not a --run-dir")
     if args.run_dir is not None:
         report = report_run_dir(args.run_dir, wallclock=not args.no_wallclock)
     else:
-        report = report_scenario(
-            args.scenario,
-            seed=args.seed,
-            horizon=args.horizon,
-            wallclock=not args.no_wallclock,
-        )
+        try:
+            report = report_job(
+                args.name,
+                seed=args.seed,
+                overrides=_overrides(args),
+                wallclock=not args.no_wallclock,
+            )
+        except (ConfigError, TraceError) as err:  # bad input: job, knob or trace
+            sys.stderr.write(f"repro report: error: {err}\n")
+            return 2
     out = OutputWriter()
     out.line(report.render())
     if args.md is not None:

@@ -4,6 +4,7 @@
 a seeded synthetic generator pattern by default, or any trace file via
 ``--set trace=path/to.jsonl`` — through :class:`TraceReplayApp` and
 reports the replayed workload shape plus the replay fingerprint digest.
+``repro trace trace_replay`` runs the same job with spans attached.
 
 Determinism contract: the rendered table depends only on the trace bytes
 (which a generator derives purely from ``(seed, ranks, steps)``) — the
@@ -22,6 +23,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.experiments.common import format_table
+from repro.obs.observability import ObsHook, observe
 from repro.traces.generators import generate_trace
 from repro.traces.replay import TraceReplayApp, build_replay_cluster
 from repro.traces.schema import RECORD_KINDS, Trace, check_sha256, load_trace
@@ -97,6 +99,7 @@ def run_trace_replay(
     steps: int = 4,
     trace: str | None = None,
     trace_sha256: str | None = None,
+    on_obs: ObsHook | None = None,
 ) -> TraceReplayResult:
     """Replay a generated or file-loaded trace; report shape + fingerprint.
 
@@ -108,6 +111,7 @@ def run_trace_replay(
     With ``trace`` it must be a canonical digest (:attr:`Trace.sha256`),
     as :meth:`ExperimentSpec.normalize` puts there after rendering the
     file once: a file whose seal equals it is not rendered again.
+    ``on_obs`` traces the replay with spans only (no metric service).
     """
     if trace is not None:
         loaded = load_trace(trace, trace_sha256)
@@ -117,6 +121,7 @@ def run_trace_replay(
             check_sha256(loaded, trace_sha256)
     sha = loaded.sha256
     cluster = build_replay_cluster(loaded)
+    observe(cluster, on_obs)
     TraceReplayApp(loaded, cluster).run()
     from repro.check.harness import fingerprint_cluster
 

@@ -28,10 +28,13 @@ import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro._atomic import atomic_write_text
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.observability import ObsHook
 
 #: override names that never change a result (proven by the parallel
 #: differential oracle) and therefore stay out of the cache fingerprint
@@ -186,6 +189,11 @@ class ExperimentSpec:
     def takes_seed(self) -> bool:
         return "seed" in _runner_params(self.runner)
 
+    @property
+    def traceable(self) -> bool:
+        """Whether the runner takes an ``on_obs`` tracing hook."""
+        return "on_obs" in _runner_params(self.runner)
+
     # -- normalized requests -------------------------------------------------
 
     def normalize(
@@ -226,8 +234,13 @@ class ExperimentSpec:
                 raise ConfigError(
                     "pass 'seed' as its own argument, not as an override"
                 )
+            if key == "on_obs":
+                raise ConfigError(
+                    "'on_obs' is a tracing hook, not a knob: "
+                    "use `repro trace` to trace a job"
+                )
             if key not in params:
-                known = ", ".join(params)
+                known = ", ".join(p for p in params if p != "on_obs")
                 raise ConfigError(
                     f"experiment {self.name!r} has no knob {key!r} "
                     f"(known: {known})"
@@ -247,13 +260,30 @@ class ExperimentSpec:
             extras=tuple(sorted(extras.items())),
         )
 
-    def run_request(self, request: JobRequest) -> object:
-        """Call the runner with exactly the request's arguments."""
+    def run_request(
+        self, request: JobRequest, on_obs: "ObsHook | None" = None
+    ) -> object:
+        """Call the runner with exactly the request's arguments.
+
+        ``on_obs`` traces the run: it is passed to a runner that declares
+        it (see :attr:`traceable`) and called with the attached
+        :class:`~repro.obs.Observability` handle before the run starts.
+        It never enters the request, so a traced run keys, and persists,
+        exactly like an untraced one.
+        """
         if request.name != self.name:
             raise ConfigError(
                 f"request for {request.name!r} handed to spec {self.name!r}"
             )
-        return self.runner(**request.kwargs())
+        kwargs = request.kwargs()
+        if on_obs is not None:
+            if not self.traceable:
+                raise ConfigError(
+                    f"experiment {self.name!r} cannot be traced "
+                    "(its runner takes no on_obs hook)"
+                )
+            kwargs["on_obs"] = on_obs
+        return self.runner(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -472,8 +502,25 @@ def _build_registry() -> dict[str, ExperimentSpec]:
             seed=5,
         ),
         ExperimentSpec(
+            "mixed",
+            "miniGhost placed by WBAS under four staggered anomalies "
+            "(traceable, extension)",
+            _Deferred("repro.experiments.ext_mixed", "run_mixed"),
+            "MixedResult",
+            seed=0,
+        ),
+        ExperimentSpec(
+            "fault_recovery",
+            "checkpointing managed job through anomalies and a fault "
+            "campaign (traceable, extension)",
+            _Deferred("repro.experiments.ext_mixed", "run_fault_recovery"),
+            "FaultRecoveryResult",
+            seed=0,
+        ),
+        ExperimentSpec(
             "trace_replay",
-            "replay a generated or recorded workload trace (extension)",
+            "replay a generated or recorded workload trace "
+            "(traceable, extension)",
             _Deferred("repro.experiments.ext_trace_replay", "run_trace_replay"),
             "TraceReplayResult",
             seed=0,

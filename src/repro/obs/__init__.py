@@ -13,7 +13,8 @@ The subsystem has four layers:
     engine counters and series checksums as canonical JSON.
 :mod:`repro.obs.observability`
     The :class:`Observability` handle unifying SimStats, the metric
-    service and the span timeline behind one attach/detach pair.
+    service and the span timeline behind one attach/detach pair, and
+    :func:`observe`, the one rule by which a registry runner attaches it.
 :mod:`repro.obs.stream`
     The :class:`ObsSink` protocol and bounded-memory incremental writers
     that flush spans/samples/counters during the run, byte-identical to
@@ -48,8 +49,7 @@ from repro.obs.manifest import (
     text_checksum,
     write_manifest,
 )
-from repro.obs.observability import TRACE_FORMATS, Observability
-from repro.obs.scenarios import SCENARIOS, ScenarioSpec, TraceRun, run_scenario
+from repro.obs.observability import TRACE_FORMATS, ObsHook, Observability, observe
 from repro.obs.spans import InstantEvent, Span, SpanCollector
 from repro.obs.stream import (
     ChromeStreamWriter,
@@ -64,22 +64,20 @@ __all__ = [
     "InstantEvent",
     "JsonlStreamWriter",
     "MetricJsonlStreamWriter",
+    "ObsHook",
     "ObsSink",
     "Observability",
     "RunStreamer",
-    "SCENARIOS",
-    "ScenarioSpec",
     "Span",
     "SpanCollector",
     "TRACE_FORMATS",
-    "TraceRun",
     "assert_valid_chrome_trace",
     "build_manifest",
     "chrome_trace",
     "injection_labels",
     "jsonl_lines",
     "manifest_text",
-    "run_scenario",
+    "observe",
     "series_checksum",
     "service_checksums",
     "text_checksum",

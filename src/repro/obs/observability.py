@@ -8,14 +8,16 @@
 
 behind one attach/detach pair, and knows how to export them (Chrome trace
 JSON, JSONL, run manifests).  The CLI's ``--trace`` flag and the
-``repro trace`` subcommand are thin wrappers over this class.
+``repro trace`` subcommand are thin wrappers over this class;
+:func:`observe` is how a registry runner that declares ``on_obs``
+attaches one to the cluster it builds.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import ObservabilityError
 from repro.monitoring.service import MetricService
@@ -178,3 +180,55 @@ class Observability:
     def write_manifest(self, path: str | Path, name: str, **kwargs) -> Path:
         """Build and write a manifest; see :meth:`manifest` for sections."""
         return write_manifest(path, self.manifest(name, **kwargs))
+
+
+#: called with the attached handle *before* the run starts, early enough
+#: for streaming writers to register their sinks
+ObsHook = Callable[[Observability], None]
+
+
+def observe(
+    cluster: "Cluster",
+    on_obs: ObsHook | None,
+    service: MetricService | None = None,
+) -> None:
+    """Attach a handle for ``on_obs`` when a registry run is traced.
+
+    The one rule every traceable runner follows: adopt the runner's own
+    metric ``service`` when it has one, otherwise attach spans only.  A
+    service the run did not have would split its accrue intervals at
+    every sampling tick, moving per-process counters in the last bit and
+    with them the result; spans alone change no simulated number.
+    """
+    if on_obs is not None:
+        on_obs(Observability(cluster, service=service).attach(metrics=service is not None))
+
+
+def trace_job(
+    name: str,
+    seed: int | None = None,
+    overrides: Mapping[str, object] | None = None,
+    on_obs: ObsHook | None = None,
+) -> tuple[object, Observability]:
+    """Run registry job ``name`` traced: its result and finalized handle.
+
+    The request goes through the one run path (``normalize`` +
+    ``run_request``), so a job that cannot be traced, or bad input, is
+    a :class:`~repro.errors.ConfigError` before anything runs.
+    ``on_obs`` sees the handle before the run, e.g. to stream it.
+    """
+    from repro.experiments.registry import get_experiment
+
+    spec = get_experiment(name)
+    request = spec.normalize(seed=seed, overrides=overrides)
+    handles: list[Observability] = []
+
+    def hook(obs: Observability) -> None:
+        handles.append(obs)
+        if on_obs is not None:
+            on_obs(obs)
+
+    result = spec.run_request(request, on_obs=hook)
+    (obs,) = handles
+    obs.collector.finalize()
+    return result, obs

@@ -14,9 +14,11 @@ One report answers two different questions from the same run:
   deterministic; ``--no-wallclock`` drops the section so the rest of the
   report stays reproducible.
 
-Two sources: a live scenario (``repro report mixed``) or a streamed run
-directory written by ``repro trace --stream`` (``repro report --run-dir
-runs/a``).  Both render to the terminal and to markdown (``--md``).
+Two sources: a live traced registry job (``repro report mixed``, with
+``--seed``/``--set`` as for ``repro submit``) or a streamed run
+directory written by ``repro trace NAME --stream DIR`` (``repro report
+--run-dir runs/a``).  Both render to the terminal and to markdown
+(``--md``).
 """
 
 from __future__ import annotations
@@ -187,29 +189,28 @@ def _trace_sections(report: RunReport, trace: Trace) -> None:
     ]
 
 
-def report_scenario(
+def report_job(
     name: str,
-    seed: int = 0,
-    horizon: float = 120.0,
+    seed: int | None = None,
+    overrides: Mapping[str, object] | None = None,
     wallclock: bool = True,
 ) -> RunReport:
-    """Run a trace scenario and aggregate its report."""
-    from repro.obs.scenarios import run_scenario
+    """Run registry job ``name`` traced and aggregate its report."""
+    from repro.obs.observability import trace_job
 
-    run = run_scenario(name, seed=seed, horizon=horizon)
+    result, obs = trace_job(name, seed=seed, overrides=overrides)
     report = RunReport(
-        title=f"scenario {name!r} (seed {seed})",
-        source=f"scenario:{name}",
+        title=f"job {name!r} (seed {getattr(result, 'seed', None)})",
+        source=f"job:{name}",
     )
-    _trace_sections(report, Trace.from_collector(run.obs.collector))
-    report.counters = dict(sorted(run.obs.stats.counters.items()))
-    if run.obs.service is not None:
+    _trace_sections(report, Trace.from_collector(obs.collector))
+    report.counters = dict(sorted(obs.stats.counters.items()))
+    if obs.service is not None:
         report.samples = {
-            node: len(run.obs.service.times)
-            for node in sorted(run.obs.service.data)
+            node: len(obs.service.times) for node in sorted(obs.service.data)
         }
     if wallclock:
-        report.timings = dict(run.obs.stats.timings)
+        report.timings = dict(obs.stats.timings)
     return report
 
 
@@ -226,7 +227,7 @@ def report_run_dir(directory: str | Path, wallclock: bool = True) -> RunReport:
     if not trace_path.is_file():
         raise ObservabilityError(
             f"no trace.jsonl in {directory} — was it written by "
-            "`repro trace --stream`?"
+            "`repro trace NAME --stream DIR`?"
         )
     report = RunReport(
         title=f"run directory {directory.name!r}",

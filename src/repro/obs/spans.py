@@ -7,10 +7,9 @@ instant events* — process lifetimes, work segments, anomaly injection
 windows, scheduler decisions, MPI collectives, filesystem busy windows and
 load-balancer iterations — each stamped with the simulated clock.
 
-The design follows the same pull-based, pay-for-what-you-use pattern as
-:class:`~repro.sim.trace.Tracer`: nothing is recorded (and nothing beyond a
-``None``-check is executed) unless a collector is attached to the
-simulator.  Every instrumentation site in the engine and the subsystems is
+The design is pull-based and pay-for-what-you-use: nothing is recorded
+(and nothing beyond a ``None``-check is executed) unless a collector is
+attached to the simulator.  Every instrumentation site in the engine and the subsystems is
 guarded by ``if obs is not None``.
 
 Spans carry:

@@ -10,8 +10,9 @@ the exact artefact bytes a fresh run would persist::
 Every file is written with temp-file + ``os.replace`` renames, and
 ``record.json`` is written **last** — its presence is the commit marker.
 A worker killed mid-``put`` leaves at worst an uncommitted entry that
-:meth:`ResultStore.get` ignores and a later ``put`` overwrites, so the
-store can never serve a truncated artefact as a cache hit (the
+:meth:`ResultStore.get` ignores and a later ``put`` overwrites (removing
+the dead writer's temp files), so the store can never serve a truncated
+artefact as a cache hit (the
 ``result_cache`` differential oracle in :mod:`repro.check` asserts the
 stronger property: a served hit is byte-identical to a fresh run).
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from repro._atomic import atomic_write_bytes, atomic_write_text
+from repro._atomic import atomic_write_bytes, atomic_write_text, sweep_dead_temps
 from repro.errors import ServiceError
 from repro.experiments.registry import ResultArtifacts
 
@@ -64,6 +65,9 @@ class ResultStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: the record :meth:`committed` last found, for the :meth:`get`
+        #: that serves the hit: one ``record.json`` read per cache hit
+        self._checked: tuple[str, dict[str, object]] | None = None
 
     def entry_dir(self, fingerprint: str) -> Path:
         if len(fingerprint) < 3:
@@ -77,9 +81,12 @@ class ResultStore:
         """Whether a committed entry with digests exists.
 
         Reads ``record.json`` only — the pool's cache-hit check; the
-        artefacts are read (and verified) once, by :meth:`get`.
+        artefacts are read (and verified) once, by :meth:`get`, which
+        reuses the record found here.
         """
-        return self._record(fingerprint) is not None
+        record = self._record(fingerprint)
+        self._checked = None if record is None else (fingerprint, record)
+        return record is not None
 
     def get(self, fingerprint: str) -> StoredResult | None:
         """Return the committed entry, or ``None`` when there is none.
@@ -88,7 +95,11 @@ class ResultStore:
         ``record.json``; a mismatch raises :class:`ServiceError` naming
         the file.
         """
-        record = self._record(fingerprint)
+        checked, self._checked = self._checked, None
+        if checked is not None and checked[0] == fingerprint:
+            record = checked[1]
+        else:
+            record = self._record(fingerprint)
         if record is None:
             return None
         entry = self.entry_dir(fingerprint)
@@ -120,6 +131,7 @@ class ResultStore:
     ) -> StoredResult:
         """Commit an entry (idempotent: equal fingerprints, equal bytes)."""
         entry = self.entry_dir(fingerprint)
+        sweep_dead_temps(entry)
         digests = {}
         for name, text in zip(
             DIGESTED_FILES, (artifacts.text, artifacts.manifest_text)

@@ -36,7 +36,7 @@ class TestRegistry:
             "fig7", "fig8", "fig9", "fig10", "fig11_12", "fig13",
             "ext_dragonfly", "ext_faults", "ext_importance", "ext_jitter",
             "ext_jobstream", "ext_lustre", "ext_online", "ext_variability",
-            "trace_replay", "varbench",
+            "mixed", "fault_recovery", "trace_replay", "varbench",
         }
         assert set(EXPERIMENT_REGISTRY) == expected
 

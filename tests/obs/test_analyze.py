@@ -3,27 +3,25 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import run_scenario
 from repro.obs.analyze import Trace
 from repro.obs.export import write_jsonl_trace
-
-HORIZON = 120.0
-
-
-@pytest.fixture(scope="module")
-def run():
-    return run_scenario("mixed", seed=0, horizon=HORIZON)
+from repro.obs.observability import trace_job
 
 
 @pytest.fixture(scope="module")
-def trace(run):
-    return Trace.from_collector(run.obs.collector)
+def obs():
+    return trace_job("mixed")[1]
+
+
+@pytest.fixture(scope="module")
+def trace(obs):
+    return Trace.from_collector(obs.collector)
 
 
 class TestLoading:
-    def test_load_roundtrips_from_collector(self, run, trace, tmp_path_factory):
+    def test_load_roundtrips_from_collector(self, obs, trace, tmp_path_factory):
         path = tmp_path_factory.mktemp("analyze") / "trace.jsonl"
-        write_jsonl_trace(run.obs.collector, path)
+        write_jsonl_trace(obs.collector, path)
         loaded = Trace.load(path)
         assert len(loaded) == len(trace)
         assert loaded.categories() == trace.categories()

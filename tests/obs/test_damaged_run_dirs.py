@@ -13,25 +13,24 @@ import shutil
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import run_scenario
 from repro.obs.analyze import Trace
 from repro.obs.export import write_jsonl_trace
 from repro.obs.spans import SpanCollector
 from repro.sim.engine import Simulator
 from repro.obs.diff import diff_runs
+from repro.obs.observability import trace_job
 from repro.obs.report import report_run_dir
 
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("damaged") / "run"
-    run = run_scenario(
-        "loadbalance",
-        seed=0,
-        horizon=20.0,
+    _, obs = trace_job(
+        "mixed",
+        overrides={"horizon": 20.0},
         on_obs=lambda obs: obs.stream_to(directory),
     )
-    run.obs.close_streams()
+    obs.close_streams()
     return directory
 
 

@@ -6,21 +6,21 @@ import shutil
 
 import pytest
 
-from repro.obs import run_scenario
 from repro.obs.diff import diff_runs
+from repro.obs.observability import trace_job
 
 HORIZON = 60.0
 
 
 def _stream_run(directory, seed=0):
-    run = run_scenario(
-        "loadbalance",
+    _, obs = trace_job(
+        "mixed",
         seed=seed,
-        horizon=HORIZON,
+        overrides={"horizon": HORIZON},
         on_obs=lambda obs: obs.stream_to(directory, chrome=True),
     )
-    run.obs.close_streams()
-    return run
+    obs.close_streams()
+    return obs
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,16 @@
-"""The unified Observability handle and the end-to-end trace scenarios."""
+"""The unified Observability handle and the traceable registry jobs."""
 
 import json
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.errors import ObservabilityError
-from repro.obs import (
-    Observability,
-    SCENARIOS,
-    run_scenario,
-    validate_chrome_trace,
-)
+from repro.core import AnomalyInjector, CpuOccupy, Injection
+from repro.errors import ConfigError, ObservabilityError
+from repro.experiments.registry import EXPERIMENT_REGISTRY
+from repro.obs import Observability, validate_chrome_trace
+from repro.obs.observability import trace_job
+from repro.runtime import CharmRuntime, GreedyRefineLB, WorkObject
 
 
 class TestObservabilityHandle:
@@ -55,43 +54,45 @@ class TestObservabilityHandle:
 
 
 class TestScenarios:
+    """The whole-stack registry jobs, traced through :func:`trace_job`."""
+
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ObservabilityError, match="unknown scenario"):
-            run_scenario("nope")
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            trace_job("nope")
 
     def test_bad_horizon_rejected(self):
-        with pytest.raises(ObservabilityError, match="horizon"):
-            run_scenario("mixed", horizon=0.0)
+        with pytest.raises(ConfigError, match="horizon"):
+            trace_job("mixed", overrides={"horizon": 0.0})
 
     def test_scenario_registry_names(self):
-        assert set(SCENARIOS) == {"mixed", "loadbalance", "faults", "replay_ai"}
+        traceable = {n for n, spec in EXPERIMENT_REGISTRY.items() if spec.traceable}
+        assert traceable == {"mixed", "fault_recovery", "trace_replay"}
 
     def test_faults_covers_fault_and_recovery_spans(self):
-        run = run_scenario("faults", seed=0, horizon=3600.0)
-        collector = run.obs.collector
+        _, obs = trace_job("fault_recovery", overrides={"horizon": 3600.0})
+        collector = obs.collector
         assert "faults" in set(collector.categories())
         names = {e.name for e in collector.instants}
         assert any(n.startswith("recovered:") for n in names)
 
     def test_mixed_covers_five_subsystems(self):
-        run = run_scenario("mixed", seed=0, horizon=120.0)
-        categories = set(run.obs.collector.categories())
+        _, obs = trace_job("mixed")
+        categories = set(obs.collector.categories())
         assert categories >= {"engine", "injector", "scheduler", "mpi", "storage"}
 
     def test_mixed_trace_is_valid_chrome_json(self, tmp_path):
-        run = run_scenario("mixed", seed=0, horizon=120.0)
-        path = run.obs.write_trace(tmp_path / "trace.json")
+        _, obs = trace_job("mixed")
+        path = obs.write_trace(tmp_path / "trace.json")
         assert validate_chrome_trace(json.loads(path.read_text())) == []
 
     def test_mixed_manifest_byte_identical_across_reruns(self, tmp_path):
         def manifest_bytes(path):
-            run = run_scenario("mixed", seed=3, horizon=120.0)
-            out = run.obs.write_manifest(
+            result, obs = trace_job("mixed", seed=3)
+            out = obs.write_manifest(
                 tmp_path / path,
                 name="trace-mixed",
-                seed=run.seed,
-                config=run.config,
-                injector=run.injector,
+                seed=result.seed,
+                config=result.config,
             )
             return out.read_bytes()
 
@@ -99,18 +100,36 @@ class TestScenarios:
 
     def test_mixed_trace_byte_identical_across_reruns(self, tmp_path):
         def trace_bytes(path):
-            run = run_scenario("mixed", seed=0, horizon=120.0)
-            return run.obs.write_trace(tmp_path / path).read_bytes()
+            _, obs = trace_job("mixed")
+            return obs.write_trace(tmp_path / path).read_bytes()
 
         assert trace_bytes("a.json") == trace_bytes("b.json")
 
     def test_loadbalance_emits_charm_spans(self):
-        run = run_scenario("loadbalance", seed=0, horizon=60.0)
-        categories = run.obs.collector.categories()
+        # Fig. 13's setting, observed directly on the Charm++ runtime.
+        cluster = Cluster.voltrino(num_nodes=2)
+        obs = Observability(cluster).attach(metrics=False)
+        injector = AnomalyInjector(cluster)
+        for core in (0, 1, 2):
+            injector.add(
+                Injection(CpuOccupy(utilization=100), node="node0", core=core,
+                          start=2.0, duration=48.0)
+            )
+        injector.deploy()
+        objects = [WorkObject(oid=i, load=0.05 + 0.01 * (i % 5)) for i in range(24)]
+        runtime = CharmRuntime(
+            cluster,
+            node="node0",
+            cores=list(range(8)),
+            objects=objects,
+            balancer=GreedyRefineLB(),
+            iterations=12,
+        )
+        runtime.run(timeout=60.0)
+        obs.collector.finalize()
+        categories = obs.collector.categories()
         assert categories.get("charm", 0) >= 12  # one span per iteration
-        migrations = [
-            e for e in run.obs.collector.instants if e.name == "migrate"
-        ]
+        migrations = [e for e in obs.collector.instants if e.name == "migrate"]
         assert migrations  # the balancer reacts to the cpuoccupy squat
 
 
@@ -128,23 +147,25 @@ class TestTraceCli:
                 str(out),
                 "--manifest",
                 str(manifest),
-                "--horizon",
-                "60",
+                "--set",
+                "horizon=60",
             ]
         )
         assert code == 0
         assert validate_chrome_trace(json.loads(out.read_text())) == []
-        assert json.loads(manifest.read_text())["name"] == "trace-mixed"
+        manifest = json.loads(manifest.read_text())
+        assert manifest["name"] == "trace-mixed"
+        assert manifest["config"]["horizon"] == 60
         stdout = capsys.readouterr().out
-        assert "traced scenario 'mixed'" in stdout
+        assert "traced job 'mixed'" in stdout
 
     def test_trace_subcommand_jsonl_format(self, tmp_path):
         from repro.cli import main
 
         out = tmp_path / "trace.jsonl"
         code = main(
-            ["trace", "loadbalance", "--out", str(out), "--format", "jsonl",
-             "--horizon", "40"]
+            ["trace", "trace_replay", "--out", str(out), "--format", "jsonl",
+             "--seed", "2"]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()

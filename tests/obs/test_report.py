@@ -2,28 +2,28 @@
 
 import pytest
 
-from repro.errors import ObservabilityError
-from repro.obs import run_scenario
+from repro.errors import ConfigError, ObservabilityError
+from repro.obs.observability import trace_job
 from repro.obs.report import (
     SUBSYSTEM_TIMERS,
+    report_job,
     report_run_dir,
-    report_scenario,
     wallclock_attribution,
 )
 
 HORIZON = 60.0
+KNOBS = {"horizon": HORIZON}
 
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("report") / "run"
-    run = run_scenario(
-        "loadbalance",
-        seed=0,
-        horizon=HORIZON,
+    _, obs = trace_job(
+        "mixed",
+        overrides=KNOBS,
         on_obs=lambda obs: obs.stream_to(directory, chrome=False),
     )
-    run.obs.close_streams()
+    obs.close_streams()
     return directory
 
 
@@ -63,24 +63,22 @@ class TestWallclockAttribution:
 
 class TestScenarioReports:
     def test_no_wallclock_report_is_deterministic(self):
-        render = lambda: report_scenario(  # noqa: E731
-            "loadbalance", seed=0, horizon=HORIZON, wallclock=False
+        render = lambda: report_job(  # noqa: E731
+            "mixed", overrides=KNOBS, wallclock=False
         ).render()
         first = render()
         assert first == render()
         assert "wall-clock attribution" not in first
 
     def test_wallclock_report_attributes_subsystems(self):
-        report = report_scenario("loadbalance", seed=0, horizon=HORIZON)
+        report = report_job("mixed", overrides=KNOBS)
         assert report.timings
         text = report.render()
         assert "wall-clock attribution (not deterministic):" in text
         assert "engine.resolve (self)" in text
 
     def test_sections_are_populated(self):
-        report = report_scenario(
-            "loadbalance", seed=0, horizon=HORIZON, wallclock=False
-        )
+        report = report_job("mixed", overrides=KNOBS, wallclock=False)
         assert report.categories
         assert report.horizon > 0
         assert report.utilization
@@ -89,9 +87,7 @@ class TestScenarioReports:
         assert report.samples
 
     def test_markdown_mirrors_terminal_sections(self):
-        report = report_scenario(
-            "loadbalance", seed=0, horizon=HORIZON, wallclock=False
-        )
+        report = report_job("mixed", overrides=KNOBS, wallclock=False)
         md = report.render_markdown()
         assert "# Run report:" in md
         assert "## Timeline" in md
@@ -106,10 +102,7 @@ class TestRunDirReports:
         assert report.source == str(run_dir)
         assert report.categories
         assert report.counters
-        assert report.samples == {
-            "node0": report.samples["node0"],
-            "node1": report.samples["node1"],
-        }
+        assert list(report.samples) == [f"node{i}" for i in range(6)]
 
     def test_run_dir_never_fakes_wallclock(self, run_dir):
         # Streamed artefacts carry no timer snapshot; asking for wallclock
@@ -119,9 +112,7 @@ class TestRunDirReports:
         assert "wall-clock" not in report.render()
 
     def test_run_dir_matches_live_scenario_sections(self, run_dir):
-        live = report_scenario(
-            "loadbalance", seed=0, horizon=HORIZON, wallclock=False
-        )
+        live = report_job("mixed", overrides=KNOBS, wallclock=False)
         streamed = report_run_dir(run_dir)
         assert streamed.categories == live.categories
         assert streamed.critical_path == live.critical_path
@@ -131,3 +122,15 @@ class TestRunDirReports:
     def test_missing_trace_rejected(self, tmp_path):
         with pytest.raises(ObservabilityError, match="trace.jsonl"):
             report_run_dir(tmp_path)
+
+
+class TestJobReports:
+    def test_untraceable_job_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cannot be traced"):
+            report_job("fig9")
+
+    def test_title_names_the_job_and_its_seed(self):
+        report = report_job("trace_replay", seed=4, wallclock=False)
+        assert report.title == "job 'trace_replay' (seed 4)"
+        assert report.source == "job:trace_replay"
+        assert report.samples == {}  # spans only: the replay samples nothing

@@ -17,8 +17,9 @@ from repro.cluster import Cluster
 from repro.errors import ConfigError, ObservabilityError
 from repro.monitoring.export import to_jsonl_text
 from repro.monitoring.service import MetricService
-from repro.obs import Observability, assert_valid_chrome_trace, run_scenario
+from repro.obs import Observability, assert_valid_chrome_trace
 from repro.obs.export import chrome_trace, jsonl_lines, write_jsonl_trace
+from repro.obs.observability import trace_job
 from repro.obs.spans import InstantEvent, Span
 from repro.obs.stream import (
     COUNTERS_JSON,
@@ -56,7 +57,8 @@ class _CountingSink(ObsSink):
 
 @pytest.fixture(scope="module")
 def streamed(tmp_path_factory):
-    """One scenario run with in-memory sinks *and* a RunStreamer attached."""
+    """One traced ``mixed`` run with in-memory sinks *and* a RunStreamer
+    attached."""
     run_dir = tmp_path_factory.mktemp("stream") / "run"
     buffers = {"jsonl": io.StringIO(), "chrome": io.StringIO()}
     metric_buffers = {}
@@ -75,25 +77,25 @@ def streamed(tmp_path_factory):
         service.add_sink(counter)
         obs.stream_to(run_dir, chrome=True)
 
-    run = run_scenario("loadbalance", seed=0, horizon=HORIZON, on_obs=hook)
-    # close_streams() finalizes the collector, so the in-memory sinks see
-    # the horizon-sealed spans too; only the Chrome footer is left to us.
-    assert run.obs.close_streams() == [run_dir]
-    for sink in list(run.obs.collector.sinks):
+    _, obs = trace_job("mixed", overrides={"horizon": HORIZON}, on_obs=hook)
+    # The finalized collector already fed the in-memory sinks the
+    # horizon-sealed spans; only the Chrome footer is left to us.
+    assert obs.close_streams() == [run_dir]
+    for sink in list(obs.collector.sinks):
         sink.close()
-    return run, run_dir, buffers, metric_buffers, counter
+    return obs, run_dir, buffers, metric_buffers, counter
 
 
 class TestByteIdentity:
     def test_jsonl_stream_matches_batch(self, streamed):
-        run, _, buffers, _, _ = streamed
-        batch = "\n".join(jsonl_lines(run.obs.collector)) + "\n"
+        obs, _, buffers, _, _ = streamed
+        batch = "\n".join(jsonl_lines(obs.collector)) + "\n"
         assert buffers["jsonl"].getvalue() == batch
 
     def test_chrome_stream_matches_batch(self, streamed):
-        run, _, buffers, _, _ = streamed
+        obs, _, buffers, _, _ = streamed
         batch = (
-            json.dumps(chrome_trace(run.obs.collector), sort_keys=True, indent=1)
+            json.dumps(chrome_trace(obs.collector), sort_keys=True, indent=1)
             + "\n"
         )
         assert buffers["chrome"].getvalue() == batch
@@ -104,18 +106,18 @@ class TestByteIdentity:
         assert_valid_chrome_trace(trace)
 
     def test_metric_streams_match_batch(self, streamed):
-        run, _, _, metric_buffers, _ = streamed
-        assert metric_buffers  # the scenario samples at least one node
+        obs, _, _, metric_buffers, _ = streamed
+        assert metric_buffers  # the job samples at least one node
         for node, buf in metric_buffers.items():
-            assert buf.getvalue() == to_jsonl_text(run.obs.service, node)
+            assert buf.getvalue() == to_jsonl_text(obs.service, node)
 
     def test_counting_sink_saw_every_record(self, streamed):
-        run, _, _, _, counter = streamed
-        collector = run.obs.collector
+        obs, _, _, _, counter = streamed
+        collector = obs.collector
         assert counter.closed == len(collector.spans)
         assert counter.instants == len(collector.instants)
-        nodes = len(run.obs.service.data)
-        assert counter.samples == len(run.obs.service.times) * nodes
+        nodes = len(obs.service.data)
+        assert counter.samples == len(obs.service.times) * nodes
 
 
 class TestRunStreamer:
@@ -126,34 +128,34 @@ class TestRunStreamer:
         assert (run_dir / COUNTERS_JSONL).is_file()
         assert (run_dir / COUNTERS_JSON).is_file()
         metrics = sorted(p.name for p in (run_dir / METRICS_DIR).iterdir())
-        assert metrics == ["node0.jsonl", "node1.jsonl"]
+        assert metrics == [f"node{i}.jsonl" for i in range(6)]
 
     def test_streamed_files_match_batch_exports(self, streamed, tmp_path):
-        run, run_dir, _, _, _ = streamed
+        obs, run_dir, _, _, _ = streamed
         batch_path = tmp_path / "batch.jsonl"
-        write_jsonl_trace(run.obs.collector, batch_path)
+        write_jsonl_trace(obs.collector, batch_path)
         assert (run_dir / TRACE_JSONL).read_bytes() == batch_path.read_bytes()
 
     def test_final_counter_snapshot(self, streamed):
-        run, run_dir, _, _, _ = streamed
+        obs, run_dir, _, _, _ = streamed
         text = (run_dir / COUNTERS_JSON).read_text()
-        assert text == counters_snapshot_text(run.obs.stats)
+        assert text == counters_snapshot_text(obs.stats)
         payload = json.loads(text)
-        assert payload["counters"] == dict(run.obs.stats.counters)
+        assert payload["counters"] == dict(obs.stats.counters)
 
     def test_counter_stream_is_one_snapshot_per_tick(self, streamed):
-        run, run_dir, _, _, _ = streamed
+        obs, run_dir, _, _, _ = streamed
         lines = (run_dir / COUNTERS_JSONL).read_text().splitlines()
         times = [json.loads(line)["time"] for line in lines]
         assert times == sorted(set(times))  # strictly one record per tick
-        assert len(times) == len(run.obs.service.times)
+        assert len(times) == len(obs.service.times)
 
     def test_sinks_detached_after_close(self, streamed):
-        run, _, _, _, counter = streamed
+        obs, _, _, _, counter = streamed
         # close_streams() removed the streamer's sinks; only the three
         # in-memory ones registered by the fixture hook remain.
-        assert len(run.obs.collector.sinks) == 3
-        assert counter in run.obs.service.sinks
+        assert len(obs.collector.sinks) == 3
+        assert counter in obs.service.sinks
 
 
 class TestWriterEdges:
@@ -196,14 +198,14 @@ class TestWriterEdges:
 
 class TestServiceSinkRegistry:
     def test_duplicate_add_rejected(self, streamed):
-        run, _, _, _, counter = streamed
+        obs, _, _, _, counter = streamed
         with pytest.raises(ConfigError):
-            run.obs.service.add_sink(counter)
+            obs.service.add_sink(counter)
 
     def test_remove_absent_rejected(self, streamed):
-        run, _, _, _, _ = streamed
+        obs, _, _, _, _ = streamed
         with pytest.raises(ConfigError):
-            run.obs.service.remove_sink(ObsSink())
+            obs.service.remove_sink(ObsSink())
 
 
 # -- reference bytes: hand-built records against the stdlib ------------------
@@ -416,9 +418,9 @@ class TestCounterStreamRouting:
             obs.service.add_sink(reference[0])
             obs.stream_to(tmp_path / "run")
 
-        run = run_scenario("mixed", seed=0, horizon=HORIZON, on_obs=hook)
-        run.obs.close_streams()
-        service = run.obs.service
+        _, obs = trace_job("mixed", overrides={"horizon": HORIZON}, on_obs=hook)
+        obs.close_streams()
+        service = obs.service
         assert len(service.data) > 1 and service.times
         assert nodes == [next(iter(service.data))] * len(service.times)
         text = (tmp_path / "run" / COUNTERS_JSONL).read_text()

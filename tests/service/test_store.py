@@ -214,3 +214,79 @@ def test_damaged_record_is_a_typed_error_naming_the_file(tmp_path, damaged):
         store.get(FP)
     with pytest.raises(ServiceError, match=f"damaged store record .*{RECORD_FILE}"):
         store.committed(FP)
+
+
+def test_a_cache_hit_reads_record_json_once(tmp_path, monkeypatch):
+    import io
+
+    from repro.api import Client
+    from repro.experiments.registry import EXPERIMENT_REGISTRY, ExperimentSpec
+
+    class Probe:
+        def render(self):
+            return "probe table"
+
+    spec = ExperimentSpec("store_probe", "store-test probe", Probe, "Probe")
+    monkeypatch.setitem(EXPERIMENT_REGISTRY, "store_probe", spec)
+    opens = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).endswith(RECORD_FILE):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    with Client(state_dir=tmp_path) as client:
+        fresh = client.submit("store_probe")
+        client.wait(fresh.job_id)
+        client.result(fresh.job_id)
+        monkeypatch.setattr(io, "open", counting_open)
+        hit = client.submit("store_probe")
+        assert client.wait(hit.job_id).cached is True
+        assert client.result(hit.job_id).text == "probe table\n"
+        assert len(opens) == 1
+        # A later read of the same entry reads it again: nothing is cached
+        # beyond the hit it was checked for.
+        client.result(hit.job_id)
+        assert len(opens) == 2
+
+
+_KILLED_PUT = """
+import os, sys
+from repro import _atomic
+from repro.experiments.registry import ResultArtifacts
+from repro.service import ResultStore
+
+def die(*args):
+    os._exit(9)
+
+_atomic.os.replace = die
+ResultStore(sys.argv[1]).put(sys.argv[2], ResultArtifacts("ProbeResult", "t\\n", "m\\n"))
+"""
+
+
+def test_put_sweeps_temp_files_of_dead_writers_only(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    killed = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PUT, str(tmp_path), FP], env=env
+    )
+    assert killed.wait(timeout=120) == 9
+    entry = ResultStore(tmp_path).entry_dir(FP)
+    leaked = f".{RESULT_FILE}.{killed.pid}.tmp"
+    assert [p.name for p in entry.iterdir()] == [leaked]
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        live = entry / f".{RESULT_FILE}.{sleeper.pid}.tmp"
+        live.write_text("a live writer's half-written file")
+        ResultStore(tmp_path).put(FP, ARTS)  # the retry, from another pid
+        assert sorted(p.name for p in entry.iterdir()) == sorted(
+            [live.name, MANIFEST_FILE, RECORD_FILE, RESULT_FILE]
+        )
+    finally:
+        sleeper.kill()
+        sleeper.wait()
+    assert ResultStore(tmp_path).get(FP).artifacts == ARTS

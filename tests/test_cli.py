@@ -235,30 +235,34 @@ class TestSubmitSubcommand:
 
 class TestTrace:
     def test_list_enumerates_scenarios(self, capsys):
-        rc = main(["trace", "--list"])
+        # The traceable jobs are registry entries: `repro submit --list`
+        # names them, and says which ones `repro trace` takes.
+        rc = main(["submit", "--list"])
         assert rc == 0
-        out = capsys.readouterr().out
-        for name in ("faults", "loadbalance", "mixed"):
-            assert name in out
-        assert "GreedyRefineLB" in out  # descriptions, not just names
+        lines = capsys.readouterr().out.splitlines()
+        traceable = {line.split()[0] for line in lines if "traceable" in line}
+        assert traceable == {"mixed", "fault_recovery", "trace_replay"}
 
-    def test_bare_trace_lists_too(self, capsys):
-        rc = main(["trace"])
-        assert rc == 0
-        assert "mixed" in capsys.readouterr().out
+    def test_bare_trace_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace"])
+        assert exc.value.code == 2
+        assert "name" in capsys.readouterr().err
 
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["trace", "nope"])
+    def test_unknown_scenario_rejected(self, capsys):
+        rc = main(["trace", "nope"])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro trace: error: unknown experiment 'nope'")
 
     def test_stream_writes_run_directory(self, capsys, tmp_path):
         run_dir = tmp_path / "run"
         rc = main(
             [
                 "trace",
-                "loadbalance",
-                "--horizon",
-                "30",
+                "mixed",
+                "--set",
+                "horizon=30",
                 "--stream",
                 str(run_dir),
                 "--out",
@@ -267,7 +271,7 @@ class TestTrace:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "streamed scenario 'loadbalance'" in out
+        assert "streamed job 'mixed'" in out
         assert (run_dir / "trace.jsonl").is_file()
         assert (run_dir / "trace.json").is_file()
         assert (run_dir / "counters.json").is_file()
@@ -282,9 +286,9 @@ class TestDiff:
         main(
             [
                 "trace",
-                "loadbalance",
-                "--horizon",
-                "30",
+                "mixed",
+                "--set",
+                "horizon=30",
                 "--stream",
                 str(run_dir),
                 "--out",
@@ -315,11 +319,11 @@ class TestDiff:
 class TestReport:
     def test_scenario_report_renders(self, capsys):
         rc = main(
-            ["report", "loadbalance", "--horizon", "30", "--no-wallclock"]
+            ["report", "mixed", "--seed", "2", "--set", "horizon=30", "--no-wallclock"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "run report: scenario 'loadbalance'" in out
+        assert "run report: job 'mixed' (seed 2)" in out
         assert "wall-clock" not in out
 
     def test_markdown_output(self, capsys, tmp_path):
@@ -327,9 +331,9 @@ class TestReport:
         rc = main(
             [
                 "report",
-                "loadbalance",
-                "--horizon",
-                "30",
+                "mixed",
+                "--set",
+                "horizon=30",
                 "--no-wallclock",
                 "--md",
                 str(md),
@@ -341,6 +345,10 @@ class TestReport:
     def test_scenario_and_run_dir_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "mixed", "--run-dir", str(tmp_path)])
+
+    def test_job_knobs_do_not_apply_to_a_run_dir(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["report", "--run-dir", str(tmp_path), "--set", "horizon=30"])
 
     def test_one_source_required(self):
         with pytest.raises(SystemExit):

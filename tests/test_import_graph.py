@@ -48,7 +48,9 @@ def test_import_api_loads_no_scipy_and_no_experiment_module():
     experiments = [
         m
         for m in loaded
-        if m.startswith(("repro.experiments.fig", "repro.experiments.table"))
+        if m.startswith(
+            ("repro.experiments.fig", "repro.experiments.table", "repro.experiments.ext_")
+        )
     ]
     assert experiments == []
 
